@@ -106,9 +106,9 @@ func EstimateError(kind string, q, n int) float64 {
 	dst := la.NewVec(1)
 	switch kind {
 	case "lip":
-		ode.LIPEstimate(dst, hist, q, target)
+		new(ode.LIPEstimator).Estimate(dst, hist, q, target)
 	case "bdf":
-		ode.BDFEstimate(dst, hist, q, target, la.Vec{-math.Exp(-target)})
+		new(ode.BDFEstimator).Estimate(dst, hist, q, target, la.Vec{-math.Exp(-target)})
 	default:
 		panic("convergence: unknown estimate kind " + kind)
 	}

@@ -102,22 +102,23 @@ type Config struct {
 	Field *inject.FieldSelective
 
 	// Workers sets the replicate-level parallelism: 0 uses
-	// runtime.GOMAXPROCS(0), 1 runs the serial reference engine, and any
-	// other value runs that many workers. Every worker count produces a
-	// bitwise-identical Result (modulo wall-clock fields) because replicates
-	// draw their substreams in replicate order, carry zero shared mutable
-	// state, and are merged back in replicate order.
+	// runtime.GOMAXPROCS(0), a negative value runs one worker, and a
+	// positive value runs that many workers. One worker runs the campaign
+	// on the calling goroutine, replicate after replicate. Every worker
+	// count produces a bitwise-identical Result (modulo wall-clock fields)
+	// because replicates draw their substreams in replicate order, carry
+	// zero shared mutable state, and are merged back in replicate order.
 	Workers int
 
 	// Batch sets the lockstep lane width within one worker: values >= 2
-	// advance that many replicates simultaneously through the
-	// structure-of-arrays engine of internal/batch (0 or 1 runs the serial
-	// per-replicate integrator, the default and the oracle). Batching
-	// composes with Workers — each worker steps its own batch; wave
-	// scheduling across workers is unchanged — and changes no campaign
-	// number: the lockstep engine is bitwise identical to the serial
-	// integrator lane by lane, so every (Workers, Batch) pair produces the
-	// same Canonical Result, trace, and metrics.
+	// advance that many consecutive replicates simultaneously through the
+	// structure-of-arrays engine of internal/batch (0 or 1 runs each
+	// replicate on the serial integrator, the default and the oracle).
+	// Batching composes with Workers — a wave hands each worker groups of
+	// Batch replicates — and changes no campaign number: the lockstep
+	// engine is bitwise identical to the serial integrator lane by lane, so
+	// every (Workers, Batch) pair produces the same Canonical Result,
+	// trace, and metrics.
 	Batch int
 
 	// Trace enables the step tracer: every trial of every replicate emits
@@ -278,18 +279,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	start := time.Now()
 
 	var m merger
-	var err error
-	switch {
-	case workers == 1 && cfg.batch() == 1:
-		err = runSerial(ctx, &cfg, res, &m, root, minInj, maxRuns)
-	case workers == 1:
-		err = runSerialBatched(ctx, &cfg, res, &m, root, minInj, maxRuns)
-	case cfg.batch() == 1:
-		err = runParallel(ctx, &cfg, res, &m, root, minInj, maxRuns, workers)
-	default:
-		err = runParallelBatched(ctx, &cfg, res, &m, root, minInj, maxRuns, workers)
-	}
-	if err != nil {
+	if err := runCampaign(ctx, &cfg, res, &m, root, minInj, maxRuns, workers); err != nil {
 		return nil, err
 	}
 	//lint:allow walltime -- §VI-B wall-clock overhead metric; WallSeconds is excluded from determinism comparisons
@@ -308,8 +298,8 @@ type repJob struct {
 
 // nextJob draws replicate rep's substreams from root. It must be called in
 // strictly increasing replicate order: Split advances the root stream, and
-// the replicate-order draw sequence is what makes the parallel engines
-// reproduce the serial engine bit for bit.
+// the replicate-order draw sequence is what makes every worker count and
+// batch width reproduce a replicate-at-a-time run bit for bit.
 func nextJob(cfg *Config, root *xrand.RNG, rep int) repJob {
 	j := repJob{rep: rep, planRNG: root.Split(uint64(rep))}
 	if cfg.StateProb > 0 {
@@ -447,8 +437,8 @@ func wireReplicate(cfg *Config, job repJob, ls *laneScratch, out *repOutcome) (r
 
 // collectOutcome folds one finished integration into its repOutcome: the
 // run tally, the counters, and (when enabled) the metric counters. It is
-// shared by the serial and batched engines so the accounting of a replicate
-// cannot depend on which engine ran it.
+// shared by the serial integrator and the lockstep batch so the accounting
+// of a replicate cannot depend on which one ran it.
 func collectOutcome(out *repOutcome, w repWiring, runErr error, st ode.Stats, seconds float64) {
 	out.rates.TallyRun(runErr != nil)
 	out.steps = st.Steps
@@ -499,9 +489,9 @@ func haltFunc(ctx context.Context) func() bool {
 // mutable resource (RNG substreams, right-hand side, integrator, detector,
 // shadow stepper, scratch vectors) owned exclusively by this call. The
 // heavy machinery lives in scr, a worker-owned arena recycled across the
-// worker's replicates (see repScratch). A cancelled ctx surfaces as
+// worker's replicates (see workerScratch). A cancelled ctx surfaces as
 // out.err (the context's error), never as a diverged-run tally.
-func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *repScratch) repOutcome {
+func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *workerScratch) repOutcome {
 	var out repOutcome
 	if err := ctx.Err(); err != nil {
 		out.err = err
@@ -510,7 +500,7 @@ func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *repScratch)
 	//lint:allow walltime -- per-replicate wall time feeds the §VI-B overhead ratio, never the deterministic outputs
 	repStart := time.Now()
 	p := cfg.Problem
-	w, err := wireReplicate(cfg, job, &scr.lane, &out)
+	w, err := wireReplicate(cfg, job, &scr.lanes[0], &out)
 	if err != nil {
 		out.err = err
 		return out
@@ -518,7 +508,7 @@ func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *repScratch)
 	// Reconfigure the arena's integrator from scratch: every exported field
 	// is assigned (optional hooks explicitly to nil) so nothing leaks from
 	// the previous replicate, while Init recycles the internal buffers.
-	in := scr.integrator()
+	in := &scr.in
 	in.Tab = cfg.Tab
 	in.Ctrl = w.ctrl
 	in.Validator = w.validator

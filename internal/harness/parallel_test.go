@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/inject"
@@ -263,6 +264,51 @@ func TestWaveDispatchOverprovisioned(t *testing.T) {
 			}
 			if g := got.Canonical(); g != want {
 				t.Errorf("%s diverges from serial:\ngot  %+v\nwant %+v", shape.name, g, want)
+			}
+		})
+	}
+}
+
+// TestCampaignExecutedWork bounds the replicates a campaign executes, not
+// only the ones it merges: the goldens cannot see a replicate that ran and
+// was then discarded by the stopping rule. wireReplicate calls NewSys once
+// per executed replicate, so counting the calls counts the work. One
+// worker with no batching runs exactly the merged replicates; otherwise
+// the last group, or the last wave on a pool, may overshoot the replicate
+// that fired the stopping rule, but by no more than its own size.
+func TestCampaignExecutedWork(t *testing.T) {
+	for _, shape := range []struct{ workers, batch int }{
+		{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 8}, {2, 0}, {4, 0}, {2, 3}, {4, 4},
+	} {
+		t.Run(fmt.Sprintf("workers=%d/B=%d", shape.workers, shape.batch), func(t *testing.T) {
+			p := fastProblem()
+			var executed atomic.Int64
+			sys := p.Sys
+			p.NewSys = func() ode.System {
+				executed.Add(1)
+				return sys
+			}
+			res, err := Run(Config{
+				Problem:       p,
+				Tab:           ode.HeunEuler(),
+				Injector:      inject.Scaled{},
+				Detector:      Classic,
+				Seed:          7,
+				MinInjections: 200,
+				Workers:       shape.workers,
+				Batch:         shape.batch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, got := res.Rates.Runs, int(executed.Load())
+			width := max(shape.batch, 1)
+			bound := runs + width - 1
+			if shape.workers > 1 {
+				bound = runs + waveFactor*shape.workers*width - 1
+			}
+			if got < runs || got > bound {
+				t.Errorf("executed %d replicates for %d merged runs, want within [%d, %d]", got, runs, runs, bound)
 			}
 		})
 	}

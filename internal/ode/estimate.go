@@ -31,11 +31,11 @@ type LIPEstimator struct {
 // ±Inf/NaN second estimate can never masquerade as a detector verdict.
 func (e *LIPEstimator) Estimate(dst la.Vec, hist *History, q int, t float64) int {
 	if q < 0 {
-		panic("ode: LIPEstimate negative order")
+		panic("ode: LIP estimate negative order")
 	}
 	need := q + 1
 	if hist.Len() < need {
-		panic(fmt.Sprintf("ode: LIPEstimate order %d needs %d history entries, have %d", q, need, hist.Len()))
+		panic(fmt.Sprintf("ode: LIP estimate order %d needs %d history entries, have %d", q, need, hist.Len()))
 	}
 	if cap(e.nodes) < need {
 		//lint:allow allocfree -- grow-once workspace: reused by every later call at this order or below
@@ -89,10 +89,10 @@ type BDFEstimator struct {
 // and 0 is returned.
 func (e *BDFEstimator) Estimate(dst la.Vec, hist *History, q int, t float64, f la.Vec) int {
 	if q < 1 {
-		panic("ode: BDFEstimate order must be >= 1")
+		panic("ode: BDF estimate order must be >= 1")
 	}
 	if hist.Len() < q {
-		panic(fmt.Sprintf("ode: BDFEstimate order %d needs %d history entries, have %d", q, q, hist.Len()))
+		panic(fmt.Sprintf("ode: BDF estimate order %d needs %d history entries, have %d", q, q, hist.Len()))
 	}
 	need := q + 1
 	if cap(e.nodes) < need {
@@ -151,20 +151,6 @@ func finiteAll(w []float64) bool {
 		}
 	}
 	return true
-}
-
-// LIPEstimate is the convenience (allocating) form of LIPEstimator.Estimate
-// for callers outside the per-step hot path.
-func LIPEstimate(dst la.Vec, hist *History, q int, t float64) {
-	var e LIPEstimator
-	e.Estimate(dst, hist, q, t)
-}
-
-// BDFEstimate is the convenience (allocating) form of BDFEstimator.Estimate
-// for callers outside the per-step hot path.
-func BDFEstimate(dst la.Vec, hist *History, q int, t float64, f la.Vec) {
-	var e BDFEstimator
-	e.Estimate(dst, hist, q, t, f)
 }
 
 // MaxLIPOrder returns the largest LIP order supported by the current history

@@ -26,7 +26,7 @@ func TestLIPEstimateOrder0IsLastValue(t *testing.T) {
 	h.Push(0, 0, la.Vec{1, 2})
 	h.Push(1, 1, la.Vec{3, 4})
 	dst := la.NewVec(2)
-	LIPEstimate(dst, h, 0, 2.0)
+	new(LIPEstimator).Estimate(dst, h, 0, 2.0)
 	if dst[0] != 3 || dst[1] != 4 {
 		t.Fatalf("order-0 LIP = %v", dst)
 	}
@@ -38,7 +38,7 @@ func TestLIPEstimateExactOnPolynomials(t *testing.T) {
 	h := fillHistoryPoly(4, []float64{0, 0.3, 0.8, 1.0}, p)
 	dst := la.NewVec(2)
 	target := 1.45
-	LIPEstimate(dst, h, 2, target)
+	new(LIPEstimator).Estimate(dst, h, 2, target)
 	want := p(target)
 	for i := range dst {
 		if math.Abs(dst[i]-want[i]) > 1e-12 {
@@ -55,7 +55,7 @@ func TestLIPEstimatePanicsWithoutHistory(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	LIPEstimate(la.NewVec(1), h, 1, 1.0)
+	new(LIPEstimator).Estimate(la.NewVec(1), h, 1, 1.0)
 }
 
 func TestBDFEstimateBackwardEuler(t *testing.T) {
@@ -63,7 +63,7 @@ func TestBDFEstimateBackwardEuler(t *testing.T) {
 	h := NewHistory(4, 1)
 	h.Push(1.0, 0.2, la.Vec{2})
 	dst := la.NewVec(1)
-	BDFEstimate(dst, h, 1, 1.5, la.Vec{-4})
+	new(BDFEstimator).Estimate(dst, h, 1, 1.5, la.Vec{-4})
 	if math.Abs(dst[0]) > 1e-14 {
 		t.Fatalf("BDF1 = %v, want 0", dst)
 	}
@@ -77,7 +77,7 @@ func TestBDFEstimateExactOnPolynomials(t *testing.T) {
 	h := fillHistoryPoly(5, times, p)
 	target := 1.6
 	dst := la.NewVec(1)
-	BDFEstimate(dst, h, 3, target, dp(target))
+	new(BDFEstimator).Estimate(dst, h, 3, target, dp(target))
 	if math.Abs(dst[0]-p(target)[0]) > 1e-11 {
 		t.Fatalf("BDF3 = %g, want %g", dst[0], p(target)[0])
 	}
@@ -94,7 +94,7 @@ func TestBDFEstimateMatchesPaperVariableStepBDF2(t *testing.T) {
 	h.Push(tn-hn-hn1, 0, la.Vec{x2})
 	h.Push(tn-hn, hn1, la.Vec{x1})
 	dst := la.NewVec(1)
-	BDFEstimate(dst, h, 2, tn, la.Vec{f})
+	new(BDFEstimator).Estimate(dst, h, 2, tn, la.Vec{f})
 	want := (1+om)*(1+om)/(1+2*om)*x1 - om*om/(1+2*om)*x2 + hn*(1+om)/(1+2*om)*f
 	if math.Abs(dst[0]-want) > 1e-12 {
 		t.Fatalf("BDF2 = %g, want %g", dst[0], want)
@@ -105,8 +105,8 @@ func TestBDFEstimatePanics(t *testing.T) {
 	h := NewHistory(4, 1)
 	h.Push(0, 0, la.Vec{1})
 	for name, fn := range map[string]func(){
-		"order 0":            func() { BDFEstimate(la.NewVec(1), h, 0, 1, la.Vec{0}) },
-		"not enough history": func() { BDFEstimate(la.NewVec(1), h, 2, 1, la.Vec{0}) },
+		"order 0":            func() { new(BDFEstimator).Estimate(la.NewVec(1), h, 0, 1, la.Vec{0}) },
+		"not enough history": func() { new(BDFEstimator).Estimate(la.NewVec(1), h, 2, 1, la.Vec{0}) },
 	} {
 		func() {
 			defer func() {
@@ -158,7 +158,7 @@ func TestBDFEstimateAccuracyImprovesWithOrder(t *testing.T) {
 	var errs []float64
 	for q := 1; q <= 3; q++ {
 		dst := la.NewVec(1)
-		BDFEstimate(dst, h, q, target, f)
+		new(BDFEstimator).Estimate(dst, h, q, target, f)
 		errs = append(errs, math.Abs(dst[0]-exact(target)))
 	}
 	if !(errs[2] < errs[1] && errs[1] < errs[0]) {

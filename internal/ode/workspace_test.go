@@ -70,15 +70,15 @@ func TestBDFEstimateDuplicateDeepHistoryFallsBack(t *testing.T) {
 	// The fallback must agree bit-for-bit with an explicit order-2 estimate
 	// over the same (distinct) nodes.
 	want := la.NewVec(1)
-	BDFEstimate(want, h, 2, 1.5, f)
+	new(BDFEstimator).Estimate(want, h, 2, 1.5, f)
 	if dst[0] != want[0] {
 		t.Fatalf("fallback BDF = %g, explicit order-2 = %g", dst[0], want[0])
 	}
 }
 
 // One estimator workspace reused across shrinking and regrowing orders must
-// reproduce the allocating convenience forms bit for bit.
-func TestEstimatorWorkspaceReuseMatchesLegacy(t *testing.T) {
+// reproduce a freshly constructed estimator bit for bit.
+func TestEstimatorWorkspaceReuseMatchesFresh(t *testing.T) {
 	p := func(tt float64) la.Vec { return la.Vec{math.Sin(tt), math.Cos(2 * tt)} }
 	h := fillHistoryPoly(6, []float64{0, 0.3, 0.55, 0.9, 1.2}, p)
 	f := la.Vec{0.4, -1.1}
@@ -89,7 +89,7 @@ func TestEstimatorWorkspaceReuseMatchesLegacy(t *testing.T) {
 	want := la.NewVec(2)
 	for _, q := range []int{3, 1, 2, 3, 0} {
 		lip.Estimate(got, h, q, target)
-		LIPEstimate(want, h, q, target)
+		new(LIPEstimator).Estimate(want, h, q, target)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("LIP q=%d component %d: reused %g, fresh %g", q, i, got[i], want[i])
@@ -99,7 +99,7 @@ func TestEstimatorWorkspaceReuseMatchesLegacy(t *testing.T) {
 			continue
 		}
 		bdf.Estimate(got, h, q, target, f)
-		BDFEstimate(want, h, q, target, f)
+		new(BDFEstimator).Estimate(want, h, q, target, f)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("BDF q=%d component %d: reused %g, fresh %g", q, i, got[i], want[i])

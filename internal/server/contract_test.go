@@ -269,6 +269,26 @@ func TestServerMetaAndValidation(t *testing.T) {
 		t.Fatalf("bad detector: POST status %d, want 400", code)
 	}
 
+	// Execution hints past their limits are rejected before the harness
+	// sizes anything from them, and the server keeps serving afterwards.
+	huge := baseSpec(1)
+	huge.Workers = 1 << 40
+	if _, code := postSpec(t, ts, huge); code != http.StatusBadRequest {
+		t.Fatalf("huge workers: POST status %d, want 400", code)
+	}
+	huge = baseSpec(1)
+	huge.Batch = 1 << 40
+	if _, code := postSpec(t, ts, huge); code != http.StatusBadRequest {
+		t.Fatalf("huge batch: POST status %d, want 400", code)
+	}
+	st, code := postSpec(t, ts, baseSpec(1))
+	if code != http.StatusOK && code != http.StatusAccepted {
+		t.Fatalf("valid spec after rejections: POST status %d", code)
+	}
+	if body, code, _ := fetchResult(t, ts, st.ID); code != http.StatusOK {
+		t.Fatalf("valid spec after rejections: result status %d (%s)", code, body)
+	}
+
 	// Unknown fields are rejected, so typos don't silently select defaults.
 	resp, err = http.Post(ts.URL+"/v1/campaigns", "application/json",
 		strings.NewReader(`{"problem":"oscillator","seeds":[1],"detectr":"classic"}`))

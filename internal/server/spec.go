@@ -22,11 +22,15 @@ import (
 
 // Limits on a single submission. MaxSeeds bounds a campaign's shard count
 // (and thereby its queue reservation); MaxMinInjections and MaxRuns bound
-// the work a single shard may demand of the pool.
+// the work a single shard may demand of the pool; MaxWorkers and MaxBatch
+// bound the execution hints, since the harness sizes per-worker arenas and
+// lockstep batches from them before a replicate runs.
 const (
 	MaxSeeds         = 1024
 	MaxMinInjections = 1 << 20
 	MaxRunsCeiling   = 1 << 20
+	MaxWorkers       = 256
+	MaxBatch         = 64
 )
 
 // Spec is the submission body of POST /v1/campaigns: one campaign = one
@@ -142,6 +146,12 @@ func (s *Spec) Validate() error {
 	}
 	if s.StateProb < 0 || s.StateProb > 1 {
 		return fmt.Errorf("server: state_prob %g outside [0, 1]", s.StateProb)
+	}
+	if s.Workers > MaxWorkers {
+		return fmt.Errorf("server: workers %d exceeds the limit of %d", s.Workers, MaxWorkers)
+	}
+	if s.Batch > MaxBatch {
+		return fmt.Errorf("server: batch %d exceeds the limit of %d", s.Batch, MaxBatch)
 	}
 	return nil
 }

@@ -107,6 +107,8 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"state prob", func(s *Spec) { s.StateProb = -0.5 }, "state_prob"},
 		{"min injections", func(s *Spec) { s.MinInjections = MaxMinInjections + 1 }, "min_injections"},
 		{"max runs", func(s *Spec) { s.MaxRuns = MaxRunsCeiling + 1 }, "max_runs"},
+		{"workers", func(s *Spec) { s.Workers = MaxWorkers + 1 }, "workers"},
+		{"batch", func(s *Spec) { s.Batch = MaxBatch + 1 }, "batch"},
 	}
 	for _, tc := range cases {
 		s := baseSpec(1)
