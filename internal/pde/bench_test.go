@@ -20,6 +20,9 @@ func benchEval(b *testing.B, scheme weno.Scheme, n int) {
 	}
 }
 
+// BenchmarkBubbleEvalWENO16 is the grid of the repository benchmark's
+// table3-bubble workload.
+func BenchmarkBubbleEvalWENO16(b *testing.B)   { benchEval(b, weno.Weno5{}, 16) }
 func BenchmarkBubbleEvalWENO32(b *testing.B)   { benchEval(b, weno.Weno5{}, 32) }
 func BenchmarkBubbleEvalWENO64(b *testing.B)   { benchEval(b, weno.Weno5{}, 64) }
 func BenchmarkBubbleEvalCRWENO32(b *testing.B) { benchEval(b, &weno.Crweno5{}, 32) }

@@ -296,7 +296,11 @@ func Burgers1D(n int, schemeName string) *Problem {
 				}
 			}
 			for i := -g; i < n+g; i++ {
-				ii := ((i % n) + n) % n
+				// Only the ghost cells wrap around the periodic line.
+				ii := i
+				if i < 0 || i >= n {
+					ii = ((i % n) + n) % n
+				}
 				v := u[ii]
 				fl := 0.5 * v * v
 				padP[i+g] = 0.5 * (fl + alpha*v)
@@ -317,7 +321,7 @@ func Burgers1D(n int, schemeName string) *Problem {
 	return &Problem{
 		Name: "burgers1d-" + schemeName,
 		Sys:  makeSys(), NewSys: makeSys,
-		T0:   0, TEnd: 0.5, X0: x0, H0: 0.2 * dx, MaxStep: 0.3 * dx,
+		T0: 0, TEnd: 0.5, X0: x0, H0: 0.2 * dx, MaxStep: 0.3 * dx,
 		TolA: 1e-4, TolR: 1e-4,
 	}
 }
@@ -344,7 +348,7 @@ func Bubble2D(n int, schemeName string, tEnd float64) *Problem {
 	return &Problem{
 		Name: "bubble2d-" + schemeName,
 		Sys:  sys, NewSys: makeSys,
-		T0:   0, TEnd: tEnd, X0: x0, H0: dt / 4, MaxStep: dt,
+		T0: 0, TEnd: tEnd, X0: x0, H0: dt / 4, MaxStep: dt,
 		TolA: 1e-4, TolR: 1e-4,
 	}
 }

@@ -34,14 +34,43 @@ type Scheme interface {
 	ReconstructLeft(fhat, f []float64)
 }
 
+// The Jiang-Shu smoothness indicator of a three-cell candidate stencil is
+// a curvature term plus a slope term. The curvature term 13/12 (a-2b+c)^2
+// depends only on the stencil's cells, so the window at interface k+1
+// reuses two of the three computed at interface k; the slope term depends
+// on the candidate's place in the window (left, centre or right).
+
+// curvature returns 13/12 (a - 2b + c)^2.
+func curvature(a, b, c float64) float64 {
+	d := a - 2*b + c
+	return 13.0 / 12.0 * d * d
+}
+
+// slopeLeft returns 1/4 (a - 4b + 3c)^2, the left candidate's slope term.
+func slopeLeft(a, b, c float64) float64 {
+	d := a - 4*b + 3*c
+	return 0.25 * d * d
+}
+
+// slopeMid returns 1/4 (a - c)^2, the centre candidate's slope term.
+func slopeMid(a, c float64) float64 {
+	d := a - c
+	return 0.25 * d * d
+}
+
+// slopeRight returns 1/4 (3a - 4b + c)^2, the right candidate's slope term.
+func slopeRight(a, b, c float64) float64 {
+	d := 3*a - 4*b + c
+	return 0.25 * d * d
+}
+
 // Smoothness computes the Jiang-Shu smoothness indicators for the 5-point
 // stencil centered at cell values (m2, m1, c, p1, p2); exported for the
 // distributed compact-scheme assembly in internal/dist.
 func Smoothness(m2, m1, c, p1, p2 float64) (b0, b1, b2 float64) {
-	b0 = 13.0/12.0*(m2-2*m1+c)*(m2-2*m1+c) + 0.25*(m2-4*m1+3*c)*(m2-4*m1+3*c)
-	b1 = 13.0/12.0*(m1-2*c+p1)*(m1-2*c+p1) + 0.25*(m1-p1)*(m1-p1)
-	b2 = 13.0/12.0*(c-2*p1+p2)*(c-2*p1+p2) + 0.25*(3*c-4*p1+p2)*(3*c-4*p1+p2)
-	return
+	return curvature(m2, m1, c) + slopeLeft(m2, m1, c),
+		curvature(m1, c, p1) + slopeMid(m1, p1),
+		curvature(c, p1, p2) + slopeRight(c, p1, p2)
 }
 
 // Weno5 is the classic fifth-order WENO scheme (Jiang & Shu 1996).
@@ -59,13 +88,20 @@ func (Weno5) ReconstructLeft(fhat, f []float64) {
 	// Interface k sits between interior cells k-1 and k; the upwind (left)
 	// cell is j = k-1+Ghost in padded coordinates, so iteration k reads
 	// f[k..k+4] and shares four of the five cells with iteration k+1. The
-	// window slides one cell per iteration — one load instead of five —
-	// and the arithmetic is untouched, so results stay bit-identical.
+	// window slides one cell per iteration, one load instead of five, and
+	// carries the curvature terms k0, k1 of its left and centre candidates
+	// over from the previous position: one curvature term per interface
+	// instead of three, each computed by the same operations as in
+	// Smoothness, so the results are Smoothness's bit for bit.
 	_ = f[n+4] // hoist the loop's bounds check
 	m2, m1, c, p1 := f[0], f[1], f[2], f[3]
+	k0, k1 := curvature(m2, m1, c), curvature(m1, c, p1)
 	for k := 0; k <= n; k++ {
 		p2 := f[k+4]
-		b0, b1, b2 := Smoothness(m2, m1, c, p1, p2)
+		k2 := curvature(c, p1, p2)
+		b0 := k0 + slopeLeft(m2, m1, c)
+		b1 := k1 + slopeMid(m1, p1)
+		b2 := k2 + slopeRight(c, p1, p2)
 		a0 := 0.1 / ((Eps + b0) * (Eps + b0))
 		a1 := 0.6 / ((Eps + b1) * (Eps + b1))
 		a2 := 0.3 / ((Eps + b2) * (Eps + b2))
@@ -76,6 +112,7 @@ func (Weno5) ReconstructLeft(fhat, f []float64) {
 		q2 := (2*c + 5*p1 - p2) / 6
 		fhat[k] = w0*q0 + w1*q1 + w2*q2
 		m2, m1, c, p1 = m1, c, p1, p2
+		k0, k1 = k1, k2
 	}
 }
 
@@ -112,13 +149,17 @@ func (c *Crweno5) ReconstructLeft(fhat, f []float64) {
 	al, ad, au, rhs := c.al[:m], c.ad[:m], c.au[:m], c.rhs[:m]
 
 	var w5 Weno5
-	// Sliding five-cell window as in Weno5.ReconstructLeft: loads only, the
-	// weight arithmetic is untouched.
+	// Sliding five-cell window with carried curvature terms, as in
+	// Weno5.ReconstructLeft.
 	_ = f[n+4] // hoist the loop's bounds check
 	m2, m1, cc, p1 := f[0], f[1], f[2], f[3]
+	k0, k1 := curvature(m2, m1, cc), curvature(m1, cc, p1)
 	for k := 0; k <= n; k++ {
 		p2 := f[k+4]
-		b0, b1, b2 := Smoothness(m2, m1, cc, p1, p2)
+		k2 := curvature(cc, p1, p2)
+		b0 := k0 + slopeLeft(m2, m1, cc)
+		b1 := k1 + slopeMid(m1, p1)
+		b2 := k2 + slopeRight(cc, p1, p2)
 		// Optimal compact weights c = (2/10, 5/10, 3/10).
 		a0 := 0.2 / ((Eps + b0) * (Eps + b0))
 		a1 := 0.5 / ((Eps + b1) * (Eps + b1))
@@ -132,6 +173,7 @@ func (c *Crweno5) ReconstructLeft(fhat, f []float64) {
 		// RHS: (w0/6) f_{k-2} + ((5(w0+w1)+w2)/6) f_{k-1} + ((w1+5w2)/6) f_k
 		rhs[k] = w0/6*m1 + (5*(w0+w1)+w2)/6*cc + (w1+5*w2)/6*p1
 		m2, m1, cc, p1 = m1, cc, p1, p2
+		k0, k1 = k1, k2
 	}
 	if c.Periodic {
 		// Interfaces 0 and n are the same point; solve the cyclic system
@@ -208,13 +250,17 @@ func (WenoZ5) ReconstructLeft(fhat, f []float64) {
 	if n < 1 || len(fhat) != n+1 {
 		panic(fmt.Sprintf("weno: bad line sizes: len(f)=%d len(fhat)=%d", len(f), len(fhat)))
 	}
-	// Sliding five-cell window as in Weno5.ReconstructLeft: loads only, the
-	// weight arithmetic is untouched.
+	// Sliding five-cell window with carried curvature terms, as in
+	// Weno5.ReconstructLeft.
 	_ = f[n+4] // hoist the loop's bounds check
 	m2, m1, c, p1 := f[0], f[1], f[2], f[3]
+	k0, k1 := curvature(m2, m1, c), curvature(m1, c, p1)
 	for k := 0; k <= n; k++ {
 		p2 := f[k+4]
-		b0, b1, b2 := Smoothness(m2, m1, c, p1, p2)
+		k2 := curvature(c, p1, p2)
+		b0 := k0 + slopeLeft(m2, m1, c)
+		b1 := k1 + slopeMid(m1, p1)
+		b2 := k2 + slopeRight(c, p1, p2)
 		tau := b0 - b2
 		if tau < 0 {
 			tau = -tau
@@ -232,5 +278,6 @@ func (WenoZ5) ReconstructLeft(fhat, f []float64) {
 		q2 := (2*c + 5*p1 - p2) / 6
 		fhat[k] = w0*q0 + w1*q1 + w2*q2
 		m2, m1, c, p1 = m1, c, p1, p2
+		k0, k1 = k1, k2
 	}
 }
