@@ -43,17 +43,18 @@ type Config struct {
 	Tab  *ode.Tableau
 	Ctrl ode.Controller
 
-	MaxSteps     int     // safety bound on accepted steps per lane (0 = 1<<20)
-	MaxTrials    int     // safety bound on trials per step (0 = 1000)
-	MinStep      float64 // below this a lane fails (0 = 1e-14 * lane span)
-	MaxStep      float64 // upper clamp on the step size (0 = none)
-	HistoryDepth int     // solution ring depth per lane (0 = 8)
+	MaxSteps  int     // safety bound on accepted steps per lane (0 = 1<<20)
+	MaxTrials int     // safety bound on trials per step (0 = 1000)
+	MinStep   float64 // below this a lane fails (0 = 1e-14 * lane span)
+	MaxStep   float64 // upper clamp on the step size (0 = none)
 	// NoReuseFirstStage disables carrying f(t_n, x_n) into the next step's
 	// first stage (the §V-B FSAL/FProp reuse), exactly as in ode.Integrator.
 	NoReuseFirstStage bool
-	// UsePI selects the PI.3.4 step-size law for post-acceptance updates.
-	UsePI bool
 }
+
+// historyDepth is the per-lane solution ring depth, the serial
+// integrator's.
+const historyDepth = 8
 
 // withDefaults resolves the zero values to the serial integrator's defaults
 // (MinStep stays 0 here: it defaults per lane, from the lane's time span).
@@ -61,7 +62,7 @@ func (c Config) withDefaults() Config {
 	if c.Tab == nil {
 		c.Tab = ode.HeunEuler()
 	}
-	if c.Ctrl.Alpha == 0 {
+	if c.Ctrl == (ode.Controller{}) {
 		c.Ctrl = ode.DefaultController(1e-4, 1e-4)
 	}
 	if c.MaxSteps == 0 {
@@ -69,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTrials == 0 {
 		c.MaxTrials = 1000
-	}
-	if c.HistoryDepth == 0 {
-		c.HistoryDepth = 8
 	}
 	return c
 }
@@ -130,7 +128,6 @@ type Lane struct {
 	stateInj       int
 	haveFNext      bool
 	fNextCorrupted bool
-	sErrPrev       float64
 	attempt        int // 1-based attempt count of the in-progress step; 0 = new step
 
 	// per-round trial counters (the serial TrialResult fields)
@@ -258,9 +255,6 @@ func (b *Integrator) Matches(cfg Config, width, dim int) bool {
 	return b.rawC == cfg && b.width == width && b.dim == dim
 }
 
-// Width returns the lane capacity B.
-func (b *Integrator) Width() int { return b.width }
-
 // Live returns the number of live lanes.
 func (b *Integrator) Live() int { return b.n }
 
@@ -295,10 +289,10 @@ func (b *Integrator) AddLane(lc LaneConfig) *Lane {
 		ln.minStep = 1e-14 * math.Max(1, math.Abs(lc.TEnd-lc.T0))
 	}
 	m := b.dim
-	if ln.hist != nil && ln.hist.Depth() == b.cfg.HistoryDepth && ln.hist.Dim() == m {
+	if ln.hist != nil && ln.hist.Dim() == m {
 		ln.hist.Reset()
 	} else {
-		ln.hist = ode.NewHistory(b.cfg.HistoryDepth, m)
+		ln.hist = ode.NewHistory(historyDepth, m)
 	}
 	if len(ln.x) != m {
 		ln.x = la.NewVec(m)
@@ -314,7 +308,6 @@ func (b *Integrator) AddLane(lc LaneConfig) *Lane {
 	ln.stateInj = 0
 	ln.haveFNext = false
 	ln.fNextCorrupted = false
-	ln.sErrPrev = 0
 	ln.attempt = 0
 	ln.resEvals, ln.resInjections, ln.resLastInj = 0, 0, 0
 	ln.stats = ode.Stats{}
@@ -555,12 +548,7 @@ func (b *Integrator) finish(ln *Lane, s int) {
 			ln.haveFNext = false
 		}
 		ln.fNextCorrupted = ln.haveFNext && lastInj > 0
-		if b.cfg.UsePI {
-			ln.h = b.cfg.Ctrl.PIStepSize(ln.hEff, sErr1, ln.sErrPrev, tab.ControlOrder())
-		} else {
-			ln.h = b.cfg.Ctrl.NewStepSize(ln.hEff, sErr1, tab.ControlOrder())
-		}
-		ln.sErrPrev = sErr1
+		ln.h = b.cfg.Ctrl.NewStepSize(ln.hEff, sErr1, tab.ControlOrder())
 		if b.cfg.MaxStep > 0 && ln.h > b.cfg.MaxStep {
 			ln.h = b.cfg.MaxStep
 		}

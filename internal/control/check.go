@@ -77,26 +77,6 @@ func (c *CheckContext) CheckReport() (sErr2 float64, q, checksInWindow int, ok b
 	return c.checkSErr2, c.checkQ, c.checkC, c.checkReported
 }
 
-// NewCheckContext assembles a context for integrators that drive the
-// Validator directly instead of through an Engine (e.g. external solvers).
-// fprop, when non-nil, supplies f(T+H, XProp) directly (stiffly accurate
-// implicit methods get it for free); otherwise FProp falls back to one
-// evaluation of sys.
-func NewCheckContext(stepIndex int, t, h float64, xStart, xStored, xProp, errVec la.Vec,
-	sErr1 float64, weights la.Vec, hist *History, ctrl *Controller, tab *Tableau,
-	recomputation bool, fprop la.Vec, sys System) *CheckContext {
-	return &CheckContext{
-		StepIndex: stepIndex,
-		T:         t, H: h,
-		XStart: xStart, XStored: xStored, XProp: xProp, ErrVec: errVec,
-		SErr1: sErr1, Weights: weights,
-		Hist: hist, Ctrl: ctrl, Tab: tab,
-		Recomputation: recomputation,
-		fsalFProp:     fprop,
-		sys:           sys,
-	}
-}
-
 // FPropEvals reports how many fresh evaluations FProp performed (0 or 1).
 func (c *CheckContext) FPropEvals() int { return c.fPropEvals }
 

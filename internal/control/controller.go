@@ -6,21 +6,27 @@ import (
 	"repro/internal/la"
 )
 
-// Controller parameters, defaulting to the values the paper (and PETSc) use:
-// alpha = 0.9, alphaMin = 0.1, alphaMax = 10, q = 2 (WRMS norm).
+// The step-size law's constants (§III-B, Eq. 5, and PETSc's defaults):
+// safety factor alpha and the largest allowed decrease and increase factors.
+const (
+	alpha    = 0.9
+	alphaMin = 0.1
+	alphaMax = 10
+)
+
+// Controller is the classic adaptive step controller (§III-B): the error
+// tolerances and the norm of the scaled error. The zero Controller is
+// unset; the integrators replace it with their default tolerances.
 type Controller struct {
-	TolA     float64 // absolute tolerance Tol_A
-	TolR     float64 // relative tolerance Tol_R
-	Alpha    float64 // safety factor (< 1)
-	AlphaMin float64 // largest allowed step decrease factor
-	AlphaMax float64 // largest allowed step increase factor
-	MaxNorm  bool    // use the q = infinity scaled error instead of WRMS
+	TolA    float64 // absolute tolerance Tol_A
+	TolR    float64 // relative tolerance Tol_R
+	MaxNorm bool    // use the q = infinity scaled error instead of WRMS
 }
 
 // DefaultController returns the paper's controller settings with the given
 // tolerances.
 func DefaultController(tolA, tolR float64) Controller {
-	return Controller{TolA: tolA, TolR: tolR, Alpha: 0.9, AlphaMin: 0.1, AlphaMax: 10}
+	return Controller{TolA: tolA, TolR: tolR}
 }
 
 // Weights fills w with the componentwise error level
@@ -61,12 +67,12 @@ func (c *Controller) NewStepSize(h, sErr float64, controlOrder int) float64 {
 		return 0
 	}
 	if math.IsNaN(sErr) || math.IsInf(sErr, 1) {
-		return h * c.AlphaMin
+		return h * alphaMin
 	}
-	factor := c.AlphaMax
+	factor := float64(alphaMax)
 	if sErr > 0 {
-		a := c.Alpha * math.Pow(1/sErr, 1/float64(controlOrder))
-		factor = math.Min(c.AlphaMax, math.Max(c.AlphaMin, a))
+		a := alpha * math.Pow(1/sErr, 1/float64(controlOrder))
+		factor = math.Min(alphaMax, math.Max(alphaMin, a))
 	}
 	return h * factor
 }
@@ -77,34 +83,9 @@ func (c *Controller) NewStepSize(h, sErr float64, controlOrder int) float64 {
 // here so the classic-reject branch cannot drift between solvers.
 func (c *Controller) RejectStepSize(h, sErr float64, controlOrder int) float64 {
 	if math.IsInf(sErr, 1) {
-		return h * c.AlphaMin
+		return h * alphaMin
 	}
 	return c.NewStepSize(h, sErr, controlOrder)
-}
-
-// PIStepSize is the proportional-integral step-size law (Gustafsson's PI.3.4
-// controller), an alternative to the paper's elementary controller of
-// Eq. (5): it damps the step-size oscillations the elementary law produces
-// near the stability boundary by also weighing the previous scaled error.
-// Pass sErrPrev <= 0 on the first step to fall back to the elementary law.
-func (c *Controller) PIStepSize(h, sErr, sErrPrev float64, controlOrder int) float64 {
-	if math.IsNaN(h) || math.IsInf(h, 0) {
-		return 0 // same degenerate-h contract as NewStepSize
-	}
-	// The !(x > 0) form routes NaN (for which every comparison is false)
-	// to the elementary law, which sanitizes it; Inf estimates go the same
-	// way so the PI power terms never see a non-finite operand.
-	if !(sErrPrev > 0) || !(sErr > 0) ||
-		math.IsInf(sErr, 1) || math.IsInf(sErrPrev, 1) {
-		return c.NewStepSize(h, sErr, controlOrder)
-	}
-	k := float64(controlOrder)
-	// PI.3.4 (Hairer & Wanner): h_new = h * (1/err)^(0.3/k) *
-	// (errPrev/err)^(0.4/k) — a rising error sequence shrinks the step
-	// harder, a falling one shrinks it less.
-	a := c.Alpha * math.Pow(1/sErr, 0.3/k) * math.Pow(sErrPrev/sErr, 0.4/k)
-	factor := math.Min(c.AlphaMax, math.Max(c.AlphaMin, a))
-	return h * factor
 }
 
 // InitialStep implements the classic automatic starting-step heuristic

@@ -55,9 +55,6 @@ func (h *History) Push(t, step float64, x la.Vec) {
 // Len returns the number of stored solutions.
 func (h *History) Len() int { return h.n }
 
-// Depth returns the ring capacity.
-func (h *History) Depth() int { return h.depth }
-
 // Dim returns the dimension of the stored solutions.
 func (h *History) Dim() int { return len(h.xs[0]) }
 

@@ -6,23 +6,27 @@ import (
 	"repro/internal/la"
 )
 
+// Algorithm 1's constants (§V-C).
+const (
+	gamma    = 0.05 // lower FPR bound γ (decrease order below it)
+	gammaCap = 0.1  // upper FPR bound Γ (increase order above it)
+	cMax     = 10   // order reselection period c_max, in checks
+)
+
 // Policy is Algorithm 1's (q, c) order-adaptation state machine, extracted
 // once from the paper's detector: it selects the order q of the second
-// estimate from the observed false-positive rate, reselecting every CMax
+// estimate from the observed false-positive rate, reselecting every c_max
 // checks and immediately after every false positive, and carries the
 // false-positive-rescue bookkeeping (a validator-rejected step recomputed at
 // the same step size that reproduces the bit-identical SErr_1 must have been
 // clean).
 //
-// Zero-value fields default to the paper's constants: Gamma (γ) = 0.05,
-// GammaCap (Γ) = 0.1, CMax = 10, order adaptation on. The embedding detector
-// (core.DoubleCheck) owns the statistics; Policy methods return what changed
-// so the caller can count.
+// The zero Policy adapts the order with the paper's constants γ = 0.05,
+// Γ = 0.1 and c_max = 10. The embedding detector (core.DoubleCheck) owns
+// the statistics; Policy methods return what changed so the caller can
+// count.
 type Policy struct {
-	Gamma    float64 // lower FPR bound γ (decrease order below it)
-	GammaCap float64 // upper FPR bound Γ (increase order above it)
-	CMax     int     // order reselection period, in checks
-	NoAdapt  bool    // disable Algorithm 1's order adaptation (ablation)
+	NoAdapt bool // disable Algorithm 1's order adaptation (ablation)
 	// CumulativeFPR measures FP_q/N_steps over the whole run, as Algorithm 1
 	// literally prints. The default measures the rate over the window since
 	// the last order selection, which keeps the duty cycle of the
@@ -42,22 +46,13 @@ type Policy struct {
 	lastQ      int // order in force when the last rejection was issued
 }
 
-// Init fixes the order bounds and applies the paper's default constants.
-// It is idempotent; every other method calls through it.
+// Init fixes the order bounds. It is idempotent; every other method calls
+// through it.
 func (p *Policy) Init(qMin, qMax int) {
 	if p.inited {
 		return
 	}
 	p.inited = true
-	if p.Gamma == 0 {
-		p.Gamma = 0.05
-	}
-	if p.GammaCap == 0 {
-		p.GammaCap = 0.1
-	}
-	if p.CMax == 0 {
-		p.CMax = 10
-	}
 	p.qMin, p.qMax = qMin, qMax
 	p.q = qMin
 	if p.q < 1 {
@@ -82,11 +77,11 @@ func (p *Policy) SetOrder(q int) {
 
 // BeginCheck opens one validation: it advances N_steps and the window
 // counter c, and performs the periodic order reselection when the window
-// reaches CMax. It reports whether the order changed.
+// reaches c_max. It reports whether the order changed.
 func (p *Policy) BeginCheck() (orderChanged bool) {
 	p.nChecks++
 	p.c++
-	if p.c >= p.CMax {
+	if p.c >= cMax {
 		return p.updateOrder()
 	}
 	return false
@@ -124,7 +119,7 @@ func (p *Policy) NoteAccept() { p.haveLast = false }
 // means too many false positives, so the order rises and the estimate
 // tracks the solution more closely. Combined with immediate reselection on
 // every false positive, the windowed rate bounds the steady-state FPR near
-// 1/(CMax + 1/p) where p is the over-sensitive order's FP probability.
+// 1/(c_max + 1/p) where p is the over-sensitive order's FP probability.
 func (p *Policy) updateOrder() (changed bool) {
 	win := p.c
 	fpWin := p.fpWin
@@ -140,9 +135,9 @@ func (p *Policy) updateOrder() (changed bool) {
 		fpr = float64(fpWin) / float64(win)
 	}
 	newQ := p.q
-	if fpr < p.Gamma {
+	if fpr < gamma {
 		newQ = max(p.qMin, p.q-1)
-	} else if fpr > p.GammaCap {
+	} else if fpr > gammaCap {
 		newQ = min(p.qMax, p.q+1)
 	}
 	if newQ != p.q {

@@ -29,23 +29,22 @@ func DetectorReject(sErr2 float64) bool {
 }
 
 // ElementaryRejectFactor returns the step-contraction factor for a rejected
-// trial under the elementary controller with the paper's constants
-// (alpha = 0.9, alphaMin = 0.1, control order 2): capped at 1 so a
-// rejection never grows the step. A NaN scaled error carries no size
-// information and contracts maximally.
+// trial under the elementary controller of Eq. (5) at control order 2:
+// capped at 1 so a rejection never grows the step. A NaN scaled error
+// carries no size information and contracts maximally.
 func ElementaryRejectFactor(sErr float64) float64 {
 	if math.IsNaN(sErr) {
-		return 0.1
+		return alphaMin
 	}
-	return math.Min(1, math.Max(0.1, 0.9*math.Pow(1/sErr, 0.5)))
+	return math.Min(1, math.Max(alphaMin, alpha*math.Pow(1/sErr, 0.5)))
 }
 
 // ElementaryAcceptFactor returns the post-acceptance step factor under the
-// elementary controller with the paper's constants; the 1e-12 floor keeps a
-// vanishing scaled error from producing an infinite factor before the
-// alphaMax cap applies.
+// elementary controller of Eq. (5) at control order 2; the 1e-12 floor
+// keeps a vanishing scaled error from producing an infinite factor before
+// the alphaMax cap applies.
 func ElementaryAcceptFactor(sErr float64) float64 {
-	return math.Min(10, math.Max(0.1, 0.9*math.Pow(1/math.Max(sErr, 1e-12), 0.5)))
+	return math.Min(alphaMax, math.Max(alphaMin, alpha*math.Pow(1/math.Max(sErr, 1e-12), 0.5)))
 }
 
 // RescueLatch is the false-positive self-detection state of Algorithm 1 in

@@ -6,13 +6,11 @@
 // test, the second error estimate, and Algorithm 1's order adaptation exist
 // exactly once.
 //
-// The pipeline is built from four small pieces:
+// The pipeline is built from three small pieces, applied to each candidate
+// step a solver proposes (a TrialResult, for ode.Stepper):
 //
-//   - Trialer produces a candidate step with its embedded LTE estimate
-//     (ode.Stepper satisfies it natively; other steppers adapt via
-//     FuncTrialer).
-//   - Controller is the classic adaptive accept/reject with the PI and
-//     elementary step-size laws, including the NaN-poisoning rules.
+//   - Controller is the classic adaptive accept/reject with the elementary
+//     step-size law of Eq. (5), including the NaN-poisoning rules.
 //   - Validator double-checks controller-accepted trials with a second,
 //     differently structured estimate (LBDC, IBDC, replication, TMR,
 //     Richardson, oracle — implemented in internal/core).

@@ -129,18 +129,21 @@ func (t *TMR) Validate(c *ode.CheckContext) ode.Verdict {
 // ExtraVectors reports TMR's +200% memory cost.
 func (t *TMR) ExtraVectors(tab *ode.Tableau) int { return 2 * (tab.Stages() + 2) }
 
+// AID's settings, the original detector's defaults.
+const (
+	aidTheta         = 1e-3 // user error bound θ as a fraction of the value range
+	aidBestFitPeriod = 5    // best-fit reselection period, the paper's p
+	aidWindow        = 20   // sliding window for the normal-error level
+)
+
 // AID is the adaptive impact-driven detector of Di & Cappello (§VII-C),
 // designed for fixed-step time-stepping codes. The surrogate is the
 // difference between the new solution and an extrapolation of previous
 // solutions (last value, linear, or quadratic); the best-fitting
-// extrapolation is reselected every BestFitPeriod steps; the threshold is
-// (1+eta)*(eps + Theta*r) where eta grows with observed false positives,
+// extrapolation is reselected every aidBestFitPeriod steps; the threshold
+// is (1+eta)*(eps + θ*r) where eta grows with observed false positives,
 // eps tracks the recent extrapolation error, and r is the value range.
 type AID struct {
-	Theta         float64 // user error bound as a fraction of the range (default 1e-3)
-	BestFitPeriod int     // default 5, the paper's p
-	Window        int     // sliding window for the normal-error level (default 20)
-
 	method   int          // 0 = last value, 1 = linear, 2 = quadratic
 	recent   [3][]float64 // recent extrapolation errors per method (ring)
 	rpos     int
@@ -170,22 +173,18 @@ func (a *AID) epsFor(m int) float64 {
 
 // record stores an accepted step's extrapolation error for the method.
 func (a *AID) record(m int, diff float64) {
-	win := a.Window
-	if win <= 0 {
-		win = 20
-	}
-	if len(a.recent[m]) < win {
+	if len(a.recent[m]) < aidWindow {
 		a.recent[m] = append(a.recent[m], diff)
 		return
 	}
-	a.recent[m][a.rpos%win] = diff
+	a.recent[m][a.rpos%aidWindow] = diff
 	if m == a.method {
 		a.rpos++
 	}
 }
 
 // NewAID returns an AID detector with the original defaults.
-func NewAID() *AID { return &AID{Theta: 1e-3, BestFitPeriod: 5} }
+func NewAID() *AID { return &AID{} }
 
 func (a *AID) extrapolate(dst la.Vec, hist *ode.History, method int, t float64) bool {
 	if hist.Len() < method+1 {
@@ -198,10 +197,16 @@ func (a *AID) extrapolate(dst la.Vec, hist *ode.History, method int, t float64) 
 // ValidateFixed implements ode.FixedValidator. Following Di & Cappello's
 // per-data-point formulation, every component is predicted individually and
 // the step is rejected as soon as any point's deviation exceeds the
-// impact-driven threshold (1+eta)(eps + Theta*r); eps is the recent maximum
-// per-point prediction error and r the global value range.
+// impact-driven threshold (1+eta)(eps + θ*r); eps is the recent maximum
+// per-point prediction error and r the global value range. A proposal with
+// a NaN or infinite component is rejected outright: the ordered deviation
+// test skips NaN components, and a NaN value range makes the threshold NaN.
 func (a *AID) ValidateFixed(c *ode.FixedCheckContext) bool {
 	a.Stats.Checks++
+	if c.XProp.HasNaNOrInf() {
+		a.Stats.Rejections++
+		return false
+	}
 	a.step++
 	if a.est == nil {
 		a.est = la.NewVec(len(c.XProp))
@@ -230,7 +235,7 @@ func (a *AID) ValidateFixed(c *ode.FixedCheckContext) bool {
 		r = math.Abs(hi)
 	}
 	eps := a.epsFor(a.method)
-	thr := (1 + a.eta) * (eps + a.Theta*r)
+	thr := (1 + a.eta) * (eps + aidTheta*r)
 	reject := eps > 0 && diff > thr
 	if reject {
 		// A recomputation reproducing the same surrogate marks a false
@@ -248,7 +253,7 @@ func (a *AID) ValidateFixed(c *ode.FixedCheckContext) bool {
 	if !reject {
 		// Learn the normal extrapolation error and rescore the methods.
 		a.record(a.method, diff)
-		if a.step%a.BestFitPeriod == 0 {
+		if a.step%aidBestFitPeriod == 0 {
 			a.bestFit(c)
 		}
 		a.haveLast = false
@@ -276,13 +281,16 @@ func (a *AID) bestFit(c *ode.FixedCheckContext) {
 	}
 }
 
+// hotRodeMultiple is Hot Rode's threshold as a multiple of the calibration
+// maximum.
+const hotRodeMultiple = 10
+
 // HotRode is the fixed-solver detector of the authors' previous work [11]:
 // the surrogate is the difference between two error estimates (the embedded
 // estimate and a linear-extrapolation estimate); the threshold is
-// calibrated from the first Warmup samples and inflated multiplicatively on
+// calibrated from the first five samples and inflated multiplicatively on
 // each detected false positive.
 type HotRode struct {
-	Warmup   float64 // threshold multiple of the calibration maximum (default 10)
 	samples  int
 	calMax   float64
 	fpCount  int // detected false positives inflate the threshold as (1+eta)
@@ -295,18 +303,24 @@ type HotRode struct {
 }
 
 // threshold returns the current acceptance threshold
-// Warmup * calMax * (1 + eta), eta the false-positive count — the
+// hotRodeMultiple * calMax * (1 + eta), eta the false-positive count — the
 // feedback rule of the original detector.
 func (h *HotRode) threshold() float64 {
-	return h.Warmup * (h.calMax + 1e-300) * float64(1+h.fpCount)
+	return hotRodeMultiple * (h.calMax + 1e-300) * float64(1+h.fpCount)
 }
 
 // NewHotRode returns a Hot Rode detector with default calibration.
-func NewHotRode() *HotRode { return &HotRode{Warmup: 10} }
+func NewHotRode() *HotRode { return &HotRode{} }
 
-// ValidateFixed implements ode.FixedValidator.
+// ValidateFixed implements ode.FixedValidator. A proposal with a NaN or
+// infinite component is rejected outright, since the infinity norm of the
+// surrogate skips NaN components.
 func (h *HotRode) ValidateFixed(c *ode.FixedCheckContext) bool {
 	h.Stats.Checks++
+	if c.XProp.HasNaNOrInf() {
+		h.Stats.Rejections++
+		return false
+	}
 	if c.Hist.Len() < 2 {
 		h.Stats.Skipped++
 		return true
@@ -350,14 +364,16 @@ func (h *HotRode) ValidateFixed(c *ode.FixedCheckContext) bool {
 	return true
 }
 
+// richardsonFactor is Richardson's acceptance multiple of the tolerance.
+const richardsonFactor = 2
+
 // Richardson is the redundant-computation check of Chen et al. (§VII-B):
 // the step is recomputed as two half-steps and the difference from the
 // full-step result, scaled like the controller's error, must stay within
-// Factor of the tolerance. It costs roughly +100% computation but needs no
-// history.
+// richardsonFactor of the tolerance. It costs roughly +100% computation
+// but needs no history.
 type Richardson struct {
 	Sys     ode.System
-	Factor  float64 // acceptance multiple of the tolerance (default 2)
 	Quiesce func() func()
 
 	stepper *ode.Stepper
@@ -367,7 +383,7 @@ type Richardson struct {
 
 // NewRichardson returns a Richardson-extrapolation validator.
 func NewRichardson(tab *ode.Tableau, sys ode.System) *Richardson {
-	return &Richardson{Sys: sys, Factor: 2, stepper: ode.NewStepper(tab, sys)}
+	return &Richardson{Sys: sys, stepper: ode.NewStepper(tab, sys)}
 }
 
 // Validate implements ode.Validator. Like DoubleCheck it is composed from
@@ -406,10 +422,11 @@ func (r *Richardson) PlanBatch(c *ode.CheckContext, plan *ode.EstimatePlan) bool
 }
 
 // FinishBatch implements ode.BatchValidator: judge the (batched) scaled
-// difference against the acceptance factor.
+// difference against the acceptance factor. A NaN difference rejects, as
+// in control.DetectorReject.
 func (r *Richardson) FinishBatch(c *ode.CheckContext, sErr2 float64) ode.Verdict {
 	c.ReportCheck(sErr2, -1, -1)
-	if sErr2 > r.Factor {
+	if math.IsNaN(sErr2) || sErr2 > richardsonFactor {
 		r.Stats.Rejections++
 		return ode.VerdictReject
 	}

@@ -51,16 +51,18 @@ type Strategy interface {
 	ExtraVectors(q int) int
 }
 
-// LIP is the Lagrange-interpolating-polynomial strategy (orders 0..QMax).
+// qMax is Algorithm 1's order cap q_max = 3 (§V-C), shared by both
+// strategies; for BDF it is also the stability-safe cap.
+const qMax = 3
+
+// LIP is the Lagrange-interpolating-polynomial strategy (orders 0..q_max).
 // The paper prints closed forms for orders 0-2 but caps the order
 // adaptation at q_max = 3 (§V-C); the general Lagrange weights support any
-// order, so the default follows the paper's constant.
+// order.
 //
 // The strategy carries its estimator workspace, so Estimate requires a
 // pointer receiver and steady-state checks allocate nothing.
 type LIP struct {
-	QMax int // 0 means the paper's default q_max = 3
-
 	est ode.LIPEstimator
 }
 
@@ -68,20 +70,11 @@ type LIP struct {
 func (LIP) Name() string { return "lip" }
 
 // OrderRange implements Strategy.
-func (s LIP) OrderRange() (int, int) {
-	if s.QMax <= 0 {
-		return 0, 3
-	}
-	return 0, s.QMax
-}
+func (LIP) OrderRange() (int, int) { return 0, qMax }
 
 // EffectiveOrder implements Strategy.
-func (s LIP) EffectiveOrder(c *ode.CheckContext, q int) int {
-	_, qMax := s.OrderRange()
-	if q > qMax {
-		q = qMax
-	}
-	return ode.MaxLIPOrder(c.Hist, q)
+func (LIP) EffectiveOrder(c *ode.CheckContext, q int) int {
+	return ode.MaxLIPOrder(c.Hist, min(q, qMax))
 }
 
 // Estimate implements Strategy.
@@ -94,12 +87,10 @@ func (s *LIP) Estimate(dst la.Vec, c *ode.CheckContext, q int) {
 func (LIP) ExtraVectors(q int) int { return q }
 
 // BDF is the variable-step backward-differentiation-formula strategy
-// (orders 1..QMax). It consumes f(x_n), which FSAL pairs provide for free
+// (orders 1..q_max). It consumes f(x_n), which FSAL pairs provide for free
 // and which other pairs reuse as the next step's first stage. Like LIP, it
 // carries its estimator workspace so checks allocate nothing.
 type BDF struct {
-	QMax int // 0 means the default of 3, the paper's stability-safe cap
-
 	est ode.BDFEstimator
 }
 
@@ -107,20 +98,11 @@ type BDF struct {
 func (BDF) Name() string { return "bdf" }
 
 // OrderRange implements Strategy.
-func (s BDF) OrderRange() (int, int) {
-	if s.QMax <= 0 {
-		return 1, 3
-	}
-	return 1, s.QMax
-}
+func (BDF) OrderRange() (int, int) { return 1, qMax }
 
 // EffectiveOrder implements Strategy.
-func (s BDF) EffectiveOrder(c *ode.CheckContext, q int) int {
-	_, qMax := s.OrderRange()
-	if q > qMax {
-		q = qMax
-	}
-	eff := ode.MaxBDFOrder(c.Hist, q)
+func (BDF) EffectiveOrder(c *ode.CheckContext, q int) int {
+	eff := ode.MaxBDFOrder(c.Hist, min(q, qMax))
 	if eff < 1 {
 		return -1
 	}
@@ -163,9 +145,8 @@ func (s *Stats) MeanOrder() float64 {
 // DoubleCheck is the paper's detector (Algorithm 1): it validates every
 // controller-accepted step against a second scaled error estimate and
 // adapts the estimate's order through the embedded control.Policy (the one
-// implementation of the (q, c) state machine). The Policy's tuning knobs
-// (Gamma, GammaCap, CMax, NoAdapt, CumulativeFPR) promote to DoubleCheck
-// fields; zero values default to the paper's constants.
+// implementation of the (q, c) state machine). The Policy's ablation
+// switches (NoAdapt, CumulativeFPR) promote to DoubleCheck fields.
 type DoubleCheck struct {
 	Strat Strategy
 

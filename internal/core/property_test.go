@@ -4,11 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 	"repro/internal/telemetry"
 	"repro/internal/xrand"
 )
+
+// cMax is Algorithm 1's order reselection period, which bounds the
+// reported window counter c.
+const cMax = 10
 
 // propertyProblems are the clean workloads the randomized invariant sweep
 // integrates: small, smooth, and cheap enough to run dozens of
@@ -99,8 +104,8 @@ func checkTraceInvariants(t *testing.T, rec *telemetry.Recorder, in *ode.Integra
 			if e.Q < qMin || e.Q > qMax {
 				t.Errorf("trial %d event %d (%s): order q=%d outside [%d, %d]", trial, i, kind, e.Q, qMin, qMax)
 			}
-			if e.C < 0 || e.C > det.CMax {
-				t.Errorf("trial %d event %d (%s): window counter c=%d outside [0, %d]", trial, i, kind, e.C, det.CMax)
+			if e.C < 0 || e.C > cMax {
+				t.Errorf("trial %d event %d (%s): window counter c=%d outside [0, %d]", trial, i, kind, e.C, cMax)
 			}
 		}
 		if e.Verdict == telemetry.VerdictValidatorReject {
@@ -143,6 +148,9 @@ func TestPropertyOrderAdaptationBounds(t *testing.T) {
 
 		hist := ode.NewHistory(8, 1)
 		c := ode.DefaultController(1e-6, 1e-6)
+		eng := control.Engine{Validator: det}
+		eng.Reset(1)
+		w := la.NewVec(1)
 		tPrev, xPrev := 0.0, 1.0
 		for step := 0; step < 200; step++ {
 			h := math.Pow(10, -4+3*rng.Float64())
@@ -154,20 +162,25 @@ func TestPropertyOrderAdaptationBounds(t *testing.T) {
 				x *= 1 + rng.Norm()
 			}
 			hist.Push(tPrev, h, la.Vec{xPrev})
-			ctx := ode.NewCheckContext(step, tPrev, h,
-				la.Vec{xPrev}, la.Vec{xPrev}, la.Vec{x}, la.Vec{x - xPrev},
-				0.5, la.Vec{1e-6 + 1e-6*math.Abs(x)},
-				hist, &c, ode.HeunEuler(), false, nil, decay)
-			det.Validate(ctx)
+			// An embedded estimate of half the error level scores SErr_1 =
+			// 0.5, so every trial passes the classic test and reaches the
+			// detector; BeginStep makes none of them a recomputation.
+			errVec := la.Vec{0.5 * (1e-6 + 1e-6*math.Abs(x))}
+			eng.BeginStep()
+			chk := eng.Decide(&c, step, tPrev, h, la.Vec{xPrev}, la.Vec{xPrev}, la.Vec{x}, errVec,
+				w, hist, ode.HeunEuler(), decay, nil, nil)
+			if chk.ClassicReject {
+				t.Fatalf("trial %d step %d: classic test rejected SErr_1 = %g", trial, step, chk.SErr1)
+			}
 			if q := det.Order(); q < qMin || q > qMax {
 				t.Fatalf("trial %d step %d: order %d left [%d, %d]", trial, step, q, qMin, qMax)
 			}
-			if _, q, cw, ok := ctx.CheckReport(); ok {
+			if q, cw := chk.DetOrder, chk.DetWindow; q != -1 {
 				if q < qMin || q > qMax {
 					t.Fatalf("trial %d step %d: reported order %d outside [%d, %d]", trial, step, q, qMin, qMax)
 				}
-				if cw < 0 || cw > det.CMax {
-					t.Fatalf("trial %d step %d: reported window %d outside [0, %d]", trial, step, cw, det.CMax)
+				if cw < 0 || cw > cMax {
+					t.Fatalf("trial %d step %d: reported window %d outside [0, %d]", trial, step, cw, cMax)
 				}
 			}
 			tPrev, xPrev = tPrev+h, x

@@ -62,7 +62,7 @@ func init() {
 		}, nil
 	})
 	control.Register("richardson", func(s control.Spec) (control.Detector, error) {
-		d := &Richardson{Sys: s.Sys, Factor: 2, Quiesce: s.Quiesce}
+		d := &Richardson{Sys: s.Sys, Quiesce: s.Quiesce}
 		if s.Tab != nil {
 			d.stepper = ode.NewStepper(s.Tab, s.Sys)
 		}

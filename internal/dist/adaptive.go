@@ -16,19 +16,22 @@ import (
 // paper on the goroutine cluster: every rank computes its block's stages
 // after halo exchanges, the controller's scaled error and the detector's
 // second estimate are finished with Allreduce, and accept/reject decisions
-// are taken in lockstep on every rank.
+// are taken in lockstep on every rank. The solve is WENO5 in space under
+// the tolerances and step cap below, on a cluster with mpi.DefaultModel's
+// costs.
 type AdaptiveConfig struct {
-	Ranks  int
-	N      int
-	TEnd   float64
-	TolA   float64 // 0 = 1e-4
-	TolR   float64 // 0 = 1e-4
-	CFL    float64 // step cap as a fraction of dx (0 = 0.3)
-	IBDC   bool    // enable distributed integration-based double-checking
-	QMax   int     // BDF order cap (0 = 3)
-	Model  mpi.CostModel
-	Scheme string
+	Ranks int
+	N     int
+	TEnd  float64
+	IBDC  bool // enable distributed integration-based double-checking
 }
+
+// The distributed adaptive solve's settings.
+const (
+	adaptiveTol = 1e-4 // absolute and relative tolerance
+	adaptiveCFL = 0.3  // step cap as a fraction of dx
+	adaptiveQ   = 3    // BDF order cap of the double-check
+)
 
 // AdaptiveResult reports the outcome of a distributed adaptive run.
 type AdaptiveResult struct {
@@ -58,35 +61,16 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	if cfg.Ranks < 1 || cfg.N < cfg.Ranks*(weno.Ghost+1) {
 		return nil, fmt.Errorf("dist: need N >= Ranks*%d", weno.Ghost+1)
 	}
-	if cfg.TolA == 0 {
-		cfg.TolA = 1e-4
-	}
-	if cfg.TolR == 0 {
-		cfg.TolR = 1e-4
-	}
-	if cfg.CFL == 0 {
-		cfg.CFL = 0.3
-	}
-	if cfg.QMax == 0 {
-		cfg.QMax = 3
-	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = "weno5"
-	}
-	if cfg.Model == (mpi.CostModel{}) {
-		cfg.Model = mpi.DefaultModel()
-	}
 	dx := 1.0 / float64(cfg.N)
-	maxStep := cfg.CFL * dx
+	maxStep := adaptiveCFL * dx
 	bounds := make([]int, cfg.Ranks+1)
 	for p := 0; p <= cfg.Ranks; p++ {
 		bounds[p] = p * cfg.N / cfg.Ranks
 	}
 	res := &AdaptiveResult{Blocks: make([][]float64, cfg.Ranks)}
 
-	comms := mpi.Run(cfg.Ranks, cfg.Model, func(c *mpi.Comm) {
+	comms := mpi.Run(cfg.Ranks, mpi.DefaultModel(), func(c *mpi.Comm) {
 		rank := c.Rank()
-		scheme, _ := weno.ByName(cfg.Scheme)
 		lo, hi := bounds[rank], bounds[rank+1]
 		nl := hi - lo
 		g := weno.Ghost
@@ -108,7 +92,7 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 		est := make(la.Vec, nl)
 		fProp := make(la.Vec, nl)
 		var bdf ode.BDFEstimator // per-rank workspace: steady-state steps allocate nothing
-		hist := ode.NewHistory(cfg.QMax+2, nl)
+		hist := ode.NewHistory(adaptiveQ+2, nl)
 		left := (rank + cfg.Ranks - 1) % cfg.Ranks
 		right := (rank + 1) % cfg.Ranks
 		sendL := make([]float64, g)
@@ -162,7 +146,7 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 		rhs := func(src la.Vec, dst la.Vec) {
 			alpha := globalMaxAbs(src)
 			fillPad(src)
-			rhsLocal(scheme, pad, fP, fM, fhatP, fhatM, dst, alpha, dx)
+			rhsLocal(pad, fP, fM, fhatP, fhatM, dst, alpha, dx)
 			c.Compute(float64(nl) * 150)
 		}
 
@@ -188,7 +172,7 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 			errv.CopyFrom(k2)
 			errv.Sub(k1)
 			errv.Scale(h / 2)
-			la.ErrWeights(w, prop, cfg.TolA, cfg.TolR)
+			la.ErrWeights(w, prop, adaptiveTol, adaptiveTol)
 			sErr := globalWRMS(errv, w)
 			// The NaN-rejects rule and the step factors are the shared
 			// control-package predicates; since sErr is identical on every
@@ -204,7 +188,7 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 				// A rescued sErr marks a recomputation reproducing the
 				// identical classic error: Algorithm 1's false-positive
 				// rescue, which accepts without re-running the check.
-				q := ode.MaxBDFOrder(hist, cfg.QMax)
+				q := ode.MaxBDFOrder(hist, adaptiveQ)
 				rhs(prop, fProp)
 				bdf.Estimate(est, hist, q, t+h, fProp)
 				if sErr2 := globalWRMS(diffInto(est, prop, est), w); control.DetectorReject(sErr2) {

@@ -18,14 +18,13 @@ import (
 	"repro/internal/weno"
 )
 
-// BurgersConfig describes a distributed periodic inviscid Burgers solve.
+// BurgersConfig describes a distributed periodic inviscid Burgers solve,
+// WENO5 in space, on a cluster with mpi.DefaultModel's costs.
 type BurgersConfig struct {
-	Ranks  int
-	N      int     // global points (must be >= Ranks * weno.Ghost-ish blocks)
-	Steps  int     // fixed Heun (RK2) steps
-	H      float64 // step size
-	Scheme string  // "weno5" or "wenoz5" (per-rank state, so no tridiagonal schemes)
-	Model  mpi.CostModel
+	Ranks int
+	N     int     // global points (must be >= Ranks * weno.Ghost-ish blocks)
+	Steps int     // fixed Heun (RK2) steps
+	H     float64 // step size
 }
 
 // Result carries each rank's final block and the synchronized virtual time.
@@ -41,9 +40,10 @@ func initialProfile(i, n int) float64 {
 	return 1 + 0.5*math.Sin(2*math.Pi*x)
 }
 
-// rhsLocal computes the Burgers RHS for one rank's padded block, given the
-// global splitting speed alpha. pad has nl+2*Ghost entries; dst gets nl.
-func rhsLocal(scheme weno.Scheme, pad, fP, fM, fhatP, fhatM, dst []float64, alpha, dx float64) {
+// rhsLocal computes the Burgers WENO5 RHS for one rank's padded block,
+// given the global splitting speed alpha. pad has nl+2*Ghost entries; dst
+// gets nl.
+func rhsLocal(pad, fP, fM, fhatP, fhatM, dst []float64, alpha, dx float64) {
 	g := weno.Ghost
 	nl := len(dst)
 	for j := 0; j < nl+2*g; j++ {
@@ -52,6 +52,7 @@ func rhsLocal(scheme weno.Scheme, pad, fP, fM, fhatP, fhatM, dst []float64, alph
 		fP[j] = 0.5 * (fl + alpha*v)
 		fM[nl+2*g-1-j] = 0.5 * (fl - alpha*v)
 	}
+	var scheme weno.Weno5
 	scheme.ReconstructLeft(fhatP, fP)
 	scheme.ReconstructLeft(fhatM, fM)
 	for i := 0; i < nl; i++ {
@@ -66,23 +67,13 @@ func RunBurgers(cfg BurgersConfig) (*Result, error) {
 	if cfg.Ranks < 1 || cfg.N < cfg.Ranks*(weno.Ghost+1) {
 		return nil, fmt.Errorf("dist: need N >= Ranks*%d, got N=%d Ranks=%d", weno.Ghost+1, cfg.N, cfg.Ranks)
 	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = "weno5"
-	}
-	if cfg.Model == (mpi.CostModel{}) {
-		cfg.Model = mpi.DefaultModel()
-	}
 	bounds := grid.Decompose(cfg.N, cfg.Ranks)
 	res := &Result{Blocks: make([][]float64, cfg.Ranks), Bounds: bounds}
 	dx := 1.0 / float64(cfg.N)
 	g := weno.Ghost
 
-	comms := mpi.Run(cfg.Ranks, cfg.Model, func(c *mpi.Comm) {
+	comms := mpi.Run(cfg.Ranks, mpi.DefaultModel(), func(c *mpi.Comm) {
 		rank := c.Rank()
-		scheme, err := weno.ByName(cfg.Scheme)
-		if err != nil {
-			panic(err)
-		}
 		lo, hi := bounds[rank], bounds[rank+1]
 		nl := hi - lo
 		u := make([]float64, nl)
@@ -154,14 +145,14 @@ func RunBurgers(cfg BurgersConfig) (*Result, error) {
 			// Heun (RK2): k1 = f(u); k2 = f(u + h k1); u += h/2 (k1+k2).
 			alpha := globalAlpha(u)
 			fillPad(u)
-			rhsLocal(scheme, pad, fP, fM, fhatP, fhatM, k1, alpha, dx)
+			rhsLocal(pad, fP, fM, fhatP, fhatM, k1, alpha, dx)
 			c.Compute(float64(nl) * 150)
 			for i := range stage {
 				stage[i] = u[i] + cfg.H*k1[i]
 			}
 			alpha2 := globalAlpha(stage)
 			fillPad(stage)
-			rhsLocal(scheme, pad, fP, fM, fhatP, fhatM, k2, alpha2, dx)
+			rhsLocal(pad, fP, fM, fhatP, fhatM, k2, alpha2, dx)
 			c.Compute(float64(nl) * 150)
 			for i := range u {
 				u[i] += cfg.H / 2 * (k1[i] + k2[i])

@@ -17,13 +17,13 @@ import (
 // paper's distributed HyPar runs, stripped to the parts that can be
 // validated bit-for-bit against the serial solver: y-slab decomposition,
 // per-stage halo exchanges of three WENO ghost rows, and per-axis Allreduce
-// of the Rusanov splitting speeds.
+// of the Rusanov splitting speeds. The cluster has mpi.DefaultModel's
+// costs.
 type Euler2DConfig struct {
 	Ranks int
 	N     int     // global N x N grid
 	Steps int     // fixed Heun (RK2) steps
 	H     float64 // step size (choose <= ~0.2*dx/c)
-	Model mpi.CostModel
 }
 
 // Euler2DResult carries each rank's interior block (variable-major rows).
@@ -75,15 +75,12 @@ func RunEuler2D(cfg Euler2DConfig) (*Euler2DResult, error) {
 	if cfg.Ranks < 1 || cfg.N/cfg.Ranks < gBand {
 		return nil, fmt.Errorf("dist: need at least %d rows per rank", gBand)
 	}
-	if cfg.Model == (mpi.CostModel{}) {
-		cfg.Model = mpi.DefaultModel()
-	}
 	n := cfg.N
 	dx := 1.0 / float64(n)
 	bounds := grid.Decompose(n, cfg.Ranks)
 	res := &Euler2DResult{Blocks: make([][]la.Vec, cfg.Ranks), Bounds: bounds}
 
-	comms := mpi.Run(cfg.Ranks, cfg.Model, func(c *mpi.Comm) {
+	comms := mpi.Run(cfg.Ranks, mpi.DefaultModel(), func(c *mpi.Comm) {
 		rank := c.Rank()
 		lo, hi := bounds[rank], bounds[rank+1]
 		nl := hi - lo

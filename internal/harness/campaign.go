@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/control"
@@ -521,9 +520,7 @@ func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *workerScrat
 	in.MaxTrials = 0
 	in.MinStep = 0
 	in.MaxStep = p.MaxStep
-	in.HistoryDepth = 0
 	in.NoReuseFirstStage = cfg.NoReuseFirstStage
-	in.UsePI = false
 
 	in.Init(w.sys, p.T0, p.TEnd, p.X0, p.H0)
 	_, runErr := in.Run()
@@ -616,48 +613,21 @@ func ReplicaSeeds(base uint64, k int) []uint64 {
 	return seeds
 }
 
-// RunReplicated executes k seed-varied replicas of cfg. With cfg.Workers
-// other than 1, the replicas themselves run concurrently, splitting the
-// worker budget between them; every partitioning yields the same rates
-// because Run is worker-count invariant.
+// RunReplicated executes k seed-varied replicas of cfg, one after another,
+// each through Run at cfg.Workers.
 func RunReplicated(cfg Config, k int) (*Replicated, error) {
 	if k < 1 {
 		k = 3
 	}
-	seeds := ReplicaSeeds(cfg.Seed, k)
-	results := make([]*Result, k)
-	errs := make([]error, k)
-	if cfg.workers() == 1 {
-		for i := 0; i < k; i++ {
-			c := cfg
-			c.Seed = seeds[i]
-			results[i], errs[i] = Run(c)
-		}
-	} else {
-		per := cfg.workers() / k
-		if per < 1 {
-			per = 1
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c := cfg
-				c.Seed = seeds[i]
-				c.Workers = per
-				results[i], errs[i] = Run(c)
-			}(i)
-		}
-		wg.Wait()
-	}
 	var fprs, tprs, sfnrs []float64
 	out := &Replicated{}
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, seed := range ReplicaSeeds(cfg.Seed, k) {
+		c := cfg
+		c.Seed = seed
+		res, err := Run(c)
+		if err != nil {
+			return nil, err
 		}
-		res := results[i]
 		out.Results = append(out.Results, res)
 		fprs = append(fprs, res.Rates.FPR())
 		tprs = append(tprs, res.Rates.TPR())

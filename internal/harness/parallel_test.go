@@ -197,8 +197,8 @@ func TestReplicaSeedsNonOverlapping(t *testing.T) {
 	}
 }
 
-// TestRunReplicatedWorkerInvariance: splitting the worker budget across
-// seed replicas must not change any replica's rates.
+// TestRunReplicatedWorkerInvariance: the worker count must not change any
+// seed replica's rates.
 func TestRunReplicatedWorkerInvariance(t *testing.T) {
 	cfg := Config{Problem: fastProblem(), Tab: ode.HeunEuler(), Injector: inject.Scaled{},
 		Detector: Classic, Seed: 3, MinInjections: 40}

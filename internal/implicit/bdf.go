@@ -22,15 +22,12 @@ type BDF struct {
 	Ctrl      ode.Controller
 	Validator ode.Validator
 
-	MaxSteps      int
-	MaxTrials     int
-	MinStep       float64
-	MaxStep       float64
-	NewtonTol     float64
-	NewtonMaxIter int
-	KrylovOpts    krylov.Options
-	// Direct / NoDirect select the Newton linear solver as in Integrator.
-	Direct   bool
+	MaxSteps   int
+	MinStep    float64
+	MaxStep    float64
+	NewtonTol  float64
+	KrylovOpts krylov.Options
+	// NoDirect selects the Newton linear solver as in Integrator.
 	NoDirect bool
 
 	sys  ode.System
@@ -64,14 +61,11 @@ type BDF struct {
 
 // Init prepares the integrator; x0 is copied.
 func (in *BDF) Init(sys ode.System, t0, tEnd float64, x0 la.Vec, h0 float64) {
-	if in.Ctrl.Alpha == 0 {
+	if in.Ctrl == (ode.Controller{}) {
 		in.Ctrl = ode.DefaultController(1e-6, 1e-6)
 	}
 	if in.MaxSteps == 0 {
 		in.MaxSteps = 1 << 20
-	}
-	if in.MaxTrials == 0 {
-		in.MaxTrials = 100
 	}
 	if in.MinStep == 0 {
 		in.MinStep = 1e-14 * math.Max(1, math.Abs(tEnd-t0))
@@ -79,15 +73,12 @@ func (in *BDF) Init(sys ode.System, t0, tEnd float64, x0 la.Vec, h0 float64) {
 	if in.NewtonTol == 0 {
 		in.NewtonTol = 1e-3
 	}
-	if in.NewtonMaxIter == 0 {
-		in.NewtonMaxIter = 20
-	}
 	in.sys = sys
 	in.t, in.tEnd = t0, tEnd
 	in.x = x0.Clone()
 	in.h = h0
 	m := sys.Dim()
-	in.hist = ode.NewHistory(8, m)
+	in.hist = ode.NewHistory(historyDepth, m)
 	in.hist.Push(t0, 0, in.x)
 	for _, v := range []*la.Vec{&in.xProp, &in.pred, &in.rhs, &in.resid, &in.delta, &in.ftmp, &in.fbase, &in.scratch, &in.errVec, &in.weights, &in.neg} {
 		*v = la.NewVec(m)
@@ -120,7 +111,7 @@ func (in *BDF) eval(t float64, x, dst la.Vec) {
 // by Newton iteration, starting from the predictor in xProp.
 func (in *BDF) solveImplicit(tn, d0 float64) error {
 	m := len(in.xProp)
-	for iter := 0; iter < in.NewtonMaxIter; iter++ {
+	for iter := 0; iter < newtonMaxIter; iter++ {
 		in.Stats.NewtonIters++
 		in.eval(tn, in.xProp, in.ftmp)
 		// resid = d0*x - f - rhs
@@ -135,7 +126,7 @@ func (in *BDF) solveImplicit(tn, d0 float64) error {
 		if rnorm <= in.NewtonTol*in.Ctrl.TolA*ref*d0 || rnorm <= 1e-12*ref*math.Max(1, d0) {
 			return nil
 		}
-		useDirect := in.Direct || (!in.NoDirect && m <= DirectMaxDim)
+		useDirect := !in.NoDirect && m <= DirectMaxDim
 		if useDirect {
 			neg := in.neg
 			neg.CopyFrom(in.resid)
@@ -199,7 +190,7 @@ func (in *BDF) Step() error {
 	in.engine.Validator = in.Validator
 	in.engine.BeginStep()
 	for attempt := 1; ; attempt++ {
-		if attempt > in.MaxTrials {
+		if attempt > maxTrials {
 			return ErrTooManyTrials
 		}
 		if h < in.MinStep {

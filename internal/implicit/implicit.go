@@ -40,6 +40,13 @@ type Stats struct {
 	KrylovIters       int64
 }
 
+// The solver bounds shared by Integrator and BDF.
+const (
+	maxTrials     = 100 // trials per step
+	historyDepth  = 8   // solution ring depth
+	newtonMaxIter = 20  // Newton iterations per stage solve
+)
+
 // Integrator advances stiff initial-value problems with adaptive SDIRK2(1)
 // steps under the classic controller, optionally guarded by an
 // ode.Validator (the double-checking detectors).
@@ -47,19 +54,15 @@ type Integrator struct {
 	Ctrl      ode.Controller
 	Validator ode.Validator
 
-	MaxSteps     int     // accepted-step bound (0 = 1<<20)
-	MaxTrials    int     // trials per step (0 = 100)
-	MinStep      float64 // failure threshold (0 = 1e-14 * span)
-	MaxStep      float64 // step cap (0 = none)
-	HistoryDepth int     // solution ring depth (0 = 8)
+	MaxSteps int     // accepted-step bound (0 = 1<<20)
+	MinStep  float64 // failure threshold (0 = 1e-14 * span)
+	MaxStep  float64 // step cap (0 = none)
 
-	NewtonTol     float64 // nonlinear residual reduction (0 = 1e-3, scaled by tolerances)
-	NewtonMaxIter int     // Newton iterations per stage (0 = 20)
-	KrylovOpts    krylov.Options
-	// Direct forces the dense-Jacobian LU Newton path; by default it is
-	// used automatically when the dimension is at most DirectMaxDim.
-	Direct bool
-	// NoDirect forces matrix-free Newton-Krylov regardless of dimension.
+	NewtonTol  float64 // nonlinear residual reduction (0 = 1e-3, scaled by tolerances)
+	KrylovOpts krylov.Options
+	// NoDirect forces matrix-free Newton-Krylov; by default the dense-
+	// Jacobian LU Newton path runs when the dimension is at most
+	// DirectMaxDim.
 	NoDirect bool
 
 	sys  ode.System
@@ -94,17 +97,11 @@ var ErrTooManyTrials = errors.New("implicit: too many trials for one step")
 // Init prepares the integrator to advance sys from x0 at t0 to tEnd with
 // the initial step h0. x0 is copied.
 func (in *Integrator) Init(sys ode.System, t0, tEnd float64, x0 la.Vec, h0 float64) {
-	if in.Ctrl.Alpha == 0 {
+	if in.Ctrl == (ode.Controller{}) {
 		in.Ctrl = ode.DefaultController(1e-6, 1e-6)
 	}
 	if in.MaxSteps == 0 {
 		in.MaxSteps = 1 << 20
-	}
-	if in.MaxTrials == 0 {
-		in.MaxTrials = 100
-	}
-	if in.HistoryDepth == 0 {
-		in.HistoryDepth = 8
 	}
 	if in.MinStep == 0 {
 		in.MinStep = 1e-14 * math.Max(1, math.Abs(tEnd-t0))
@@ -112,15 +109,12 @@ func (in *Integrator) Init(sys ode.System, t0, tEnd float64, x0 la.Vec, h0 float
 	if in.NewtonTol == 0 {
 		in.NewtonTol = 1e-3
 	}
-	if in.NewtonMaxIter == 0 {
-		in.NewtonMaxIter = 20
-	}
 	in.sys = sys
 	in.t, in.tEnd = t0, tEnd
 	in.x = x0.Clone()
 	in.h = h0
 	m := sys.Dim()
-	in.hist = ode.NewHistory(in.HistoryDepth, m)
+	in.hist = ode.NewHistory(historyDepth, m)
 	in.hist.Push(t0, 0, in.x)
 	for _, v := range []*la.Vec{&in.k1, &in.k2, &in.stage, &in.resid, &in.delta, &in.ftmp, &in.xProp, &in.errVec, &in.weights, &in.jvBase, &in.jvScratch} {
 		*v = la.NewVec(m)
@@ -155,7 +149,7 @@ func (in *Integrator) solveStage(ts, h float64, base, K la.Vec) error {
 	hg := h * Gamma
 	// Residual scale: Newton is converged when the residual is far below
 	// the integration tolerance in the scaled norm.
-	for iter := 0; iter < in.NewtonMaxIter; iter++ {
+	for iter := 0; iter < newtonMaxIter; iter++ {
 		in.Stats.NewtonIters++
 		// stage = base + hg*K ; resid = K - f(ts, stage)
 		in.stage.CopyFrom(base)
@@ -172,7 +166,7 @@ func (in *Integrator) solveStage(ts, h float64, base, K la.Vec) error {
 			return nil
 		}
 		// Solve (I - hg*J) delta = -resid.
-		useDirect := in.Direct || (!in.NoDirect && m <= DirectMaxDim)
+		useDirect := !in.NoDirect && m <= DirectMaxDim
 		if useDirect {
 			rhsv := in.resid.Clone()
 			rhsv.Scale(-1 / hg) // (I - hg J) = hg((1/hg) I - J)
@@ -225,7 +219,7 @@ func (in *Integrator) solveStage(ts, h float64, base, K la.Vec) error {
 		}
 		K.Add(in.delta)
 	}
-	return fmt.Errorf("implicit: Newton did not converge in %d iterations", in.NewtonMaxIter)
+	return fmt.Errorf("implicit: Newton did not converge in %d iterations", newtonMaxIter)
 }
 
 // Step advances one accepted SDIRK2 step.
@@ -240,7 +234,7 @@ func (in *Integrator) Step() error {
 	in.engine.Validator = in.Validator
 	in.engine.BeginStep()
 	for attempt := 1; ; attempt++ {
-		if attempt > in.MaxTrials {
+		if attempt > maxTrials {
 			return ErrTooManyTrials
 		}
 		if h < in.MinStep {

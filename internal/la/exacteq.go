@@ -11,17 +11,3 @@ package la
 func ExactEq(a, b float64) bool {
 	return a == b
 }
-
-// ExactEqVec reports whether two vectors are elementwise ExactEq. Length
-// mismatch is never equal.
-func ExactEqVec(a, b Vec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !ExactEq(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}

@@ -50,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 var (
 	helpers   = "repro/internal/la.ExactEq"
 	nanFuncs  = "StepSize"
-	nanPkgs   = "repro/internal/control,repro/internal/dist,repro/internal/pde"
+	nanPkgs   = "repro/internal/control,repro/internal/core,repro/internal/dist,repro/internal/pde"
 	nanVars   = `(?i)^s?err`
 	testFiles = false
 )

@@ -113,9 +113,6 @@ func (c *Comm) Size() int { return c.world.P }
 // Clock returns the rank's virtual time in seconds.
 func (c *Comm) Clock() float64 { return c.clock }
 
-// AdvanceClock adds dt virtual seconds (for externally modeled costs).
-func (c *Comm) AdvanceClock(dt float64) { c.clock += dt }
-
 // Compute advances the clock by the modeled time of flops floating-point
 // operations.
 func (c *Comm) Compute(flops float64) { c.clock += c.world.Model.ComputeTime(flops) }

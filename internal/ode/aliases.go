@@ -1,9 +1,6 @@
 package ode
 
-import (
-	"repro/internal/control"
-	"repro/internal/la"
-)
+import "repro/internal/control"
 
 // The building blocks of the protected step — the system/tableau vocabulary,
 // the classic controller, the solution history, and the validator seam — are
@@ -64,28 +61,10 @@ type Validator = control.Validator
 // trial step.
 type CheckContext = control.CheckContext
 
-// NewCheckContext assembles a context for integrators defined outside this
-// package (e.g. the implicit solvers in internal/implicit) so they can
-// reuse the same Validator implementations. fprop, when non-nil, supplies
-// f(T+H, XProp) directly (stiffly accurate implicit methods get it for
-// free); otherwise FProp falls back to one evaluation of sys.
-func NewCheckContext(stepIndex int, t, h float64, xStart, xStored, xProp, errVec la.Vec,
-	sErr1 float64, weights la.Vec, hist *History, ctrl *Controller, tab *Tableau,
-	recomputation bool, fprop la.Vec, sys System) *CheckContext {
-	return control.NewCheckContext(stepIndex, t, h, xStart, xStored, xProp, errVec,
-		sErr1, weights, hist, ctrl, tab, recomputation, fprop, sys)
-}
-
-// The lane-planar decide vocabulary (control.BatchEngine.DecideLanes): a
-// BatchValidator splits its double-check into a scalar plan, a batched
-// estimate through a registered BatchKernel, and a scalar finish; this
-// package registers the "lip" and "bdf" kernels (batchestimate.go).
-type (
-	BatchValidator = control.BatchValidator
-	BatchKernel    = control.BatchKernel
-	EstimatePlan   = control.EstimatePlan
-	KernelLane     = control.KernelLane
-)
+// EstimatePlan is the scalar plan of a lane-planar double-check
+// (control.BatchValidator.PlanBatch); this package registers the "lip" and
+// "bdf" batch kernels that execute it (batchestimate.go).
+type EstimatePlan = control.EstimatePlan
 
 // FixedValidator inspects a completed fixed-step trial (§VII-C).
 type FixedValidator = control.FixedValidator

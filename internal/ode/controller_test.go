@@ -9,8 +9,9 @@ import (
 
 func TestDefaultControllerSettings(t *testing.T) {
 	c := DefaultController(1e-4, 1e-5)
-	if c.Alpha != 0.9 || c.AlphaMin != 0.1 || c.AlphaMax != 10 {
-		t.Fatalf("defaults wrong: %+v", c)
+	// The law's constants alpha = 0.9, alphaMin = 0.1, alphaMax = 10.
+	if a, lo, hi := c.NewStepSize(1, 1, 1), c.NewStepSize(1, 1e12, 1), c.NewStepSize(1, 1e-12, 1); a != 0.9 || lo != 0.1 || hi != 10 {
+		t.Fatalf("step factors %g, %g, %g, want 0.9, 0.1, 10", a, lo, hi)
 	}
 	if c.TolA != 1e-4 || c.TolR != 1e-5 {
 		t.Fatalf("tolerances wrong: %+v", c)

@@ -6,6 +6,9 @@ import (
 	"repro/internal/la"
 )
 
+// fixedMaxTrials bounds the recomputations of one fixed step.
+const fixedMaxTrials = 1000
+
 // FixedIntegrator advances a system with a constant step size; there is no
 // error control, only the optional validator's accept/recompute loop.
 type FixedIntegrator struct {
@@ -13,9 +16,6 @@ type FixedIntegrator struct {
 	Validator FixedValidator
 	Hook      StageHook
 	OnTrial   func(*Trial)
-	MaxTrials int // per step (0 = 1000)
-
-	HistoryDepth int
 
 	sys     System
 	stepper *Stepper
@@ -31,15 +31,9 @@ func (in *FixedIntegrator) Init(sys System, t0 float64, x0 la.Vec, h float64) {
 	if in.Tab == nil {
 		in.Tab = HeunEuler()
 	}
-	if in.MaxTrials == 0 {
-		in.MaxTrials = 1000
-	}
-	if in.HistoryDepth == 0 {
-		in.HistoryDepth = 8
-	}
 	in.sys = sys
 	in.stepper = NewStepper(in.Tab, sys)
-	in.hist = NewHistory(in.HistoryDepth, sys.Dim())
+	in.hist = NewHistory(historyDepth, sys.Dim())
 	in.t = t0
 	in.x = x0.Clone()
 	in.h = h
@@ -57,7 +51,7 @@ func (in *FixedIntegrator) X() la.Vec { return in.x }
 func (in *FixedIntegrator) History() *History { return in.hist }
 
 // ErrFixedTooManyTrials is returned when a step cannot be validated within
-// MaxTrials recomputations.
+// fixedMaxTrials recomputations.
 var ErrFixedTooManyTrials = errors.New("ode: fixed-step validator never accepted")
 
 // Step advances by exactly one step of size h, recomputing as long as the
@@ -65,7 +59,7 @@ var ErrFixedTooManyTrials = errors.New("ode: fixed-step validator never accepted
 func (in *FixedIntegrator) Step() error {
 	recomp := false
 	for attempt := 1; ; attempt++ {
-		if attempt > in.MaxTrials {
+		if attempt > fixedMaxTrials {
 			return ErrFixedTooManyTrials
 		}
 		res := in.stepper.Trial(in.t, in.h, in.x, nil, in.Hook)

@@ -61,77 +61,32 @@ func FuzzScaledError(f *testing.F) {
 	})
 }
 
-// FuzzNewStepSize drives both step-size laws with arbitrary bit patterns.
-// A corrupted LTE estimate reaches these functions directly, so they must
-// never emit NaN (which would poison every subsequent step size), and for
-// a well-formed step size the result must stay inside the controller's
-// [h*AlphaMin, h*AlphaMax] clamp.
+// FuzzNewStepSize drives the step-size law with arbitrary bit patterns.
+// A corrupted LTE estimate reaches it directly, so it must never emit NaN
+// (which would poison every subsequent step size), and for a well-formed
+// step size the result must stay inside the law's [0.1*h, 10*h] clamp.
 func FuzzNewStepSize(f *testing.F) {
-	f.Add(0.01, 0.5, 0.25, byte(2))
-	f.Add(0.01, 0.0, 0.0, byte(3))
-	f.Add(0.01, math.NaN(), 0.5, byte(2))
-	f.Add(math.NaN(), 0.5, 0.5, byte(2))
-	f.Add(math.Inf(1), 0.5, 0.5, byte(2))
-	f.Add(-0.01, 2.0, 0.5, byte(5))
-	f.Add(0.01, math.Inf(1), math.Inf(1), byte(2))
-	f.Add(1e308, 5e-324, 1e308, byte(1))
-	f.Fuzz(func(t *testing.T, h, sErr, sErrPrev float64, order byte) {
+	f.Add(0.01, 0.5, byte(2))
+	f.Add(0.01, 0.0, byte(3))
+	f.Add(0.01, math.NaN(), byte(2))
+	f.Add(math.NaN(), 0.5, byte(2))
+	f.Add(math.Inf(1), 0.5, byte(2))
+	f.Add(-0.01, 2.0, byte(5))
+	f.Add(0.01, math.Inf(1), byte(2))
+	f.Add(1e308, 5e-324, byte(1))
+	f.Fuzz(func(t *testing.T, h, sErr float64, order byte) {
 		controlOrder := int(order%8) + 1
 		c := DefaultController(1e-6, 1e-6)
 
-		check := func(law string, got float64) {
-			if math.IsNaN(got) {
-				t.Fatalf("%s(h=%g, sErr=%g, sErrPrev=%g, k=%d) = NaN",
-					law, h, sErr, sErrPrev, controlOrder)
-			}
-			if h > 0 && !math.IsInf(h, 0) && !math.IsNaN(sErr) && sErr >= 0 {
-				lo, hi := h*c.AlphaMin, h*c.AlphaMax
-				if got < lo || got > hi {
-					t.Fatalf("%s(h=%g, sErr=%g, sErrPrev=%g, k=%d) = %g outside [%g, %g]",
-						law, h, sErr, sErrPrev, controlOrder, got, lo, hi)
-				}
-			}
-		}
-		check("NewStepSize", c.NewStepSize(h, sErr, controlOrder))
-		check("PIStepSize", c.PIStepSize(h, sErr, sErrPrev, controlOrder))
-	})
-}
-
-// FuzzPIStepSize targets the PI law's own contract beyond the shared
-// clamp check of FuzzNewStepSize: no bit pattern may produce NaN, the
-// result must be bitwise deterministic (the FP-rescue mechanism compares
-// recomputed step sizes exactly), and every degenerate input — first step,
-// NaN or infinite scaled errors — must agree bitwise with the elementary
-// law it falls back to.
-func FuzzPIStepSize(f *testing.F) {
-	f.Add(0.01, 0.5, 0.25, byte(2))
-	f.Add(0.01, 0.5, 0.0, byte(2))  // first step: sErrPrev <= 0 falls back
-	f.Add(0.01, 0.5, -1.0, byte(3)) // negative history: falls back
-	f.Add(0.01, math.NaN(), 0.5, byte(2))
-	f.Add(0.01, 0.5, math.NaN(), byte(2))
-	f.Add(0.01, math.Inf(1), 0.25, byte(2))
-	f.Add(0.01, 0.25, math.Inf(1), byte(2))
-	f.Add(1e-300, 5e-324, 1e308, byte(7))
-	f.Fuzz(func(t *testing.T, h, sErr, sErrPrev float64, order byte) {
-		controlOrder := int(order%8) + 1
-		c := DefaultController(1e-6, 1e-6)
-
-		got := c.PIStepSize(h, sErr, sErrPrev, controlOrder)
+		got := c.NewStepSize(h, sErr, controlOrder)
 		if math.IsNaN(got) {
-			t.Fatalf("PIStepSize(h=%g, sErr=%g, sErrPrev=%g, k=%d) = NaN",
-				h, sErr, sErrPrev, controlOrder)
+			t.Fatalf("NewStepSize(h=%g, sErr=%g, k=%d) = NaN", h, sErr, controlOrder)
 		}
-		again := c.PIStepSize(h, sErr, sErrPrev, controlOrder)
-		if math.Float64bits(got) != math.Float64bits(again) {
-			t.Fatalf("PIStepSize(h=%g, sErr=%g, sErrPrev=%g, k=%d) not deterministic: %x vs %x",
-				h, sErr, sErrPrev, controlOrder, math.Float64bits(got), math.Float64bits(again))
-		}
-		if !(sErrPrev > 0) || !(sErr > 0) ||
-			math.IsInf(sErr, 1) || math.IsInf(sErrPrev, 1) {
-			want := c.NewStepSize(h, sErr, controlOrder)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("PIStepSize(h=%g, sErr=%g, sErrPrev=%g, k=%d) = %g, want elementary-law fallback %g",
-					h, sErr, sErrPrev, controlOrder, got, want)
+		if h > 0 && !math.IsInf(h, 0) && !math.IsNaN(sErr) && sErr >= 0 {
+			lo, hi := h*0.1, h*10
+			if got < lo || got > hi {
+				t.Fatalf("NewStepSize(h=%g, sErr=%g, k=%d) = %g outside [%g, %g]",
+					h, sErr, controlOrder, got, lo, hi)
 			}
 		}
 	})

@@ -96,6 +96,10 @@ type Stats struct {
 	Injections        int64 // corruptions applied to stage evaluations
 }
 
+// historyDepth is the depth of the accepted-solution ring of every
+// integrator in this package.
+const historyDepth = 8
+
 // Integrator advances an initial-value problem with an embedded RK pair
 // under the classic adaptive controller, optionally guarded by a Validator.
 // Configure the exported fields, then call Init and Run (or Step).
@@ -125,18 +129,14 @@ type Integrator struct {
 	// benchmark gate) is unaffected.
 	Halt func() bool
 
-	MaxSteps     int     // safety bound on accepted steps (0 = 1<<20)
-	MaxTrials    int     // safety bound on trials per step (0 = 1000)
-	MinStep      float64 // below this the integration fails (0 = 1e-14 * span)
-	MaxStep      float64 // upper clamp on the step size (0 = none)
-	HistoryDepth int     // solution ring depth (0 = 8)
+	MaxSteps  int     // safety bound on accepted steps (0 = 1<<20)
+	MaxTrials int     // safety bound on trials per step (0 = 1000)
+	MinStep   float64 // below this the integration fails (0 = 1e-14 * span)
+	MaxStep   float64 // upper clamp on the step size (0 = none)
 	// NoReuseFirstStage disables carrying f(t_n, x_n) (from FSAL stages or
 	// the double-check's FProp) into the next step's first stage. Ablation
 	// switch for the first-same-as-last reuse of §V-B.
 	NoReuseFirstStage bool
-	// UsePI selects the PI.3.4 step-size law instead of the paper's
-	// elementary controller of Eq. (5) for the post-acceptance step update.
-	UsePI bool
 
 	sys     System
 	stepper *Stepper
@@ -149,9 +149,8 @@ type Integrator struct {
 	fNext          la.Vec // cached f(t, x) reusable as the next first stage
 	haveFNext      bool
 	fNextCorrupted bool
-	xTrialBuf      la.Vec  // transient state copy for StateHook corruption
-	sErrPrev       float64 // previous accepted scaled error (PI controller)
-	trial          Trial   // per-trial observer record, reused across trials
+	xTrialBuf      la.Vec // transient state copy for StateHook corruption
+	trial          Trial  // per-trial observer record, reused across trials
 	// engine is the shared protected-step pipeline (classic test + validator
 	// double-check); it owns the CheckContext scratch and FProp buffer.
 	engine control.Engine
@@ -181,7 +180,7 @@ func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) 
 	if in.Tab == nil {
 		in.Tab = HeunEuler()
 	}
-	if in.Ctrl.Alpha == 0 {
+	if in.Ctrl == (Controller{}) {
 		in.Ctrl = DefaultController(1e-4, 1e-4)
 	}
 	if in.MaxSteps == 0 {
@@ -189,9 +188,6 @@ func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) 
 	}
 	if in.MaxTrials == 0 {
 		in.MaxTrials = 1000
-	}
-	if in.HistoryDepth == 0 {
-		in.HistoryDepth = 8
 	}
 	if in.MinStep == 0 {
 		in.MinStep = 1e-14 * math.Max(1, math.Abs(tEnd-t0))
@@ -208,10 +204,10 @@ func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) 
 	} else {
 		in.stepper = NewStepper(in.Tab, sys)
 	}
-	if in.hist != nil && in.hist.Depth() == in.HistoryDepth && in.hist.Dim() == m {
+	if in.hist != nil && in.hist.Dim() == m {
 		in.hist.Reset()
 	} else {
-		in.hist = NewHistory(in.HistoryDepth, m)
+		in.hist = NewHistory(historyDepth, m)
 	}
 	in.t, in.tEnd = t0, tEnd
 	if len(in.x) == m {
@@ -227,7 +223,6 @@ func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) 
 	}
 	in.haveFNext = false
 	in.fNextCorrupted = false
-	in.sErrPrev = 0
 	in.trial = Trial{}
 	in.engine.Reset(m)
 	in.hist.Push(t0, 0, in.x)
@@ -351,12 +346,7 @@ func (in *Integrator) Step() error {
 				in.haveFNext = false
 			}
 			in.fNextCorrupted = in.haveFNext && lastInj > 0
-			if in.UsePI {
-				in.h = in.Ctrl.PIStepSize(h, sErr1, in.sErrPrev, in.Tab.ControlOrder())
-			} else {
-				in.h = in.Ctrl.NewStepSize(h, sErr1, in.Tab.ControlOrder())
-			}
-			in.sErrPrev = sErr1
+			in.h = in.Ctrl.NewStepSize(h, sErr1, in.Tab.ControlOrder())
 			if in.MaxStep > 0 && in.h > in.MaxStep {
 				in.h = in.MaxStep
 			}

@@ -364,29 +364,6 @@ func TestFixedIntegratorValidatorRetry(t *testing.T) {
 	}
 }
 
-func TestPIControllerInLoop(t *testing.T) {
-	// The PI law must complete the same integration accurately and with a
-	// competitive rejection count.
-	run := func(usePI bool) (*Integrator, float64) {
-		in := newTestIntegrator(BogackiShampine(), 1e-8, 1e-8)
-		in.UsePI = usePI
-		in.Init(oscillator, 0, 10, la.Vec{1, 0}, 0.001)
-		if _, err := in.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return in, math.Hypot(in.X()[0]-math.Cos(10), in.X()[1]+math.Sin(10))
-	}
-	elem, errElem := run(false)
-	pi, errPI := run(true)
-	if errPI > 1e-4 || errElem > 1e-4 {
-		t.Fatalf("accuracy: elementary %g, PI %g", errElem, errPI)
-	}
-	// PI should not be wildly worse in rejections.
-	if pi.Stats.RejectedClassic > 3*elem.Stats.RejectedClassic+10 {
-		t.Fatalf("PI rejections %d vs elementary %d", pi.Stats.RejectedClassic, elem.Stats.RejectedClassic)
-	}
-}
-
 func TestToleranceProportionality(t *testing.T) {
 	// A healthy adaptive solver's global error tracks the tolerance: each
 	// 100x tolerance tightening must reduce the error substantially.

@@ -7,11 +7,10 @@ import (
 )
 
 // Table-driven coverage of the recycled-integrator path across problems of
-// different dimension AND different history depths: the campaign arenas
-// re-Init one integrator across replicates, and the batch engine recycles
-// lane pools the same way, so a stale stage buffer, history ring, or
-// engine scratch surviving a (Dim, HistoryDepth) change would silently skew
-// campaign numbers. Every recycled run must reproduce a fresh integrator's
+// different dimension: the campaign arenas re-Init one integrator across
+// replicates, and the batch engine recycles lane pools the same way, so a
+// stale stage buffer, history ring, or engine scratch surviving a Dim
+// change would silently skew campaign numbers. Every recycled run must reproduce a fresh integrator's
 // run bit for bit, including through a history-consuming validator.
 
 // triDecay is a 3-dimensional system, giving the retarget table a third
@@ -53,22 +52,21 @@ func (v *histValidator) Validate(c *CheckContext) Verdict {
 
 // retargetCase is one row of the recycle table.
 type retargetCase struct {
-	name  string
-	sys   System
-	x0    la.Vec
-	tEnd  float64
-	depth int
+	name string
+	sys  System
+	x0   la.Vec
+	tEnd float64
 }
 
 func retargetTable() []retargetCase {
 	return []retargetCase{
-		{"osc-d2-depth8", oscillator, la.Vec{1, 0}, 2, 8},
-		{"decay-d1-depth4", decay, la.Vec{1}, 3, 4},
-		{"tri-d3-depth2", triDecay, la.Vec{1, -1, 0.5}, 1.5, 2},
-		{"decay-d1-depth8", decay, la.Vec{2}, 2, 8},
-		{"osc-d2-depth3", oscillator, la.Vec{0, 1}, 1, 3},
-		{"tri-d3-depth8", triDecay, la.Vec{-1, 2, 1}, 2, 8},
-		{"osc-d2-depth8-again", oscillator, la.Vec{1, 0}, 2, 8},
+		{"osc-d2", oscillator, la.Vec{1, 0}, 2},
+		{"decay-d1", decay, la.Vec{1}, 3},
+		{"tri-d3", triDecay, la.Vec{1, -1, 0.5}, 1.5},
+		{"decay-d1-x2", decay, la.Vec{2}, 2},
+		{"osc-d2-x01", oscillator, la.Vec{0, 1}, 1},
+		{"tri-d3-x121", triDecay, la.Vec{-1, 2, 1}, 2},
+		{"osc-d2-again", oscillator, la.Vec{1, 0}, 2},
 	}
 }
 
@@ -78,7 +76,6 @@ func retargetTable() []retargetCase {
 func runRetargetCase(t *testing.T, in *Integrator, rc retargetCase) (la.Vec, Stats) {
 	t.Helper()
 	in.Validator = &histValidator{}
-	in.HistoryDepth = rc.depth
 	in.MinStep = 0 // resolved per span; reset like the campaign arena does
 	in.Init(rc.sys, 0, rc.tEnd, rc.x0, 0.01)
 	if _, err := in.Run(); err != nil {
@@ -87,11 +84,10 @@ func runRetargetCase(t *testing.T, in *Integrator, rc retargetCase) (la.Vec, Sta
 	return in.X().Clone(), in.Stats
 }
 
-// TestIntegratorRetargetAcrossDimsAndDepths cycles one recycled integrator
-// through the full table — every transition changes dimension, history
-// depth, or both — and compares each leg bitwise against a fresh
-// integrator.
-func TestIntegratorRetargetAcrossDimsAndDepths(t *testing.T) {
+// TestIntegratorRetargetAcrossDims cycles one recycled integrator through
+// the full table — every transition changes dimension — and compares each
+// leg bitwise against a fresh integrator.
+func TestIntegratorRetargetAcrossDims(t *testing.T) {
 	tab := BogackiShampine() // FSAL, so the fNext cache crosses re-Inits too
 	reused := newTestIntegrator(tab, 1e-6, 1e-6)
 	for _, rc := range retargetTable() {

@@ -1,15 +1,11 @@
 package ode
 
-import (
-	"repro/internal/control"
-	"repro/internal/la"
-)
+import "repro/internal/la"
 
 // Stepper computes trial steps of one embedded Runge-Kutta pair. It owns the
 // stage storage so repeated trials allocate nothing. A Stepper is not safe
-// for concurrent use; distributed ranks each own one. It is the explicit-RK
-// control.Trialer: the shared protected-step pipeline and the redundancy
-// validators replay trials through that interface.
+// for concurrent use; distributed ranks each own one. The redundancy
+// validators replay trials on clean shadow steppers of their own.
 type Stepper struct {
 	Tab *Tableau
 	sys System
@@ -41,10 +37,6 @@ func NewStepper(tab *Tableau, sys System) *Stepper {
 	}
 	return s
 }
-
-// Stepper satisfies control.Trialer, so the shared protected-step pipeline
-// and the redundancy validators can replay trials through the interface.
-var _ control.Trialer = (*Stepper)(nil)
 
 // Trial computes one trial step from (t, x) with step size h.
 //

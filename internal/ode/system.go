@@ -14,6 +14,6 @@
 // protected-step decision itself — classic test, validator double-check,
 // Algorithm 1 order policy — lives in internal/control; this package
 // re-exports the shared vocabulary (see aliases.go) and contributes the
-// explicit-RK Stepper/Trialer and the integrators built on the control
+// explicit-RK Stepper and the integrators built on the control
 // pipeline.
 package ode

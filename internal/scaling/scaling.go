@@ -31,56 +31,45 @@ const (
 	Replication Detector = "replication"
 )
 
+// The modelled solver: the 3-D bubble's conserved variables, a pair
+// without first-same-as-last reuse (every stage is evaluated fresh), the
+// double-check at Algorithm 1's order cap, and the arithmetic charged per
+// stage on a cluster with mpi.DefaultModel's costs.
+const (
+	nVars      = 5 // conserved variables per point
+	checkOrder = 3 // double-checking order q
+	// flopsPerPointPerStage models the WENO5 flux evaluation cost per grid
+	// point per variable.
+	flopsPerPointPerStage = 400
+	// serialFlopsPerStage models the per-rank non-parallelizable work per
+	// stage — boundary handling, pack/unpack, bookkeeping (~2.5 ms per
+	// stage: the Amdahl fraction §VI-C blames for the overhead's decrease
+	// with core count).
+	serialFlopsPerStage = 5e6
+)
+
 // Config describes one scaling run.
 type Config struct {
 	GlobalN [3]int // global grid (the paper: 64^3)
-	NVars   int    // conserved variables per point (5 in 3-D)
 	Stages  int    // N_k of the embedded pair
-	FSAL    bool   // last stage reused (one fewer fresh stage per step)
 	Det     Detector
-	Order   int // double-checking order q
 	Cores   int
 	Steps   int     // accepted steps to simulate
 	FPRate  float64 // fraction of steps recomputed due to double-check FPs
-	Model   mpi.CostModel
-
-	// FlopsPerPointPerStage models the WENO5 flux evaluation cost per grid
-	// point per variable (default 400).
-	FlopsPerPointPerStage float64
-	// SerialFlopsPerStage models the per-rank non-parallelizable work per
-	// stage — boundary handling, pack/unpack, bookkeeping (default 5e6,
-	// ~2.5 ms per stage: the Amdahl fraction §VI-C blames for the
-	// overhead's decrease with core count).
-	SerialFlopsPerStage float64
 }
 
 func (c *Config) defaults() {
 	if c.GlobalN == ([3]int{}) {
 		c.GlobalN = [3]int{64, 64, 64}
 	}
-	if c.NVars == 0 {
-		c.NVars = 5
-	}
 	if c.Stages == 0 {
 		c.Stages = 2
-	}
-	if c.Order == 0 {
-		c.Order = 3
 	}
 	if c.Cores == 0 {
 		c.Cores = 512
 	}
 	if c.Steps == 0 {
 		c.Steps = 50
-	}
-	if c.Model == (mpi.CostModel{}) {
-		c.Model = mpi.DefaultModel()
-	}
-	if c.FlopsPerPointPerStage == 0 {
-		c.FlopsPerPointPerStage = 400
-	}
-	if c.SerialFlopsPerStage == 0 {
-		c.SerialFlopsPerStage = 5e6
 	}
 }
 
@@ -151,19 +140,18 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	localPts := local[0] * local[1] * local[2]
-	nv := cfg.NVars
 
 	// Per-rank memory accounting (bytes).
 	ghost := 3
 	surface := 2 * ghost * (local[1]*local[2] + local[0]*local[2] + local[0]*local[1])
 	solverVecs := cfg.Stages + 2
-	solverBytes := int64(8 * nv * (solverVecs*localPts + surface))
+	solverBytes := int64(8 * nVars * (solverVecs*localPts + surface))
 	var detBytes int64
 	switch cfg.Det {
 	case LBDC:
-		detBytes = int64(8 * nv * (cfg.Order + 1) * localPts) // q history + scratch
+		detBytes = int64(8 * nVars * (checkOrder + 1) * localPts) // q history + scratch
 	case IBDC:
-		detBytes = int64(8 * nv * cfg.Order * localPts) // q-1 history + scratch
+		detBytes = int64(8 * nVars * checkOrder * localPts) // q-1 history + scratch
 	case Replication:
 		detBytes = solverBytes // a full second copy of the solver state
 	}
@@ -171,14 +159,10 @@ func Run(cfg Config) (Result, error) {
 	stepTimes := make([]float64, cfg.Cores)
 	checkTimes := make([]float64, cfg.Cores)
 
-	stageFlops := cfg.FlopsPerPointPerStage*float64(localPts*nv) + cfg.SerialFlopsPerStage
-	freshStages := cfg.Stages
-	if cfg.FSAL {
-		freshStages--
-	}
-	haloCount := 2 * ghost * nv // slabs per face scale with the face area below
+	stageFlops := flopsPerPointPerStage*float64(localPts*nVars) + serialFlopsPerStage
+	haloCount := 2 * ghost * nVars // slabs per face scale with the face area below
 
-	comms := mpi.Run(cfg.Cores, cfg.Model, func(c *mpi.Comm) {
+	comms := mpi.Run(cfg.Cores, mpi.DefaultModel(), func(c *mpi.Comm) {
 		r := c.Rank()
 		// Rank coordinates in the process grid.
 		rx := r % procs[0]
@@ -194,8 +178,8 @@ func Run(cfg Config) (Result, error) {
 			recvBuf[ax] = make([]float64, n)
 		}
 		// Local state for the double-check AXPYs (real data).
-		state := make([]float64, localPts*nv)
-		est := make([]float64, localPts*nv)
+		state := make([]float64, localPts*nVars)
+		est := make([]float64, localPts*nVars)
 		for i := range state {
 			state[i] = float64(i%97) * 1e-3
 		}
@@ -224,18 +208,18 @@ func Run(cfg Config) (Result, error) {
 
 		wrmsAllreduce := func() {
 			// Local partial sums of the scaled error norm.
-			c.Compute(4 * float64(localPts*nv))
-			part := [2]float64{1, float64(localPts * nv)}
+			c.Compute(4 * float64(localPts*nVars))
+			part := [2]float64{1, float64(localPts * nVars)}
 			c.Allreduce(part[:], mpi.Sum)
 		}
 
 		doStep := func() {
-			for s := 0; s < freshStages; s++ {
+			for s := 0; s < cfg.Stages; s++ {
 				exchangeHalos()
 				c.Compute(stageFlops)
 			}
 			// Error estimate assembly + weights.
-			c.Compute(6 * float64(localPts*nv))
+			c.Compute(6 * float64(localPts*nVars))
 			wrmsAllreduce()
 		}
 		doStepReplica := doStep
@@ -250,7 +234,7 @@ func Run(cfg Config) (Result, error) {
 				return
 			}
 			// Second-estimate assembly: (order+1) AXPYs over the state.
-			c.Compute(2 * float64(cfg.Order+1) * float64(localPts*nv))
+			c.Compute(2 * float64(checkOrder+1) * float64(localPts*nVars))
 			for i := range est {
 				est[i] = state[i] * 0.5
 			}

@@ -204,9 +204,6 @@ func (r *Recorder) grow() {
 // Len returns the number of events currently stored.
 func (r *Recorder) Len() int { return r.n }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int { return r.cap }
-
 // Total returns the number of events ever recorded (stored + dropped).
 func (r *Recorder) Total() uint64 { return r.total }
 
