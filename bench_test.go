@@ -257,7 +257,8 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 }
 
 // BenchmarkDistributedAdaptive runs the full distributed adaptive pipeline
-// with IBDC on the simulated cluster.
+// with IBDC on the simulated cluster: one ode.Integrator per rank, its norms
+// finished by Allreduce.
 func BenchmarkDistributedAdaptive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := dist.RunAdaptiveBurgers(dist.AdaptiveConfig{Ranks: 4, N: 128, TEnd: 0.02, IBDC: true})
@@ -269,30 +270,29 @@ func BenchmarkDistributedAdaptive(b *testing.B) {
 	}
 }
 
-// BenchmarkImplicitSolvers compares the two implicit integrators on the
-// stiff Van der Pol oscillator (paper future work).
+// BenchmarkImplicitSolvers compares the two implicit methods on the stiff
+// Van der Pol oscillator (paper future work), each driven by the shared
+// protected-step loop.
 func BenchmarkImplicitSolvers(b *testing.B) {
 	p := problems.VanDerPol(1000)
-	b.Run("sdirk2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in := &implicit.Integrator{Ctrl: ode.DefaultController(1e-5, 1e-5)}
-			in.Init(p.Sys, 0, 100, p.X0, 1e-4)
-			if _, err := in.Run(); err != nil {
-				b.Fatal(err)
+	for _, m := range []struct {
+		name   string
+		method func() ode.Method
+	}{
+		{"sdirk2", func() ode.Method { return &implicit.SDIRK2{} }},
+		{"bdf2", func() ode.Method { return &implicit.BDF2{} }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				in := &ode.Integrator{Method: m.method(), Ctrl: ode.DefaultController(1e-5, 1e-5)}
+				in.Init(p.Sys, 0, 100, p.X0, 1e-4)
+				if _, err := in.Run(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(in.Stats.Steps), "steps")
 			}
-			b.ReportMetric(float64(in.Stats.Steps), "steps")
-		}
-	})
-	b.Run("bdf2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in := &implicit.BDF{Ctrl: ode.DefaultController(1e-5, 1e-5)}
-			in.Init(p.Sys, 0, 100, p.X0, 1e-4)
-			if _, err := in.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(in.Stats.Steps), "steps")
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkFixedDetectors measures the related-work fixed-step detectors.

@@ -83,9 +83,10 @@ func (c *CheckContext) FPropEvals() int { return c.fPropEvals }
 // FProp returns f(T+H, XProp), the right-hand side at the proposed solution
 // needed by the integration-based double-checking. For FSAL pairs it is the
 // last stage and free; otherwise it is evaluated once, cached, exposed to
-// the stage hook (as pseudo-stage index Tab.Stages()), and reused as the
-// first stage of the next step if the step is accepted — the paper's
-// "no extra computation when the step is accepted" property.
+// the stage hook (as pseudo-stage index Tab.Stages(), or 0 for a method
+// without a tableau), and reused as the first stage of the next step if the
+// step is accepted — the paper's "no extra computation when the step is
+// accepted" property.
 func (c *CheckContext) FProp() la.Vec {
 	if c.fsalFProp != nil {
 		return c.fsalFProp
@@ -101,7 +102,11 @@ func (c *CheckContext) FProp() la.Vec {
 		c.sys.Eval(c.T+c.H, c.XProp, c.fProp)
 		c.fPropEvals++
 		if c.hook != nil {
-			c.fPropInjs += c.hook(c.Tab.Stages(), c.T+c.H, c.fProp)
+			stage := 0
+			if c.Tab != nil {
+				stage = c.Tab.Stages()
+			}
+			c.fPropInjs += c.hook(stage, c.T+c.H, c.fProp)
 		}
 		c.fPropDone = true
 	}

@@ -21,6 +21,21 @@ type Controller struct {
 	TolA    float64 // absolute tolerance Tol_A
 	TolR    float64 // relative tolerance Tol_R
 	MaxNorm bool    // use the q = infinity scaled error instead of WRMS
+	// Ranks, when non-nil, finishes every norm of a vector distributed over
+	// the ranks of a parallel solve: each rank holds its block, and Score,
+	// ScaledError and ScaledDiff combine the blocks' partials through it, so
+	// every rank sees the same value and takes the same decision. Nil on
+	// serial paths. Its dynamic type must be comparable.
+	Ranks Reducer
+}
+
+// Reducer combines per-rank partials across the ranks of a parallel solve
+// (an allreduce): each call replaces every element of v with its sum, or
+// its maximum, over all ranks. Every rank must make the same calls in the
+// same order.
+type Reducer interface {
+	Sum(v []float64)
+	Max(v []float64)
 }
 
 // DefaultController returns the paper's controller settings with the given
@@ -33,9 +48,32 @@ func DefaultController(tolA, tolR float64) Controller {
 // Err_i = TolA + TolR*|x_i| (§III-B).
 func (c *Controller) Weights(w, x la.Vec) { la.ErrWeights(w, x, c.TolA, c.TolR) }
 
+// Score refreshes the weights w from the proposal x and returns SErr_1, the
+// scaled error of the estimate e under them — or +Inf, leaving w as it
+// was, when x or e holds a NaN or Inf. With Ranks set, the NaN screen
+// travels in the norm's one reduction: a poisoned block on one rank sends
+// every rank down the same branch, and no rank skips a collective the
+// others enter.
+func (c *Controller) Score(w, x, e la.Vec) float64 {
+	poisoned := x.HasNaNOrInf() || e.HasNaNOrInf()
+	if !poisoned {
+		c.Weights(w, x)
+	}
+	if c.Ranks != nil {
+		return c.rankNorm(e, nil, w, poisoned)
+	}
+	if poisoned {
+		return math.Inf(1)
+	}
+	return c.ScaledError(e, w)
+}
+
 // ScaledError returns SErr, the scaled error of the estimate errVec under
 // the weights w. The step satisfies the tolerances when SErr <= 1.
 func (c *Controller) ScaledError(errVec, w la.Vec) float64 {
+	if c.Ranks != nil {
+		return c.rankNorm(errVec, nil, w, false)
+	}
 	if c.MaxNorm {
 		return la.WMax(errVec, w)
 	}
@@ -45,10 +83,49 @@ func (c *Controller) ScaledError(errVec, w la.Vec) float64 {
 // ScaledDiff returns the scaled error of a-b under the weights w, used by
 // the double-checking strategies for their second estimate SErr_2.
 func (c *Controller) ScaledDiff(a, b, w la.Vec) float64 {
+	if c.Ranks != nil {
+		return c.rankNorm(a, b, w, false)
+	}
 	if c.MaxNorm {
 		return la.WMaxDiff(a, b, w)
 	}
 	return la.WRMSDiff(a, b, w)
+}
+
+// rankNorm finishes the scaled norm of a (of a-b when b is non-nil) across
+// the ranks in one reduction of three values: this rank's partial (its
+// maximum, or its WRMS sum of squares), its length, and a flag set when it
+// is poisoned, in which case it contributes nothing else. Any poisoned rank
+// makes the result +Inf.
+func (c *Controller) rankNorm(a, b, w la.Vec, poisoned bool) float64 {
+	part := [3]float64{1: float64(len(a))}
+	switch {
+	case poisoned:
+		part[2] = 1
+	case c.MaxNorm && b == nil:
+		part[0] = la.WMax(a, w)
+	case c.MaxNorm:
+		part[0] = la.WMaxDiff(a, b, w)
+	case b == nil:
+		part[0], _ = la.WRMSPartial(a, w)
+	default:
+		for i := range a {
+			r := (a[i] - b[i]) / w[i]
+			part[0] += r * r
+		}
+	}
+	if c.MaxNorm {
+		c.Ranks.Max(part[:])
+	} else {
+		c.Ranks.Sum(part[:])
+	}
+	switch {
+	case part[2] > 0:
+		return math.Inf(1)
+	case c.MaxNorm:
+		return part[0]
+	}
+	return la.WRMSFinish(part[0], int(part[1]))
 }
 
 // NewStepSize implements the step-size law of Eq. (5):

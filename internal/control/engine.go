@@ -1,10 +1,6 @@
 package control
 
-import (
-	"math"
-
-	"repro/internal/la"
-)
+import "repro/internal/la"
 
 // Check is the outcome of one protected-step decision — everything an
 // integrator needs to accept, classic-reject, or recompute a trial, plus the
@@ -68,21 +64,19 @@ func (e *Engine) BeginStep() { e.rejectedLast = false }
 
 // Decide runs the protected-step decision on one completed trial: it scores
 // the proposal (weights are refreshed in place unless the proposal is
-// NaN/Inf-poisoned, in which case SErr1 is +Inf), applies the classic test,
+// NaN/Inf-poisoned, in which case SErr1 is +Inf; with ctrl.Ranks set, the
+// screen and the norms cover every rank), applies the classic test,
 // and hands survivors to the Validator with a fully populated CheckContext.
 // hist, tab, sys, and hook flow through to the Validator's second estimate;
 // fsalFProp, when non-nil, supplies f(T+H, XProp) for free.
 //
-// Decide is the hot path of every protected integrator: it must not
-// allocate in steady state (see the allocfree gate in cmd/sdcvet).
+// Its one non-test caller is ode.Integrator.Step, the protected-step loop
+// of every serial, implicit and distributed solve. It must not allocate in
+// steady state (see the allocfree gate in cmd/sdcvet).
 func (e *Engine) Decide(ctrl *Controller, step int, t, h float64,
 	xStart, xStored, xProp, errVec, weights la.Vec,
 	hist *History, tab *Tableau, sys System, hook StageHook, fsalFProp la.Vec) Check {
-	chk := Check{SErr1: math.Inf(1), SErr2: -1, DetOrder: -1, DetWindow: -1}
-	if !xProp.HasNaNOrInf() && !errVec.HasNaNOrInf() {
-		ctrl.Weights(weights, xProp)
-		chk.SErr1 = ctrl.ScaledError(errVec, weights)
-	}
+	chk := Check{SErr1: ctrl.Score(weights, xProp, errVec), SErr2: -1, DetOrder: -1, DetWindow: -1}
 	if ClassicReject(chk.SErr1) {
 		chk.ClassicReject = true
 		e.rejectedLast = false

@@ -13,8 +13,9 @@ func TestClassicRejectNaNFallThrough(t *testing.T) {
 	if !ClassicReject(math.NaN()) {
 		t.Fatal("NaN scaled error accepted: the corrupted reduction fell through the ordered comparison")
 	}
-	if fac := ElementaryRejectFactor(math.NaN()); fac != 0.1 {
-		t.Fatalf("NaN rejection factor = %g, want maximum contraction 0.1", fac)
+	var c Controller
+	if h := c.RejectStepSize(1, math.NaN(), 2); h != 0.1 {
+		t.Fatalf("NaN rejection factor = %g, want maximum contraction 0.1", h)
 	}
 }
 
@@ -30,18 +31,19 @@ func TestClassicRejectVerdicts(t *testing.T) {
 		{4, true},
 		{math.Inf(1), true},
 	}
-	for _, c := range cases {
-		if got := ClassicReject(c.sErr); got != c.reject {
-			t.Errorf("ClassicReject(%g) = %v, want %v", c.sErr, got, c.reject)
+	var c Controller
+	for _, tc := range cases {
+		if got := ClassicReject(tc.sErr); got != tc.reject {
+			t.Errorf("ClassicReject(%g) = %v, want %v", tc.sErr, got, tc.reject)
 		}
-		if fac := ElementaryRejectFactor(c.sErr); c.reject && !(fac >= 0.1 && fac <= 1) {
-			t.Errorf("ElementaryRejectFactor(%g) = %g outside [0.1, 1]", c.sErr, fac)
+		if fac := c.RejectStepSize(1, tc.sErr, 2); tc.reject && !(fac >= 0.1 && fac <= 1) {
+			t.Errorf("RejectStepSize factor at SErr %g = %g outside [0.1, 1]", tc.sErr, fac)
 		}
 	}
-	// The contraction factor must be well-defined (not NaN) even at +Inf,
-	// where 1/sErr underflows to 0.
-	if fac := ElementaryRejectFactor(math.Inf(1)); math.IsNaN(fac) {
-		t.Error("ElementaryRejectFactor(+Inf) produced a NaN step factor")
+	// +Inf (a NaN/Inf-poisoned proposal) contracts maximally; the factor
+	// must be well-defined even though 1/SErr underflows to 0.
+	if fac := c.RejectStepSize(1, math.Inf(1), 2); fac != 0.1 {
+		t.Errorf("RejectStepSize factor at SErr +Inf = %g, want maximum contraction 0.1", fac)
 	}
 }
 
@@ -57,15 +59,16 @@ func TestDetectorRejectNaN(t *testing.T) {
 	}
 }
 
-func TestElementaryAcceptFactorBounds(t *testing.T) {
+func TestNewStepSizeFactorBounds(t *testing.T) {
+	var c Controller
 	for _, sErr := range []float64{0, 1e-300, 1e-6, 0.5, 1} {
-		fac := ElementaryAcceptFactor(sErr)
+		fac := c.NewStepSize(1, sErr, 2)
 		if math.IsNaN(fac) || fac < 0.1 || fac > 10 {
-			t.Errorf("ElementaryAcceptFactor(%g) = %g outside [0.1, 10]", sErr, fac)
+			t.Errorf("NewStepSize factor at SErr %g = %g outside [0.1, 10]", sErr, fac)
 		}
 	}
 	// A vanishing scaled error hits the alphaMax cap, not +Inf.
-	if fac := ElementaryAcceptFactor(0); fac != 10 {
-		t.Errorf("ElementaryAcceptFactor(0) = %g, want the cap 10", fac)
+	if fac := c.NewStepSize(1, 0, 2); fac != 10 {
+		t.Errorf("NewStepSize factor at SErr 0 = %g, want the cap 10", fac)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/control"
+	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/mpi"
 	"repro/internal/ode"
@@ -16,9 +16,9 @@ import (
 // paper on the goroutine cluster: every rank computes its block's stages
 // after halo exchanges, the controller's scaled error and the detector's
 // second estimate are finished with Allreduce, and accept/reject decisions
-// are taken in lockstep on every rank. The solve is WENO5 in space under
-// the tolerances and step cap below, on a cluster with mpi.DefaultModel's
-// costs.
+// are taken in lockstep on every rank. The solve is Heun-Euler 2(1) in time
+// and WENO5 in space under the tolerances and step cap below, on a cluster
+// with mpi.DefaultModel's costs.
 type AdaptiveConfig struct {
 	Ranks int
 	N     int
@@ -30,7 +30,7 @@ type AdaptiveConfig struct {
 const (
 	adaptiveTol = 1e-4 // absolute and relative tolerance
 	adaptiveCFL = 0.3  // step cap as a fraction of dx
-	adaptiveQ   = 3    // BDF order cap of the double-check
+	adaptiveQ   = 3    // BDF order of the double-check
 )
 
 // AdaptiveResult reports the outcome of a distributed adaptive run.
@@ -41,7 +41,7 @@ type AdaptiveResult struct {
 	RejDetector  int
 	Seconds      float64
 	FinalT       float64
-	FinalH       float64
+	FinalH       float64   // the step size the next step would take (at most the CFL cap)
 	AcceptedSErr []float64 // per-step classic scaled errors (rank 0's record)
 }
 
@@ -54,9 +54,12 @@ func (r *AdaptiveResult) Field() []float64 {
 	return out
 }
 
-// RunAdaptiveBurgers executes the distributed adaptive solve. All ranks
-// make identical accept/reject decisions because every norm is finished
-// from globally reduced partial sums.
+// RunAdaptiveBurgers executes the distributed adaptive solve. Every rank
+// runs its own ode.Integrator — the serial protected-step loop — over its
+// block, with a right-hand side that exchanges halos and reduces the
+// splitting speed, and a controller whose norms are finished across ranks
+// (control.Controller.Ranks). Every rank therefore scores the same scaled
+// errors and takes the same accept/reject decisions.
 func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	if cfg.Ranks < 1 || cfg.N < cfg.Ranks*(weno.Ghost+1) {
 		return nil, fmt.Errorf("dist: need N >= Ranks*%d", weno.Ghost+1)
@@ -68,6 +71,7 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 		bounds[p] = p * cfg.N / cfg.Ranks
 	}
 	res := &AdaptiveResult{Blocks: make([][]float64, cfg.Ranks)}
+	var runErr error
 
 	comms := mpi.Run(cfg.Ranks, mpi.DefaultModel(), func(c *mpi.Comm) {
 		rank := c.Rank()
@@ -83,16 +87,6 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 		fM := make([]float64, nl+2*g)
 		fhatP := make([]float64, nl+1)
 		fhatM := make([]float64, nl+1)
-		k1 := make(la.Vec, nl)
-		k2 := make(la.Vec, nl)
-		stage := make(la.Vec, nl)
-		prop := make(la.Vec, nl)
-		errv := make(la.Vec, nl)
-		w := make(la.Vec, nl)
-		est := make(la.Vec, nl)
-		fProp := make(la.Vec, nl)
-		var bdf ode.BDFEstimator // per-rank workspace: steady-state steps allocate nothing
-		hist := ode.NewHistory(adaptiveQ+2, nl)
 		left := (rank + cfg.Ranks - 1) % cfg.Ranks
 		right := (rank + 1) % cfg.Ranks
 		sendL := make([]float64, g)
@@ -136,84 +130,46 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 			}
 			return c.AllreduceScalar(local, mpi.Max)
 		}
-		// globalWRMS finishes a scaled norm from local partials.
-		globalWRMS := func(e, wts la.Vec) float64 {
-			sumsq, n := la.WRMSPartial(e, wts)
-			part := [2]float64{sumsq, float64(n)}
-			c.Allreduce(part[:], mpi.Sum)
-			return la.WRMSFinish(part[0], int(part[1]))
-		}
-		rhs := func(src la.Vec, dst la.Vec) {
+		// The rank's block of the global right-hand side: a collective call
+		// that every rank makes in lockstep.
+		rhs := ode.Func{N: nl, F: func(_ float64, src, dst la.Vec) {
 			alpha := globalMaxAbs(src)
 			fillPad(src)
 			rhsLocal(pad, fP, fM, fhatP, fhatM, dst, alpha, dx)
 			c.Compute(float64(nl) * 150)
-		}
+		}}
 
-		t := 0.0
-		h := maxStep / 4
-		var latch control.RescueLatch // FP self-detection state (Algorithm 1)
-		hist.Push(0, 0, u)
-		for t < cfg.TEnd-1e-12 {
-			if h > maxStep {
-				h = maxStep
-			}
-			if t+h > cfg.TEnd {
-				h = cfg.TEnd - t
-			}
-			// Heun-Euler trial.
-			rhs(u, k1)
-			stage.CopyFrom(u)
-			stage.AXPY(h, k1)
-			rhs(stage, k2)
-			prop.CopyFrom(u)
-			prop.AXPY(h/2, k1)
-			prop.AXPY(h/2, k2)
-			errv.CopyFrom(k2)
-			errv.Sub(k1)
-			errv.Scale(h / 2)
-			la.ErrWeights(w, prop, adaptiveTol, adaptiveTol)
-			sErr := globalWRMS(errv, w)
-			// The NaN-rejects rule and the step factors are the shared
-			// control-package predicates; since sErr is identical on every
-			// rank, the decision stays in lockstep.
-			if control.ClassicReject(sErr) {
-				if rank == 0 {
-					res.RejClassic++
-				}
-				h *= control.ElementaryRejectFactor(sErr)
-				continue
-			}
-			if cfg.IBDC && hist.Len() >= 1 && !latch.Rescued(sErr) {
-				// A rescued sErr marks a recomputation reproducing the
-				// identical classic error: Algorithm 1's false-positive
-				// rescue, which accepts without re-running the check.
-				q := ode.MaxBDFOrder(hist, adaptiveQ)
-				rhs(prop, fProp)
-				bdf.Estimate(est, hist, q, t+h, fProp)
-				if sErr2 := globalWRMS(diffInto(est, prop, est), w); control.DetectorReject(sErr2) {
-					if rank == 0 {
-						res.RejDetector++
-					}
-					latch.Arm(sErr)
-					// Lockstep recomputation at the same step size.
-					continue
-				}
-			}
-			latch.Disarm()
-			u.CopyFrom(prop)
-			t += h
-			hist.Push(t, h, u)
-			if rank == 0 {
-				res.Steps++
-				res.AcceptedSErr = append(res.AcceptedSErr, sErr)
-			}
-			h = h * control.ElementaryAcceptFactor(sErr)
+		in := &ode.Integrator{
+			Tab:     ode.HeunEuler(),
+			Ctrl:    ode.DefaultController(adaptiveTol, adaptiveTol),
+			MaxStep: maxStep,
 		}
-		res.Blocks[rank] = u
+		in.Ctrl.Ranks = comm{c}
+		if cfg.IBDC {
+			// IBDC pinned at q = adaptiveQ with adaptation off: the
+			// fixed-order check, with Algorithm 1's false-positive rescue.
+			d := core.NewIBDC()
+			d.NoAdapt = true
+			d.SetOrder(adaptiveQ)
+			in.Validator = d
+		}
 		if rank == 0 {
-			res.FinalT = t
-			res.FinalH = h
+			in.OnTrial = func(tr *ode.Trial) {
+				if tr.Accepted {
+					res.AcceptedSErr = append(res.AcceptedSErr, tr.SErr1)
+				}
+			}
+		}
+		in.Init(rhs, 0, cfg.TEnd, u, maxStep/4)
+		_, err := in.Run()
+		res.Blocks[rank] = in.X()
+		if rank == 0 {
+			runErr = err
+			res.Steps = in.Stats.Steps
+			res.RejClassic = in.Stats.RejectedClassic
+			res.RejDetector = in.Stats.RejectedValidator
+			res.FinalT = in.T()
+			res.FinalH = in.StepSize()
 		}
 	})
 	for _, c := range comms {
@@ -221,13 +177,14 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 			res.Seconds = c.Clock()
 		}
 	}
-	return res, nil
+	return res, runErr
 }
 
-// diffInto computes dst = a - b (dst may alias a) and returns dst.
-func diffInto(a, b, dst la.Vec) la.Vec {
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-	return dst
-}
+// comm finishes the controller's norms over the ranks with Allreduce.
+type comm struct{ c *mpi.Comm }
+
+// Sum implements control.Reducer.
+func (r comm) Sum(v []float64) { r.c.Allreduce(v, mpi.Sum) }
+
+// Max implements control.Reducer.
+func (r comm) Max(v []float64) { r.c.Allreduce(v, mpi.Max) }

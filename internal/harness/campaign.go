@@ -509,6 +509,7 @@ func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *workerScrat
 	// the previous replicate, while Init recycles the internal buffers.
 	in := &scr.in
 	in.Tab = cfg.Tab
+	in.Method = nil
 	in.Ctrl = w.ctrl
 	in.Validator = w.validator
 	in.Hook = w.hook

@@ -1,285 +1,116 @@
 package implicit
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/control"
 	"repro/internal/krylov"
 	"repro/internal/la"
 	"repro/internal/ode"
 )
 
-// BDF is an adaptive variable-step BDF2 integrator with Jacobian-free
-// Newton-Krylov corrector iterations — the production form of the backward
-// differentiation formulas whose prediction step powers the paper's
-// integration-based double-checking (§V-B). The first step bootstraps with
-// backward Euler (BDF1); afterwards the variable-step BDF2 coefficients are
-// generated from the same Fornberg differentiation weights the IBDC
-// estimate uses, and the local error is estimated from the deviation of the
-// corrected solution from the quadratic extrapolation predictor.
-type BDF struct {
-	Ctrl      ode.Controller
-	Validator ode.Validator
-
-	MaxSteps   int
-	MinStep    float64
-	MaxStep    float64
-	NewtonTol  float64
+// BDF2 is the adaptive variable-step BDF2 method, an ode.Method: set it as
+// an ode.Integrator's Method (with a nil Tab). It is the production form of
+// the backward differentiation formulas whose prediction step powers the
+// paper's integration-based double-checking (§V-B). The first step
+// bootstraps with backward Euler (BDF1); afterwards the variable-step BDF2
+// coefficients are generated from the same Fornberg differentiation weights
+// the IBDC estimate uses, over the integrator's accepted-solution history,
+// and the local error is estimated from the deviation of the corrected
+// solution from the polynomial extrapolation predictor. The corrector is
+// solved by Newton iteration.
+type BDF2 struct {
+	NewtonTol  float64 // nonlinear residual reduction (0 = 1e-3, scaled by TolA)
 	KrylovOpts krylov.Options
-	// NoDirect selects the Newton linear solver as in Integrator.
+	// NoDirect selects the Newton linear solver as in SDIRK2.
 	NoDirect bool
 
-	sys  ode.System
-	t    float64
-	tEnd float64
-	x    la.Vec
-	h    float64
-	hist *ode.History
-
-	dsolver directSolver
-	xProp   la.Vec
-	pred    la.Vec
-	rhs     la.Vec
-	resid   la.Vec
-	delta   la.Vec
-	ftmp    la.Vec
-	fbase   la.Vec
-	scratch la.Vec
-	errVec  la.Vec
-	weights la.Vec
-	neg     la.Vec
-
-	// Per-step differentiation/prediction workspaces (orders are <= 2, so
-	// the slices are sized once in Init and never grow).
-	nodes, dw, dscratch []float64
+	newton
+	hist                *ode.History
+	xProp, pred, rhs    la.Vec
+	resid, ftmp, errVec la.Vec
+	nodes, dw, dscratch [3]float64 // order + 1 <= 3 entries
 	lip                 ode.LIPEstimator
-	engine              control.Engine // shared protected-step pipeline
-
-	Stats Stats
 }
 
-// Init prepares the integrator; x0 is copied.
-func (in *BDF) Init(sys ode.System, t0, tEnd float64, x0 la.Vec, h0 float64) {
-	if in.Ctrl == (ode.Controller{}) {
-		in.Ctrl = ode.DefaultController(1e-6, 1e-6)
-	}
-	if in.MaxSteps == 0 {
-		in.MaxSteps = 1 << 20
-	}
-	if in.MinStep == 0 {
-		in.MinStep = 1e-14 * math.Max(1, math.Abs(tEnd-t0))
-	}
-	if in.NewtonTol == 0 {
-		in.NewtonTol = 1e-3
-	}
-	in.sys = sys
-	in.t, in.tEnd = t0, tEnd
-	in.x = x0.Clone()
-	in.h = h0
+// Start implements ode.Method.
+func (b *BDF2) Start(sys ode.System, ctrl *ode.Controller, hist *ode.History) {
+	b.start(sys, ctrl, b.NewtonTol, b.NoDirect, b.KrylovOpts)
+	b.hist = hist
 	m := sys.Dim()
-	in.hist = ode.NewHistory(historyDepth, m)
-	in.hist.Push(t0, 0, in.x)
-	for _, v := range []*la.Vec{&in.xProp, &in.pred, &in.rhs, &in.resid, &in.delta, &in.ftmp, &in.fbase, &in.scratch, &in.errVec, &in.weights, &in.neg} {
+	for _, v := range []*la.Vec{&b.xProp, &b.pred, &b.rhs, &b.resid, &b.ftmp, &b.errVec} {
 		*v = la.NewVec(m)
 	}
-	in.nodes = make([]float64, 3)
-	in.dw = make([]float64, 3)
-	in.dscratch = make([]float64, 3)
-	in.engine.Reset(m)
-	in.Stats = Stats{}
 }
 
-// T returns the current time.
-func (in *BDF) T() float64 { return in.t }
+// Trial implements ode.Method: one BDF step of order 1 on the first step and
+// 2 afterwards, with x as x_{n-1} and the older solutions from the history.
+// It exposes no stage evaluation to the hook and ignores the carried k1;
+// the double-check evaluates f(t+h, XProp) itself.
+func (b *BDF2) Trial(t, h float64, x, _ la.Vec, _ ode.StageHook) ode.TrialResult {
+	b.evals = 0
+	tn := t + h
+	order := 2
+	if b.hist.Len() < 2 {
+		order = 1
+	}
+	res := ode.TrialResult{XProp: b.xProp, ErrVec: b.errVec, ControlOrder: order + 1}
 
-// X returns a view of the current solution.
-func (in *BDF) X() la.Vec { return in.x }
+	// Differentiation weights over {t_n, t_{n-1}, (t_{n-2})}.
+	nodes := b.nodes[:order+1]
+	nodes[0] = tn
+	for k := 1; k <= order; k++ {
+		nodes[k] = b.hist.T(k - 1)
+	}
+	d := b.dw[:order+1]
+	la.FirstDerivativeWeightsInto(d, b.dscratch[:order+1], tn, nodes)
+	// rhs = -sum_{k>=1} d_k x_{n-k}
+	b.rhs.Zero()
+	b.rhs.AXPY(-d[1], x)
+	for k := 2; k <= order; k++ {
+		b.rhs.AXPY(-d[k], b.hist.X(k-1))
+	}
 
-// History returns the accepted-solution ring.
-func (in *BDF) History() *ode.History { return in.hist }
+	// Predictor: polynomial extrapolation of the history (order+1 points
+	// when available), which doubles as the error reference.
+	b.lip.Estimate(b.pred, b.hist, ode.MaxLIPOrder(b.hist, order), tn)
+	b.xProp.CopyFrom(b.pred)
+	if !b.solveCorrector(tn, d[0]) {
+		return b.abort(res)
+	}
 
-// Done reports whether tEnd was reached.
-func (in *BDF) Done() bool { return in.t >= in.tEnd-1e-14*math.Abs(in.tEnd) }
-
-func (in *BDF) eval(t float64, x, dst la.Vec) {
-	in.sys.Eval(t, x, dst)
-	in.Stats.Evals++
+	// Error estimate: a fixed fraction of corrector - predictor (the
+	// classic Milne device up to a constant).
+	b.errVec.CopyFrom(b.xProp)
+	b.errVec.Sub(b.pred)
+	b.errVec.Scale(1.0 / float64(order+1))
+	res.Evals = b.evals
+	return res
 }
 
-// solveImplicit solves d0*x - f(tn, x) = -sum d_k x_{n-k} (already in rhs)
-// by Newton iteration, starting from the predictor in xProp.
-func (in *BDF) solveImplicit(tn, d0 float64) error {
-	m := len(in.xProp)
+// solveCorrector solves d0*x - f(tn, x) = -sum d_k x_{n-k} (already in rhs)
+// by Newton iteration, starting from the predictor in xProp; false means
+// the solve failed.
+func (b *BDF2) solveCorrector(tn, d0 float64) bool {
+	m := len(b.xProp)
 	for iter := 0; iter < newtonMaxIter; iter++ {
-		in.Stats.NewtonIters++
-		in.eval(tn, in.xProp, in.ftmp)
+		b.newtonIters++
+		b.eval(tn, b.xProp, b.ftmp)
 		// resid = d0*x - f - rhs
 		for i := 0; i < m; i++ {
-			in.resid[i] = d0*in.xProp[i] - in.ftmp[i] - in.rhs[i]
+			b.resid[i] = d0*b.xProp[i] - b.ftmp[i] - b.rhs[i]
 		}
-		rnorm := in.resid.Norm2()
-		ref := 1 + in.ftmp.Norm2()
-		if math.IsNaN(rnorm) || math.IsInf(rnorm, 0) || math.IsNaN(ref) || math.IsInf(ref, 0) {
-			return fmt.Errorf("implicit: BDF Newton residual not finite")
+		rnorm, ref := b.resid.Norm2(), 1+b.ftmp.Norm2()
+		if !finite(rnorm, ref) {
+			return false
 		}
-		if rnorm <= in.NewtonTol*in.Ctrl.TolA*ref*d0 || rnorm <= 1e-12*ref*math.Max(1, d0) {
-			return nil
+		if rnorm <= b.tol*b.ctrl.TolA*ref*d0 || rnorm <= 1e-12*ref*math.Max(1, d0) {
+			return true
 		}
-		useDirect := !in.NoDirect && m <= DirectMaxDim
-		if useDirect {
-			neg := in.neg
-			neg.CopyFrom(in.resid)
-			neg.Scale(-1)
-			if err := in.dsolver.solve(in.eval, tn, in.xProp, in.ftmp, d0, neg, in.delta); err != nil {
-				return err
-			}
-			in.xProp.Add(in.delta)
-			continue
+		// The residual's Jacobian is (d0*I - J).
+		if !b.correct(tn, b.xProp, b.ftmp, b.resid, d0, 1) {
+			return false
 		}
-		in.fbase.CopyFrom(in.ftmp)
-		baseNorm := in.xProp.Norm2()
-		matvec := func(dst, v la.Vec) {
-			vn := v.Norm2()
-			if vn == 0 {
-				dst.Zero()
-				return
-			}
-			eps := 1e-7 * (1 + baseNorm) / vn
-			in.scratch.CopyFrom(in.xProp)
-			in.scratch.AXPY(eps, v)
-			in.eval(tn, in.scratch, dst)
-			for i := 0; i < m; i++ {
-				dst[i] = d0*v[i] - (dst[i]-in.fbase[i])/eps
-			}
-		}
-		in.delta.Zero()
-		neg := in.neg
-		neg.CopyFrom(in.resid)
-		neg.Scale(-1)
-		opts := in.KrylovOpts
-		if opts.Tol == 0 {
-			opts.Tol = 1e-4
-		}
-		if opts.MaxIter == 0 {
-			opts.MaxIter = 10 * m
-			if opts.MaxIter > 300 {
-				opts.MaxIter = 300
-			}
-		}
-		it, _, err := krylov.GMRES(matvec, neg, in.delta, opts)
-		in.Stats.KrylovIters += int64(it)
-		if err != nil {
-			return fmt.Errorf("implicit: BDF linear solve: %w", err)
-		}
-		in.xProp.Add(in.delta)
+		b.xProp.Add(b.delta)
 	}
-	return fmt.Errorf("implicit: BDF Newton did not converge")
-}
-
-// Step advances one accepted BDF step (order 1 on the first step, order 2
-// afterwards).
-func (in *BDF) Step() error {
-	h := in.h
-	if in.MaxStep > 0 && h > in.MaxStep {
-		h = in.MaxStep
-	}
-	if in.t+h > in.tEnd {
-		h = in.tEnd - in.t
-	}
-	in.engine.Validator = in.Validator
-	in.engine.BeginStep()
-	for attempt := 1; ; attempt++ {
-		if attempt > maxTrials {
-			return ErrTooManyTrials
-		}
-		if h < in.MinStep {
-			return ErrStepSizeUnderflow
-		}
-		in.Stats.TrialSteps++
-		tn := in.t + h
-		order := 2
-		if in.hist.Len() < 2 {
-			order = 1
-		}
-
-		// Differentiation weights over {t_n, t_{n-1}, (t_{n-2})}.
-		nodes := in.nodes[:order+1]
-		nodes[0] = tn
-		for k := 1; k <= order; k++ {
-			nodes[k] = in.hist.T(k - 1)
-		}
-		d := in.dw[:order+1]
-		la.FirstDerivativeWeightsInto(d, in.dscratch[:order+1], tn, nodes)
-		// rhs = -sum_{k>=1} d_k x_{n-k}
-		in.rhs.Zero()
-		for k := 1; k <= order; k++ {
-			in.rhs.AXPY(-d[k], in.hist.X(k-1))
-		}
-
-		// Predictor: polynomial extrapolation of the history (order+1
-		// points when available), which doubles as the error reference.
-		predOrder := ode.MaxLIPOrder(in.hist, order)
-		in.lip.Estimate(in.pred, in.hist, predOrder, tn)
-		in.xProp.CopyFrom(in.pred)
-
-		if err := in.solveImplicit(tn, d[0]); err != nil {
-			in.Stats.RejectedNewton++
-			h /= 2
-			in.engine.BeginStep() // an aborted trial is not a recomputation
-			continue
-		}
-
-		// Error estimate: a fixed fraction of corrector - predictor (the
-		// classic Milne device up to a constant).
-		in.errVec.CopyFrom(in.xProp)
-		in.errVec.Sub(in.pred)
-		in.errVec.Scale(1.0 / float64(order+1))
-
-		// The shared protected-step pipeline. f(tn, xProp) was just computed
-		// by the last Newton residual evaluation, but the detector recomputes
-		// it cleanly (one eval, counted below on acceptance).
-		chk := in.engine.Decide(&in.Ctrl, in.Stats.Steps, in.t, h,
-			in.x, in.x, in.xProp, in.errVec, in.weights,
-			in.hist, nil, in.sys, nil, nil)
-		sErr1 := chk.SErr1
-		if chk.ClassicReject {
-			in.Stats.RejectedClassic++
-			h = in.Ctrl.RejectStepSize(h, sErr1, order+1)
-			continue
-		}
-
-		switch chk.Verdict {
-		case ode.VerdictReject:
-			in.Stats.RejectedValidator++
-			continue
-		case ode.VerdictFPRescue:
-			in.Stats.FPRescues++
-		}
-		in.Stats.Evals += int64(chk.FPropEvals)
-
-		in.t = tn
-		in.x.CopyFrom(in.xProp)
-		in.hist.Push(in.t, h, in.x)
-		in.Stats.Steps++
-		in.h = in.Ctrl.NewStepSize(h, sErr1, order+1)
-		if in.MaxStep > 0 && in.h > in.MaxStep {
-			in.h = in.MaxStep
-		}
-		return nil
-	}
-}
-
-// Run advances to tEnd, returning the accepted steps taken.
-func (in *BDF) Run() (int, error) {
-	start := in.Stats.Steps
-	for !in.Done() {
-		if in.Stats.Steps-start >= in.MaxSteps {
-			return in.Stats.Steps - start, fmt.Errorf("implicit: BDF exceeded MaxSteps at t=%g", in.t)
-		}
-		if err := in.Step(); err != nil {
-			return in.Stats.Steps - start, err
-		}
-	}
-	return in.Stats.Steps - start, nil
+	return false
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestBDFStiffAccuracy(t *testing.T) {
-	in := &BDF{Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Method: &BDF2{}, Ctrl: ode.DefaultController(1e-6, 1e-6)}
 	in.Init(stiffRelax(1e4), 0, 2, la.Vec{1}, 1e-4)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestBDFNonstiffOscillator(t *testing.T) {
 		dst[0] = x[1]
 		dst[1] = -x[0]
 	}}
-	in := &BDF{Ctrl: ode.DefaultController(1e-7, 1e-7)}
+	in := &ode.Integrator{Method: &BDF2{}, Ctrl: ode.DefaultController(1e-7, 1e-7)}
 	in.Init(osc, 0, 2, la.Vec{1, 0}, 0.005)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -41,8 +41,8 @@ func TestBDFNonstiffOscillator(t *testing.T) {
 
 func TestBDFSecondOrder(t *testing.T) {
 	run := func(cap float64) float64 {
-		in := &BDF{Ctrl: ode.DefaultController(1, 1), MaxStep: cap, MinStep: 1e-18,
-			NewtonTol: 1e-10}
+		in := &ode.Integrator{Ctrl: ode.DefaultController(1, 1), MaxStep: cap, MinStep: 1e-18,
+			Method: &BDF2{NewtonTol: 1e-10}}
 		in.Init(stiffRelax(2), 0, 1, la.Vec{1}, cap)
 		if _, err := in.Run(); err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestBDFSecondOrder(t *testing.T) {
 
 func TestBDFVanDerPolStiff(t *testing.T) {
 	p := problems.VanDerPol(1000)
-	in := &BDF{Ctrl: ode.DefaultController(1e-5, 1e-5)}
+	in := &ode.Integrator{Method: &BDF2{}, Ctrl: ode.DefaultController(1e-5, 1e-5)}
 	in.Init(p.Sys, 0, 100, p.X0, 1e-4)
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("BDF on stiff Van der Pol: %v (steps=%d, t=%g)", err, in.Stats.Steps, in.T())
@@ -71,7 +71,7 @@ func TestBDFVanDerPolStiff(t *testing.T) {
 
 func TestBDFGuardedByIBDC(t *testing.T) {
 	d := core.NewIBDC()
-	in := &BDF{Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: d}
+	in := &ode.Integrator{Method: &BDF2{}, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: d}
 	in.Init(stiffRelax(100), 0, 2, la.Vec{1}, 1e-3)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestBDFGuardedByIBDC(t *testing.T) {
 
 func TestBDFFailsOnBrokenRHS(t *testing.T) {
 	bad := ode.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.Inf(1) }}
-	in := &BDF{Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Method: &BDF2{}, Ctrl: ode.DefaultController(1e-6, 1e-6)}
 	in.Init(bad, 0, 1, la.Vec{1}, 0.1)
 	if err := in.Step(); err == nil {
 		t.Fatal("expected failure")
@@ -97,7 +97,7 @@ func TestBDFRobertson(t *testing.T) {
 	// The severe-stiffness benchmark: mass conservation x1+x2+x3 = 1 and
 	// the known solution regime at t = 100 (x1 ~ 0.617).
 	p := problems.Robertson()
-	in := &BDF{Ctrl: ode.DefaultController(p.TolA, p.TolR)}
+	in := &ode.Integrator{Method: &BDF2{}, Ctrl: ode.DefaultController(p.TolA, p.TolR)}
 	in.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("Robertson failed: %v (t=%g steps=%d)", err, in.T(), in.Stats.Steps)
@@ -116,7 +116,7 @@ func TestBDFRobertson(t *testing.T) {
 
 func TestBDFDirectAndKrylovAgree(t *testing.T) {
 	run := func(noDirect bool) la.Vec {
-		in := &BDF{Ctrl: ode.DefaultController(1e-8, 1e-8), NoDirect: noDirect}
+		in := &ode.Integrator{Method: &BDF2{NoDirect: noDirect}, Ctrl: ode.DefaultController(1e-8, 1e-8)}
 		in.Init(stiffRelax(500), 0, 1, la.Vec{1}, 1e-4)
 		if _, err := in.Run(); err != nil {
 			t.Fatal(err)

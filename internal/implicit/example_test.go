@@ -18,7 +18,8 @@ func Example() {
 	stiff := ode.Func{N: 1, F: func(t float64, x, dst la.Vec) {
 		dst[0] = -1000*(x[0]-math.Cos(t)) - math.Sin(t)
 	}}
-	in := &implicit.Integrator{
+	in := &ode.Integrator{
+		Method:    &implicit.SDIRK2{},
 		Ctrl:      ode.DefaultController(1e-6, 1e-6),
 		Validator: core.NewIBDC(),
 	}

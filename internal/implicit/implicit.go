@@ -1,23 +1,19 @@
 // Package implicit extends the study to implicit solvers — the future work
 // the paper's conclusion announces ("We plan also to explore the use of the
-// double-checking mechanism for implicit solvers"). It implements an
-// adaptive, L-stable SDIRK2(1) integrator (Alexander's two-stage singly
-// diagonally implicit Runge-Kutta method, gamma = 1 - 1/sqrt(2)) whose
-// stages are solved by Jacobian-free Newton-Krylov iteration, and exposes
-// the same Validator seam as the explicit integrator, so the detectors in
-// internal/core guard it unchanged.
-//
-// The method is stiffly accurate (the second stage state is the new
-// solution), which gives the integration-based double-checking its f(x_n)
-// for free — the implicit analog of the FSAL property §V-B exploits.
+// double-checking mechanism for implicit solvers"). It implements two
+// stiff methods as trial methods of ode.Integrator, the one protected-step
+// loop of the tree: an adaptive, L-stable SDIRK2(1) (Alexander's two-stage
+// singly diagonally implicit Runge-Kutta method, gamma = 1 - 1/sqrt(2)) and
+// a variable-step BDF2. Their Newton iterations solve each linear system by
+// dense LU up to DirectMaxDim unknowns and by matrix-free GMRES above (or
+// always, with NoDirect). The integrator supplies the controller, the
+// validator seam and the observers, so the detectors in internal/core guard
+// these methods unchanged.
 package implicit
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
-	"repro/internal/control"
 	"repro/internal/krylov"
 	"repro/internal/la"
 	"repro/internal/ode"
@@ -27,296 +23,206 @@ import (
 // two-stage method is second order and L-stable.
 var Gamma = 1 - 1/math.Sqrt2
 
-// Stats counts the integration work.
-type Stats struct {
-	Steps             int
-	TrialSteps        int
-	RejectedClassic   int
-	RejectedValidator int
-	RejectedNewton    int // trials abandoned because a stage solve failed
-	FPRescues         int
-	Evals             int64
-	NewtonIters       int64
-	KrylovIters       int64
-}
+// newtonMaxIter bounds the Newton iterations of one implicit solve.
+const newtonMaxIter = 20
 
-// The solver bounds shared by Integrator and BDF.
-const (
-	maxTrials     = 100 // trials per step
-	historyDepth  = 8   // solution ring depth
-	newtonMaxIter = 20  // Newton iterations per stage solve
-)
-
-// Integrator advances stiff initial-value problems with adaptive SDIRK2(1)
-// steps under the classic controller, optionally guarded by an
-// ode.Validator (the double-checking detectors).
-type Integrator struct {
-	Ctrl      ode.Controller
-	Validator ode.Validator
-
-	MaxSteps int     // accepted-step bound (0 = 1<<20)
-	MinStep  float64 // failure threshold (0 = 1e-14 * span)
-	MaxStep  float64 // step cap (0 = none)
-
-	NewtonTol  float64 // nonlinear residual reduction (0 = 1e-3, scaled by tolerances)
+// SDIRK2 is the adaptive SDIRK2(1) method, an ode.Method: set it as an
+// ode.Integrator's Method (with a nil Tab). Each stage K = f(t_s, base +
+// h*Gamma*K) is solved by Newton iteration. The method is stiffly accurate
+// (the second stage state is the new solution), which gives the
+// integration-based double-checking its f(x_n) for free — the implicit
+// analog of the FSAL property §V-B exploits.
+type SDIRK2 struct {
+	NewtonTol  float64 // nonlinear residual reduction (0 = 1e-3, scaled by TolA)
 	KrylovOpts krylov.Options
 	// NoDirect forces matrix-free Newton-Krylov; by default the dense-
 	// Jacobian LU Newton path runs when the dimension is at most
 	// DirectMaxDim.
 	NoDirect bool
 
-	sys  ode.System
-	t    float64
-	tEnd float64
-	x    la.Vec
-	h    float64
-	hist *ode.History
-
-	dsolver   directSolver
-	k1, k2    la.Vec
-	stage     la.Vec
-	resid     la.Vec
-	delta     la.Vec
-	ftmp      la.Vec
-	xProp     la.Vec
-	errVec    la.Vec
-	weights   la.Vec
-	jvBase    la.Vec
-	jvScratch la.Vec
-	engine    control.Engine // shared protected-step pipeline
-
-	Stats Stats
+	newton
+	k1, k2, base, stage la.Vec
+	resid, ftmp         la.Vec
+	xProp, errVec       la.Vec
 }
 
-// ErrStepSizeUnderflow mirrors the explicit integrator's failure mode.
-var ErrStepSizeUnderflow = errors.New("implicit: step size underflow")
-
-// ErrTooManyTrials mirrors the explicit integrator's trial bound.
-var ErrTooManyTrials = errors.New("implicit: too many trials for one step")
-
-// Init prepares the integrator to advance sys from x0 at t0 to tEnd with
-// the initial step h0. x0 is copied.
-func (in *Integrator) Init(sys ode.System, t0, tEnd float64, x0 la.Vec, h0 float64) {
-	if in.Ctrl == (ode.Controller{}) {
-		in.Ctrl = ode.DefaultController(1e-6, 1e-6)
-	}
-	if in.MaxSteps == 0 {
-		in.MaxSteps = 1 << 20
-	}
-	if in.MinStep == 0 {
-		in.MinStep = 1e-14 * math.Max(1, math.Abs(tEnd-t0))
-	}
-	if in.NewtonTol == 0 {
-		in.NewtonTol = 1e-3
-	}
-	in.sys = sys
-	in.t, in.tEnd = t0, tEnd
-	in.x = x0.Clone()
-	in.h = h0
+// Start implements ode.Method.
+func (s *SDIRK2) Start(sys ode.System, ctrl *ode.Controller, _ *ode.History) {
+	s.start(sys, ctrl, s.NewtonTol, s.NoDirect, s.KrylovOpts)
 	m := sys.Dim()
-	in.hist = ode.NewHistory(historyDepth, m)
-	in.hist.Push(t0, 0, in.x)
-	for _, v := range []*la.Vec{&in.k1, &in.k2, &in.stage, &in.resid, &in.delta, &in.ftmp, &in.xProp, &in.errVec, &in.weights, &in.jvBase, &in.jvScratch} {
+	for _, v := range []*la.Vec{&s.k1, &s.k2, &s.base, &s.stage, &s.resid, &s.ftmp, &s.xProp, &s.errVec} {
 		*v = la.NewVec(m)
 	}
-	in.engine.Reset(m)
-	in.Stats = Stats{}
 }
 
-// T returns the current time.
-func (in *Integrator) T() float64 { return in.t }
-
-// X returns a view of the current solution.
-func (in *Integrator) X() la.Vec { return in.x }
-
-// History returns the accepted-solution ring.
-func (in *Integrator) History() *ode.History { return in.hist }
-
-// Done reports whether tEnd was reached.
-func (in *Integrator) Done() bool { return in.t >= in.tEnd-1e-14*math.Abs(in.tEnd) }
-
-// eval wraps the RHS with counting.
-func (in *Integrator) eval(t float64, x, dst la.Vec) {
-	in.sys.Eval(t, x, dst)
-	in.Stats.Evals++
+// Trial implements ode.Method. It warm-starts the first stage from a fresh
+// f(t, x) and ignores the carried k1; the hook sees each converged stage
+// (indices 0 and 1). K2 = f(t+h, XProp) by stiff accuracy, so it is the
+// free FProp.
+func (s *SDIRK2) Trial(t, h float64, x, _ la.Vec, hook ode.StageHook) ode.TrialResult {
+	s.evals = 0
+	// The 2(1) pair's step law uses p^ + 1 = 2.
+	res := ode.TrialResult{XProp: s.xProp, ErrVec: s.errVec, FProp: s.k2, ControlOrder: 2}
+	// Stage 1: K1 = f(t + Gamma h, x + h Gamma K1); warm start from f(t, x).
+	s.eval(t, x, s.k1)
+	if !s.solveStage(t+Gamma*h, h, x, s.k1) {
+		return s.abort(res)
+	}
+	if hook != nil {
+		res.Injections += hook(0, t+Gamma*h, s.k1)
+	}
+	// Stage 2: base = x + h(1-Gamma) K1; K2 = f(t+h, base + h Gamma K2).
+	s.base.CopyFrom(x)
+	s.base.AXPY(h*(1-Gamma), s.k1)
+	s.k2.CopyFrom(s.k1)
+	if !s.solveStage(t+h, h, s.base, s.k2) {
+		return s.abort(res)
+	}
+	if hook != nil {
+		res.Injections += hook(1, t+h, s.k2)
+	}
+	res.Evals = s.evals
+	// Proposal (stiffly accurate): x + h((1-Gamma)K1 + Gamma K2).
+	s.xProp.CopyFrom(x)
+	s.xProp.AXPY(h*(1-Gamma), s.k1)
+	s.xProp.AXPY(h*Gamma, s.k2)
+	// Embedded first-order comparison: backward-Euler-flavored weights
+	// bhat = (1/2, 1/2): err = h((1-Gamma)-1/2)(K1 - K2).
+	s.errVec.CopyFrom(s.k1)
+	s.errVec.Sub(s.k2)
+	s.errVec.Scale(h * ((1 - Gamma) - 0.5))
+	return res
 }
 
-// solveStage solves K = f(ts, base + h*Gamma*K) by Newton iteration with
-// finite-difference Jacobian-vector products. K holds the initial guess and
-// the result.
-func (in *Integrator) solveStage(ts, h float64, base, K la.Vec) error {
-	m := len(K)
+// solveStage solves K = f(ts, base + h*Gamma*K) by Newton iteration. K
+// holds the initial guess and the result; false means the solve failed.
+func (s *SDIRK2) solveStage(ts, h float64, base, K la.Vec) bool {
 	hg := h * Gamma
-	// Residual scale: Newton is converged when the residual is far below
-	// the integration tolerance in the scaled norm.
 	for iter := 0; iter < newtonMaxIter; iter++ {
-		in.Stats.NewtonIters++
+		s.newtonIters++
 		// stage = base + hg*K ; resid = K - f(ts, stage)
-		in.stage.CopyFrom(base)
-		in.stage.AXPY(hg, K)
-		in.eval(ts, in.stage, in.ftmp)
-		in.resid.CopyFrom(K)
-		in.resid.Sub(in.ftmp)
-		rnorm := in.resid.Norm2()
-		ref := 1 + in.ftmp.Norm2()
-		if math.IsNaN(rnorm) || math.IsInf(rnorm, 0) || math.IsNaN(ref) || math.IsInf(ref, 0) {
-			return fmt.Errorf("implicit: Newton residual not finite")
+		s.stage.CopyFrom(base)
+		s.stage.AXPY(hg, K)
+		s.eval(ts, s.stage, s.ftmp)
+		s.resid.CopyFrom(K)
+		s.resid.Sub(s.ftmp)
+		rnorm, ref := s.resid.Norm2(), 1+s.ftmp.Norm2()
+		if !finite(rnorm, ref) {
+			return false
 		}
-		if rnorm <= in.NewtonTol*in.Ctrl.TolA*ref/(math.Max(h, 1e-300)) || rnorm <= 1e-12*ref {
-			return nil
+		// Newton is converged when the residual is far below the
+		// integration tolerance in the scaled norm.
+		if rnorm <= s.tol*s.ctrl.TolA*ref/(math.Max(h, 1e-300)) || rnorm <= 1e-12*ref {
+			return true
 		}
-		// Solve (I - hg*J) delta = -resid.
-		useDirect := !in.NoDirect && m <= DirectMaxDim
-		if useDirect {
-			rhsv := in.resid.Clone()
-			rhsv.Scale(-1 / hg) // (I - hg J) = hg((1/hg) I - J)
-			if err := in.dsolver.solve(in.eval, ts, in.stage, in.ftmp, 1/hg, rhsv, in.delta); err != nil {
-				return err
-			}
-			// The stage-state update dx relates to dK by dx = hg*dK at
-			// fixed base, so delta solves for dK directly given the scaled
-			// system above... more precisely: residual r(K) has Jacobian
-			// (I - hg*J); we solved hg*((1/hg)I - J) dK = -r, i.e. the
-			// same system.
-			K.Add(in.delta)
-			continue
+		// The residual's Jacobian in K is (I - hg*J).
+		if !s.correct(ts, s.stage, s.ftmp, s.resid, 1, hg) {
+			return false
 		}
-		// Matrix-free path: J*v by finite differences around the stage.
-		in.jvBase.CopyFrom(in.ftmp) // f at the current stage
-		stageNorm := in.stage.Norm2()
-		matvec := func(dst, v la.Vec) {
-			vn := v.Norm2()
-			if vn == 0 {
-				dst.Zero()
-				return
-			}
-			eps := 1e-7 * (1 + stageNorm) / vn
-			in.jvScratch.CopyFrom(in.stage)
-			in.jvScratch.AXPY(eps, v)
-			in.eval(ts, in.jvScratch, dst)
-			// dst = v - hg * (f(stage+eps v) - f(stage))/eps
-			for i := 0; i < m; i++ {
-				dst[i] = v[i] - hg*(dst[i]-in.jvBase[i])/eps
-			}
-		}
-		in.delta.Zero()
-		rhs := in.resid.Clone()
-		rhs.Scale(-1)
-		opts := in.KrylovOpts
-		if opts.Tol == 0 {
-			opts.Tol = 1e-4
-		}
-		if opts.MaxIter == 0 {
-			opts.MaxIter = 10 * m
-			if opts.MaxIter > 300 {
-				opts.MaxIter = 300
-			}
-		}
-		it, _, err := krylov.GMRES(matvec, rhs, in.delta, opts)
-		in.Stats.KrylovIters += int64(it)
-		if err != nil {
-			return fmt.Errorf("implicit: stage linear solve: %w", err)
-		}
-		K.Add(in.delta)
+		K.Add(s.delta)
 	}
-	return fmt.Errorf("implicit: Newton did not converge in %d iterations", newtonMaxIter)
+	return false
 }
 
-// Step advances one accepted SDIRK2 step.
-func (in *Integrator) Step() error {
-	h := in.h
-	if in.MaxStep > 0 && h > in.MaxStep {
-		h = in.MaxStep
-	}
-	if in.t+h > in.tEnd {
-		h = in.tEnd - in.t
-	}
-	in.engine.Validator = in.Validator
-	in.engine.BeginStep()
-	for attempt := 1; ; attempt++ {
-		if attempt > maxTrials {
-			return ErrTooManyTrials
-		}
-		if h < in.MinStep {
-			return ErrStepSizeUnderflow
-		}
-		in.Stats.TrialSteps++
+// newton is the Newton machinery SDIRK2 and BDF2 share: the bound system and
+// controller, the settings as of Start, the linear solve of one iteration,
+// and the evaluation and work counters.
+type newton struct {
+	sys      ode.System
+	ctrl     *ode.Controller
+	tol      float64
+	noDirect bool
+	opts     krylov.Options
 
-		// Stage 1: K1 = f(t + Gamma h, x + h Gamma K1); warm start from
-		// f(t, x).
-		in.eval(in.t, in.x, in.k1)
-		if err := in.solveStage(in.t+Gamma*h, h, in.x, in.k1); err != nil {
-			in.Stats.RejectedNewton++
-			h /= 2
-			in.engine.BeginStep() // an aborted trial is not a recomputation
-			continue
-		}
-		// Stage 2: base = x + h(1-Gamma) K1; K2 = f(t+h, base + h Gamma K2).
-		in.stage.CopyFrom(in.x)
-		in.stage.AXPY(h*(1-Gamma), in.k1)
-		base2 := in.stage.Clone()
-		in.k2.CopyFrom(in.k1)
-		if err := in.solveStage(in.t+h, h, base2, in.k2); err != nil {
-			in.Stats.RejectedNewton++
-			h /= 2
-			in.engine.BeginStep()
-			continue
-		}
+	dsolver           directSolver
+	delta, neg        la.Vec
+	jvBase, jvScratch la.Vec
 
-		// Proposal (stiffly accurate): x + h((1-Gamma)K1 + Gamma K2).
-		in.xProp.CopyFrom(in.x)
-		in.xProp.AXPY(h*(1-Gamma), in.k1)
-		in.xProp.AXPY(h*Gamma, in.k2)
-		// Embedded first-order comparison: backward-Euler-flavored weights
-		// bhat = (1/2, 1/2): err = h((1-Gamma)-1/2)(K1 - K2).
-		d := h * ((1 - Gamma) - 0.5)
-		in.errVec.CopyFrom(in.k1)
-		in.errVec.Sub(in.k2)
-		in.errVec.Scale(d)
-
-		// The shared protected-step pipeline; K2 = f(t+h, xProp) by stiff
-		// accuracy, so the double-check's FProp is free.
-		chk := in.engine.Decide(&in.Ctrl, in.Stats.Steps, in.t, h,
-			in.x, in.x, in.xProp, in.errVec, in.weights,
-			in.hist, nil, in.sys, nil, in.k2)
-		sErr1 := chk.SErr1
-
-		if chk.ClassicReject {
-			in.Stats.RejectedClassic++
-			h = in.Ctrl.RejectStepSize(h, sErr1, 2) // p^ = 1 for the 2(1) pair
-			continue
-		}
-
-		switch chk.Verdict {
-		case ode.VerdictReject:
-			in.Stats.RejectedValidator++
-			continue // same step size, clean recomputation
-		case ode.VerdictFPRescue:
-			in.Stats.FPRescues++
-		}
-
-		in.t += h
-		in.x.CopyFrom(in.xProp)
-		in.hist.Push(in.t, h, in.x)
-		in.Stats.Steps++
-		in.h = in.Ctrl.NewStepSize(h, sErr1, 2)
-		if in.MaxStep > 0 && in.h > in.MaxStep {
-			in.h = in.MaxStep
-		}
-		return nil
-	}
+	evals       int // evaluations of the current trial
+	newtonIters int64
+	krylovIters int64
 }
 
-// Run advances to tEnd, returning the accepted steps taken.
-func (in *Integrator) Run() (int, error) {
-	start := in.Stats.Steps
-	for !in.Done() {
-		if in.Stats.Steps-start >= in.MaxSteps {
-			return in.Stats.Steps - start, fmt.Errorf("implicit: exceeded MaxSteps at t=%g", in.t)
+// start binds the solver to one integration and resets its counters.
+func (n *newton) start(sys ode.System, ctrl *ode.Controller, tol float64, noDirect bool, opts krylov.Options) {
+	if tol == 0 {
+		tol = 1e-3
+	}
+	n.sys, n.ctrl, n.tol, n.noDirect, n.opts = sys, ctrl, tol, noDirect, opts
+	m := sys.Dim()
+	for _, v := range []*la.Vec{&n.delta, &n.neg, &n.jvBase, &n.jvScratch} {
+		*v = la.NewVec(m)
+	}
+	n.evals, n.newtonIters, n.krylovIters = 0, 0, 0
+}
+
+// Iterations reports the Newton iterations and the GMRES iterations the
+// method ran since the integrator's Init.
+func (n *newton) Iterations() (newtonIters, krylovIters int64) {
+	return n.newtonIters, n.krylovIters
+}
+
+// abort marks res as a trial that produced no proposal.
+func (n *newton) abort(res ode.TrialResult) ode.TrialResult {
+	res.Evals, res.Aborted = n.evals, true
+	return res
+}
+
+// eval evaluates the right-hand side, counting the evaluation.
+func (n *newton) eval(t float64, x, dst la.Vec) {
+	n.sys.Eval(t, x, dst)
+	n.evals++
+}
+
+// correct solves (a*I - b*J) delta = -resid for the Newton correction
+// n.delta, with J the Jacobian of f(t, .) at state and fState = f(t, state);
+// false means the linear solve failed. The dense path factors
+// b*((a/b)*I - J); the matrix-free path runs GMRES on finite-difference
+// Jacobian-vector products.
+func (n *newton) correct(t float64, state, fState, resid la.Vec, a, b float64) bool {
+	m := len(state)
+	n.neg.CopyFrom(resid)
+	if !n.noDirect && m <= DirectMaxDim {
+		n.neg.Scale(-1 / b)
+		return n.dsolver.solve(n.eval, t, state, fState, a/b, n.neg, n.delta) == nil
+	}
+	n.neg.Scale(-1)
+	n.jvBase.CopyFrom(fState)
+	stateNorm := state.Norm2()
+	matvec := func(dst, v la.Vec) {
+		vn := v.Norm2()
+		if vn == 0 {
+			dst.Zero()
+			return
 		}
-		if err := in.Step(); err != nil {
-			return in.Stats.Steps - start, err
+		eps := 1e-7 * (1 + stateNorm) / vn
+		n.jvScratch.CopyFrom(state)
+		n.jvScratch.AXPY(eps, v)
+		n.eval(t, n.jvScratch, dst)
+		// dst = a*v - b*(f(state+eps v) - f(state))/eps
+		for i := 0; i < m; i++ {
+			dst[i] = a*v[i] - b*(dst[i]-n.jvBase[i])/eps
 		}
 	}
-	return in.Stats.Steps - start, nil
+	n.delta.Zero()
+	opts := n.opts
+	if opts.Tol == 0 {
+		opts.Tol = 1e-4
+	}
+	if opts.MaxIter == 0 {
+		opts.MaxIter = min(10*m, 300)
+	}
+	it, _, err := krylov.GMRES(matvec, n.neg, n.delta, opts)
+	n.krylovIters += int64(it)
+	return err == nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

@@ -27,7 +27,7 @@ func TestGammaValue(t *testing.T) {
 
 func TestStiffAccuracy(t *testing.T) {
 	// lambda = 1e4: an explicit method would need h ~ 2e-4; SDIRK2 cruises.
-	in := &Integrator{Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6)}
 	in.Init(stiffRelax(1e4), 0, 2, la.Vec{1}, 1e-4)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestNonstiffAccuracy(t *testing.T) {
 		dst[0] = x[1]
 		dst[1] = -x[0]
 	}}
-	in := &Integrator{Ctrl: ode.DefaultController(1e-8, 1e-8)}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-8, 1e-8)}
 	in.Init(osc, 0, 3, la.Vec{1, 0}, 0.01)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -64,8 +64,8 @@ func TestSecondOrderConvergence(t *testing.T) {
 		// Loose controller tolerances pin h at the cap; the Newton and
 		// Krylov tolerances are tightened explicitly so the stage solves
 		// do not pollute the truncation-error measurement.
-		in := &Integrator{Ctrl: ode.DefaultController(1, 1), MaxStep: cap, MinStep: 1e-18,
-			NewtonTol: 1e-10, KrylovOpts: krylov.Options{Tol: 1e-12}}
+		in := &ode.Integrator{Ctrl: ode.DefaultController(1, 1), MaxStep: cap, MinStep: 1e-18,
+			Method: &SDIRK2{NewtonTol: 1e-10, KrylovOpts: krylov.Options{Tol: 1e-12}}}
 		in.Init(stiffRelax(2), 0, 1, la.Vec{1}, cap)
 		if _, err := in.Run(); err != nil {
 			t.Fatal(err)
@@ -82,7 +82,8 @@ func TestSecondOrderConvergence(t *testing.T) {
 
 func TestVanDerPolVeryStiff(t *testing.T) {
 	p := problems.VanDerPol(1000)
-	in := &Integrator{Ctrl: ode.DefaultController(1e-5, 1e-5)}
+	m := &SDIRK2{}
+	in := &ode.Integrator{Method: m, Ctrl: ode.DefaultController(1e-5, 1e-5)}
 	in.Init(p.Sys, 0, 200, p.X0, 1e-4)
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("stiff Van der Pol failed: %v (steps=%d)", err, in.Stats.Steps)
@@ -90,11 +91,12 @@ func TestVanDerPolVeryStiff(t *testing.T) {
 	if in.X().HasNaNOrInf() || math.Abs(in.X()[0]) > 3 {
 		t.Fatalf("solution left the limit cycle: %v", in.X())
 	}
-	t.Logf("steps=%d newton=%d krylov=%d evals=%d", in.Stats.Steps, in.Stats.NewtonIters, in.Stats.KrylovIters, in.Stats.Evals)
+	newton, krylov := m.Iterations()
+	t.Logf("steps=%d newton=%d krylov=%d evals=%d", in.Stats.Steps, newton, krylov, in.Stats.Evals)
 }
 
 func TestHistoryMaintained(t *testing.T) {
-	in := &Integrator{Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6)}
 	in.Init(stiffRelax(10), 0, 1, la.Vec{1}, 0.01)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -111,7 +113,7 @@ func TestDoubleCheckGuardsImplicitSolver(t *testing.T) {
 	// The paper's future-work scenario: IBDC validating an implicit solver.
 	// Clean run first: FP rescues must recover every double-check rejection.
 	d := core.NewIBDC()
-	in := &Integrator{Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: d}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: d}
 	in.Init(stiffRelax(100), 0, 2, la.Vec{1}, 1e-3)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -143,7 +145,7 @@ func TestDoubleCheckCatchesCorruptedImplicitStep(t *testing.T) {
 		}
 		return v
 	})
-	in := &Integrator{Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: wrapper}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: wrapper}
 	in.Init(stiffRelax(100), 0, 2, la.Vec{1}, 1e-3)
 	for i := 0; i < 20; i++ {
 		if err := in.Step(); err != nil {
@@ -173,7 +175,8 @@ func TestBrusselatorMediumSystem(t *testing.T) {
 	// A 64-dimensional stiff method-of-lines system exercises the GMRES
 	// path (m > restart length); NoDirect pins the matrix-free route.
 	p := problems.Brusselator1D(32)
-	in := &Integrator{Ctrl: ode.DefaultController(1e-4, 1e-4), NoDirect: true}
+	m := &SDIRK2{NoDirect: true}
+	in := &ode.Integrator{Method: m, Ctrl: ode.DefaultController(1e-4, 1e-4)}
 	in.Init(p.Sys, 0, 1, p.X0, 1e-3)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -183,7 +186,7 @@ func TestBrusselatorMediumSystem(t *testing.T) {
 			t.Fatalf("component %d out of range: %g", i, v)
 		}
 	}
-	if in.Stats.KrylovIters == 0 {
+	if _, krylov := m.Iterations(); krylov == 0 {
 		t.Fatal("GMRES never ran")
 	}
 }
@@ -191,7 +194,7 @@ func TestBrusselatorMediumSystem(t *testing.T) {
 func TestDirectAndKrylovAgree(t *testing.T) {
 	// The two Newton linear-solver paths must land on the same trajectory.
 	run := func(noDirect bool) la.Vec {
-		in := &Integrator{Ctrl: ode.DefaultController(1e-8, 1e-8), NoDirect: noDirect}
+		in := &ode.Integrator{Method: &SDIRK2{NoDirect: noDirect}, Ctrl: ode.DefaultController(1e-8, 1e-8)}
 		in.Init(stiffRelax(500), 0, 1, la.Vec{1}, 1e-4)
 		if _, err := in.Run(); err != nil {
 			t.Fatal(err)
@@ -210,7 +213,7 @@ func TestDirectAndKrylovAgree(t *testing.T) {
 
 func TestStepSizeUnderflowOnBrokenRHS(t *testing.T) {
 	bad := ode.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.NaN() }}
-	in := &Integrator{Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6)}
 	in.Init(bad, 0, 1, la.Vec{1}, 0.1)
 	if err := in.Step(); err == nil {
 		t.Fatal("expected failure on NaN right-hand side")

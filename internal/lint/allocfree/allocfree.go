@@ -47,6 +47,7 @@ var funcs = "repro/internal/batch.Integrator.Round," +
 	"repro/internal/control.BatchEngine.DecideLanes," +
 	"repro/internal/control.BatchEngine.kernel," +
 	"repro/internal/control.CheckContext.FProp," +
+	"repro/internal/control.Controller.Score," +
 	"repro/internal/control.Engine.Decide," +
 	"repro/internal/control.Engine.harvest," +
 	"repro/internal/control.Engine.stage," +

@@ -92,6 +92,7 @@ type Stats struct {
 	RejectedClassic   int   // rejections by the classic error test
 	RejectedValidator int   // rejections by the double-checking validator
 	FPRescues         int   // validator rejections later self-identified as false positives
+	Aborted           int   // trials the method abandoned without a proposal (failed implicit stage solves)
 	Evals             int64 // fresh right-hand-side evaluations
 	Injections        int64 // corruptions applied to stage evaluations
 }
@@ -100,11 +101,32 @@ type Stats struct {
 // integrator in this package.
 const historyDepth = 8
 
-// Integrator advances an initial-value problem with an embedded RK pair
-// under the classic adaptive controller, optionally guarded by a Validator.
-// Configure the exported fields, then call Init and Run (or Step).
+// Method computes the trial steps the Integrator decides on: the explicit
+// RK Stepper, or an implicit method from internal/implicit.
+type Method interface {
+	// Start binds the method to one integration before its first trial:
+	// the system, and the integrator's controller and accepted-solution
+	// history, which stay live (and owned by the integrator) for the run.
+	Start(sys System, ctrl *Controller, hist *History)
+	// Trial computes one trial step from (t, x) with step size h. k1, when
+	// non-nil, is f(t, x) carried over from the previous step (a method may
+	// ignore it); hook, when non-nil, may corrupt every stage evaluation the
+	// method exposes. The result sets the step law's ControlOrder, and
+	// Aborted when the trial produced no proposal.
+	Trial(t, h float64, x, k1 la.Vec, hook StageHook) TrialResult
+}
+
+// Integrator is the protected-step loop of every solver in the tree: it
+// advances an initial-value problem with trial steps from an embedded RK
+// pair (Tab) or another Method, under the classic adaptive controller,
+// optionally guarded by a Validator. Configure the exported fields, then
+// call Init and Run (or Step).
 type Integrator struct {
-	Tab       *Tableau
+	Tab *Tableau
+	// Method, when non-nil, computes the trials instead of an explicit
+	// stepper for Tab (which must then be nil): the implicit SDIRK2(1) and
+	// BDF2 methods. An aborted trial is retried at half the step size.
+	Method    Method
 	Ctrl      Controller
 	Validator Validator
 	Hook      StageHook    // injection/observer hook for stage evaluations
@@ -139,7 +161,8 @@ type Integrator struct {
 	NoReuseFirstStage bool
 
 	sys     System
-	stepper *Stepper
+	stepper *Stepper // the explicit method for Tab, kept across Init calls
+	method  Method   // the method in use: Method, or stepper
 	hist    *History
 	t       float64
 	x       la.Vec
@@ -177,7 +200,10 @@ var ErrHalted = errors.New("ode: run halted")
 // Init prepares the integrator to advance sys from x0 at t0 to tEnd with
 // initial step h0. x0 is copied.
 func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) {
-	if in.Tab == nil {
+	switch {
+	case in.Method != nil && in.Tab != nil:
+		panic("ode: Integrator.Tab and Method are exclusive")
+	case in.Method == nil && in.Tab == nil:
 		in.Tab = HeunEuler()
 	}
 	if in.Ctrl == (Controller{}) {
@@ -199,10 +225,12 @@ func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) 
 	// every reused buffer is fully overwritten before it is read.
 	m := sys.Dim()
 	in.sys = sys
-	if in.stepper != nil && in.stepper.Tab == in.Tab {
-		in.stepper.Retarget(sys)
-	} else {
-		in.stepper = NewStepper(in.Tab, sys)
+	in.method = in.Method
+	if in.method == nil {
+		if in.stepper == nil || in.stepper.Tab != in.Tab {
+			in.stepper = NewStepper(in.Tab, sys)
+		}
+		in.method = in.stepper
 	}
 	if in.hist != nil && in.hist.Dim() == m {
 		in.hist.Reset()
@@ -227,6 +255,7 @@ func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) 
 	in.engine.Reset(m)
 	in.hist.Push(t0, 0, in.x)
 	in.Stats = Stats{}
+	in.method.Start(sys, &in.Ctrl, in.hist)
 }
 
 // T returns the current time.
@@ -244,8 +273,9 @@ func (in *Integrator) History() *History { return in.hist }
 // Done reports whether the integration reached tEnd.
 func (in *Integrator) Done() bool { return in.t >= in.tEnd-1e-14*math.Abs(in.tEnd) }
 
-// Step advances by one accepted step (possibly after several rejected
-// trials). It returns ErrStepSizeUnderflow or ErrTooManyTrials on failure.
+// Step advances by one accepted step (possibly after several rejected or
+// aborted trials). It returns ErrStepSizeUnderflow or ErrTooManyTrials on
+// failure.
 func (in *Integrator) Step() error {
 	h := in.h
 	if in.MaxStep > 0 && h > in.MaxStep {
@@ -276,10 +306,18 @@ func (in *Integrator) Step() error {
 				xTrial = in.xTrialBuf
 			}
 		}
-		res := in.stepper.Trial(in.t, h, xTrial, k1, in.Hook)
+		res := in.method.Trial(in.t, h, xTrial, k1, in.Hook)
 		in.Stats.TrialSteps++
 		in.Stats.Evals += int64(res.Evals)
 		in.Stats.Injections += int64(res.Injections)
+		if res.Aborted {
+			// No proposal to decide on (a failed stage solve): retry at half
+			// the step, as a fresh trial rather than a recomputation.
+			in.Stats.Aborted++
+			h /= 2
+			in.engine.BeginStep()
+			continue
+		}
 
 		// The shared protected-step pipeline: classic test, then the
 		// validator double-check with the engine-owned CheckContext.
@@ -346,7 +384,7 @@ func (in *Integrator) Step() error {
 				in.haveFNext = false
 			}
 			in.fNextCorrupted = in.haveFNext && lastInj > 0
-			in.h = in.Ctrl.NewStepSize(h, sErr1, in.Tab.ControlOrder())
+			in.h = in.Ctrl.NewStepSize(h, sErr1, res.ControlOrder)
 			if in.MaxStep > 0 && in.h > in.MaxStep {
 				in.h = in.MaxStep
 			}
@@ -355,7 +393,7 @@ func (in *Integrator) Step() error {
 
 		if trial.ClassicReject {
 			in.Stats.RejectedClassic++
-			h = in.Ctrl.RejectStepSize(h, sErr1, in.Tab.ControlOrder())
+			h = in.Ctrl.RejectStepSize(h, sErr1, res.ControlOrder)
 		} else {
 			// Validator rejection: recompute with the same step size so a
 			// clean recomputation reproduces the identical SErr_1. The

@@ -2,10 +2,11 @@ package ode
 
 import "repro/internal/la"
 
-// Stepper computes trial steps of one embedded Runge-Kutta pair. It owns the
-// stage storage so repeated trials allocate nothing. A Stepper is not safe
-// for concurrent use; distributed ranks each own one. The redundancy
-// validators replay trials on clean shadow steppers of their own.
+// Stepper computes trial steps of one embedded Runge-Kutta pair; it is the
+// Integrator's Method for a tableau. It owns the stage storage so repeated
+// trials allocate nothing. A Stepper is not safe for concurrent use;
+// distributed ranks each own one. The redundancy validators replay trials
+// on clean shadow steppers of their own.
 type Stepper struct {
 	Tab *Tableau
 	sys System
@@ -47,7 +48,7 @@ func NewStepper(tab *Tableau, sys System) *Stepper {
 // were already exposed to corruption when first computed.
 func (s *Stepper) Trial(t, h float64, x la.Vec, k1 la.Vec, hook StageHook) TrialResult {
 	tab := s.Tab
-	res := TrialResult{XProp: s.xProp, ErrVec: s.errV}
+	res := TrialResult{XProp: s.xProp, ErrVec: s.errV, ControlOrder: tab.ControlOrder()}
 	for i := 0; i < tab.Stages(); i++ {
 		if i == 0 && k1 != nil {
 			s.K[0].CopyFrom(k1)
@@ -97,6 +98,9 @@ func (s *Stepper) Trial(t, h float64, x la.Vec, k1 la.Vec, hook StageHook) Trial
 // measuring a buffer, so a refactor of the stage storage layout can never
 // skew the reported dimension.
 func (s *Stepper) Dim() int { return s.sys.Dim() }
+
+// Start implements Method: an explicit pair needs only the system.
+func (s *Stepper) Start(sys System, _ *Controller, _ *History) { s.Retarget(sys) }
 
 // Retarget re-points the stepper at sys, reusing the stage storage when the
 // dimension is unchanged. It lets a campaign worker recycle one stepper

@@ -14,6 +14,8 @@
 // protected-step decision itself — classic test, validator double-check,
 // Algorithm 1 order policy — lives in internal/control; this package
 // re-exports the shared vocabulary (see aliases.go) and contributes the
-// explicit-RK Stepper and the integrators built on the control
-// pipeline.
+// explicit-RK Stepper and the integrators built on the control pipeline.
+// Integrator is the one protected-step loop of the tree: the implicit
+// methods (internal/implicit) and the distributed ranks (internal/dist)
+// run on it through its Method seam.
 package ode
