@@ -46,7 +46,7 @@ func runIsolationBatch(tb testing.TB, width, faulty int, seed uint64) []laneResu
 			plan := inject.NewPlan(xrand.New(seed), inject.MultiBit{})
 			plan.Prob = 0.2
 			lc.Hook = plan.Hook
-			det, err := buildDetector(tab, lc.Sys, plan)
+			det, err := buildDetector(tab, lc.Sys)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -67,8 +67,8 @@ func runIsolationBatch(tb testing.TB, width, faulty int, seed uint64) []laneResu
 
 // buildDetector gives the faulty lane an LBDC validator so injection also
 // drives validator rejections and rescues, not just classic rejects.
-func buildDetector(tab *ode.Tableau, sys ode.System, plan *inject.Plan) (ode.Validator, error) {
-	det, err := control.New("lbdc", control.Spec{Tab: tab, Sys: sys, Quiesce: plan.Pause})
+func buildDetector(tab *ode.Tableau, sys ode.System) (ode.Validator, error) {
+	det, err := control.New("lbdc", control.Spec{Tab: tab, Sys: sys})
 	if err != nil {
 		return nil, err
 	}

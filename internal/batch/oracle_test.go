@@ -91,7 +91,7 @@ func buildWiring(tb testing.TB, wc wireCase) (sys ode.System, det control.Detect
 	sys = wc.p.SysInstance()
 	plan := inject.NewPlan(wc.rng.plan, inject.Scaled{})
 	plan.Prob = wc.prob
-	det, err := control.New(wc.det, control.Spec{Tab: wc.tab, Sys: sys, Quiesce: plan.Pause})
+	det, err := control.New(wc.det, control.Spec{Tab: wc.tab, Sys: sys})
 	if err != nil {
 		tb.Fatalf("detector %q: %v", wc.det, err)
 	}

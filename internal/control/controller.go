@@ -148,7 +148,15 @@ func (c *Controller) NewStepSize(h, sErr float64, controlOrder int) float64 {
 	}
 	factor := float64(alphaMax)
 	if sErr > 0 {
-		a := alpha * math.Pow(1/sErr, 1/float64(controlOrder))
+		var a float64
+		if controlOrder == 2 {
+			// Pow(x, 0.5) is Sqrt(x) bit for bit (the cases Pow settles
+			// first, x = 1, 0 and +Inf, agree with Sqrt), without Pow's
+			// special-case ladder.
+			a = alpha * math.Sqrt(1/sErr)
+		} else {
+			a = alpha * math.Pow(1/sErr, 1/float64(controlOrder))
+		}
 		factor = math.Min(alphaMax, math.Max(alphaMin, a))
 	}
 	return h * factor

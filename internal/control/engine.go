@@ -4,8 +4,9 @@ import "repro/internal/la"
 
 // Check is the outcome of one protected-step decision — everything an
 // integrator needs to accept, classic-reject, or recompute a trial, plus the
-// observability fields its tracer records. Vector fields are views into
-// engine-owned buffers, valid until the next Decide call.
+// observability fields its tracer records. Decide returns the engine's own
+// record: it and its vector fields, views into engine-owned buffers, are
+// valid until the next Decide call.
 type Check struct {
 	SErr1         float64 // classic scaled error (+Inf for NaN/Inf-poisoned proposals)
 	ClassicReject bool    // trial failed the classic test; the Validator never ran
@@ -30,13 +31,14 @@ func (c *Check) Accepted() bool {
 
 // Engine composes the Controller's classic acceptance test with the
 // Validator's double-check into the one protected-step decision every
-// integrator calls. It owns the CheckContext scratch and the persistent
-// FProp buffer, so steady-state decisions allocate nothing, and it carries
-// the recomputation latch that tells the Validator a trial reran at the same
-// step size after its own rejection.
+// integrator calls. It owns the Check it returns, the CheckContext scratch
+// and the persistent FProp buffer, so steady-state decisions allocate and
+// copy nothing, and it carries the recomputation latch that tells the
+// Validator a trial reran at the same step size after its own rejection.
 type Engine struct {
 	Validator Validator
 
+	chk          Check
 	ctx          CheckContext
 	fPropBuf     la.Vec
 	rejectedLast bool
@@ -68,15 +70,24 @@ func (e *Engine) BeginStep() { e.rejectedLast = false }
 // screen and the norms cover every rank), applies the classic test,
 // and hands survivors to the Validator with a fully populated CheckContext.
 // hist, tab, sys, and hook flow through to the Validator's second estimate;
-// fsalFProp, when non-nil, supplies f(T+H, XProp) for free.
+// fsalFProp, when non-nil, supplies f(T+H, XProp) for free. The returned
+// Check is the engine's, valid until the next Decide.
 //
 // Its one non-test caller is ode.Integrator.Step, the protected-step loop
 // of every serial, implicit and distributed solve. It must not allocate in
-// steady state (see the allocfree gate in cmd/sdcvet).
+// steady state (see the allocfree gate in cmd/sdcvet). The Check and the
+// CheckContext are refreshed field by field rather than assigned from
+// composite literals, which the compiler would build and copy whole.
 func (e *Engine) Decide(ctrl *Controller, step int, t, h float64,
 	xStart, xStored, xProp, errVec, weights la.Vec,
-	hist *History, tab *Tableau, sys System, hook StageHook, fsalFProp la.Vec) Check {
-	chk := Check{SErr1: ctrl.Score(weights, xProp, errVec), SErr2: -1, DetOrder: -1, DetWindow: -1}
+	hist *History, tab *Tableau, sys System, hook StageHook, fsalFProp la.Vec) *Check {
+	chk := &e.chk
+	chk.SErr1 = ctrl.Score(weights, xProp, errVec)
+	chk.ClassicReject = false
+	chk.Verdict = VerdictAccept
+	chk.SErr2, chk.DetOrder, chk.DetWindow = -1, -1, -1
+	chk.EstimateInjections, chk.FPropEvals = 0, 0
+	chk.FProp = nil
 	if ClassicReject(chk.SErr1) {
 		chk.ClassicReject = true
 		e.rejectedLast = false
@@ -87,21 +98,19 @@ func (e *Engine) Decide(ctrl *Controller, step int, t, h float64,
 	}
 	// ctx is engine-owned scratch; fPropBuf persists across trials so
 	// CheckContext.FProp never reallocates its storage.
-	e.ctx = CheckContext{
-		StepIndex: step,
-		T:         t, H: h,
-		XStart: xStart, XStored: xStored, XProp: xProp, ErrVec: errVec,
-		SErr1: chk.SErr1, Weights: weights,
-		Hist: hist, Ctrl: ctrl, Tab: tab,
-		Recomputation: e.rejectedLast,
-		sys:           sys,
-		hook:          hook,
-		fsalFProp:     fsalFProp,
-		fProp:         e.fPropBuf,
-	}
-	e.staged = false // full rebuild: any staged lane context is gone
-	chk.Verdict = e.Validator.Validate(&e.ctx)
-	e.harvest(&chk)
+	c := &e.ctx
+	c.StepIndex = step
+	c.T, c.H = t, h
+	c.XStart, c.XStored, c.XProp, c.ErrVec = xStart, xStored, xProp, errVec
+	c.SErr1, c.Weights = chk.SErr1, weights
+	c.Hist, c.Ctrl, c.Tab = hist, ctrl, tab
+	c.Recomputation = e.rejectedLast
+	c.sys, c.hook, c.fsalFProp, c.fProp = sys, hook, fsalFProp, e.fPropBuf
+	c.fPropDone, c.fPropInjs, c.fPropEvals = false, 0, 0
+	c.checkReported = false
+	e.staged = false // any staged lane context is gone
+	chk.Verdict = e.Validator.Validate(c)
+	e.harvest(chk)
 	return chk
 }
 

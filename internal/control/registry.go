@@ -28,9 +28,6 @@ type Spec struct {
 	// FixedOrder, when > 0, pins the double-checking order to FixedOrder-1
 	// (i.e. pass q+1; 0 means the strategy default). Use with NoAdapt.
 	FixedOrder int
-	// Quiesce, when non-nil, pauses fault injection for the duration of a
-	// detector's redundant recomputation; it returns the resume function.
-	Quiesce func() func()
 }
 
 // Factory builds one detector instance for one integration.

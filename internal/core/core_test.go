@@ -214,7 +214,6 @@ func TestReplicationCatchesInjections(t *testing.T) {
 	plan := inject.NewPlan(xrand.New(99), inject.Scaled{})
 	plan.Prob = 0.05
 	rep := NewReplication(ode.HeunEuler(), oscillator)
-	rep.Quiesce = plan.Pause
 	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: rep, Hook: plan.Hook}
 	in.Init(oscillator, 0, 5, la.Vec{1, 0}, 0.001)
 	if _, err := in.Run(); err != nil {
@@ -254,7 +253,6 @@ func TestTMRCorrectsInPlace(t *testing.T) {
 	plan := inject.NewPlan(xrand.New(5), inject.Scaled{})
 	plan.Prob = 0.05
 	tmr := NewTMR(ode.HeunEuler(), oscillator)
-	tmr.Quiesce = plan.Pause
 	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: tmr, Hook: plan.Hook}
 	in.Init(oscillator, 0, 5, la.Vec{1, 0}, 0.001)
 	if _, err := in.Run(); err != nil {

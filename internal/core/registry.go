@@ -42,7 +42,7 @@ func init() {
 		}, nil
 	})
 	control.Register("replication", func(s control.Spec) (control.Detector, error) {
-		d := &Replication{Sys: s.Sys, Quiesce: s.Quiesce}
+		d := &Replication{Sys: s.Sys}
 		if s.Tab != nil {
 			d.stepper = ode.NewStepper(s.Tab, s.Sys)
 		}
@@ -52,7 +52,7 @@ func init() {
 		}, nil
 	})
 	control.Register("tmr", func(s control.Spec) (control.Detector, error) {
-		d := &TMR{Sys: s.Sys, Quiesce: s.Quiesce}
+		d := &TMR{Sys: s.Sys}
 		if s.Tab != nil {
 			d.stepper = ode.NewStepper(s.Tab, s.Sys)
 		}
@@ -62,7 +62,7 @@ func init() {
 		}, nil
 	})
 	control.Register("richardson", func(s control.Spec) (control.Detector, error) {
-		d := &Richardson{Sys: s.Sys, Quiesce: s.Quiesce}
+		d := &Richardson{Sys: s.Sys}
 		if s.Tab != nil {
 			d.stepper = ode.NewStepper(s.Tab, s.Sys)
 		}

@@ -213,13 +213,12 @@ func (r *Result) Canonical() Result {
 // registry (the detectors in internal/core register themselves; "classic"
 // and "oracle" resolve to nil validators — the oracle's clean-shadow
 // validator is constructed by runReplicate, which owns that machinery).
-func makeDetector(kind DetectorKind, tab *ode.Tableau, sys ode.System, plan *inject.Plan, cfg *Config) (control.Detector, error) {
+func makeDetector(kind DetectorKind, tab *ode.Tableau, sys ode.System, cfg *Config) (control.Detector, error) {
 	det, err := control.New(string(kind), control.Spec{
 		Tab:        tab,
 		Sys:        sys,
 		NoAdapt:    cfg.NoAdapt,
 		FixedOrder: cfg.FixedOrder,
-		Quiesce:    plan.Pause,
 	})
 	if err != nil {
 		return control.Detector{}, fmt.Errorf("harness: unknown detector %q", kind)
@@ -354,7 +353,7 @@ func wireReplicate(cfg *Config, job repJob, ls *laneScratch, out *repOutcome) (r
 	}
 
 	counting := &ode.CountingSystem{Sys: sys}
-	det, err := makeDetector(cfg.Detector, cfg.Tab, counting, plan, cfg)
+	det, err := makeDetector(cfg.Detector, cfg.Tab, counting, cfg)
 	if err != nil {
 		return repWiring{}, err
 	}
@@ -498,32 +497,13 @@ func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *workerScrat
 	}
 	//lint:allow walltime -- per-replicate wall time feeds the §VI-B overhead ratio, never the deterministic outputs
 	repStart := time.Now()
-	p := cfg.Problem
 	w, err := wireReplicate(cfg, job, &scr.lanes[0], &out)
 	if err != nil {
 		out.err = err
 		return out
 	}
-	// Reconfigure the arena's integrator from scratch: every exported field
-	// is assigned (optional hooks explicitly to nil) so nothing leaks from
-	// the previous replicate, while Init recycles the internal buffers.
 	in := &scr.in
-	in.Tab = cfg.Tab
-	in.Method = nil
-	in.Ctrl = w.ctrl
-	in.Validator = w.validator
-	in.Hook = w.hook
-	in.OnTrial = w.onTrial
-	in.Tracer = w.tracer
-	in.StateHook = w.stateHook
-	in.Halt = haltFunc(ctx)
-	in.MaxSteps = 1 << 18
-	in.MaxTrials = 0
-	in.MinStep = 0
-	in.MaxStep = p.MaxStep
-	in.NoReuseFirstStage = cfg.NoReuseFirstStage
-
-	in.Init(w.sys, p.T0, p.TEnd, p.X0, p.H0)
+	startReplicate(in, cfg, w, haltFunc(ctx))
 	_, runErr := in.Run()
 	if errors.Is(runErr, ode.ErrHalted) {
 		// The halt only fires on a cancelled context: report the
@@ -535,6 +515,29 @@ func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *workerScrat
 	//lint:allow walltime -- per-replicate wall time feeds the §VI-B overhead ratio, never the deterministic outputs
 	collectOutcome(&out, w, runErr, in.Stats, time.Since(repStart).Seconds())
 	return out
+}
+
+// startReplicate reconfigures a worker's integrator from scratch for one
+// replicate's wiring and initializes it: every exported field is assigned
+// (optional hooks explicitly to nil) so nothing leaks from the previous
+// replicate, while Init recycles the internal buffers.
+func startReplicate(in *ode.Integrator, cfg *Config, w repWiring, halt func() bool) {
+	p := cfg.Problem
+	in.Tab = cfg.Tab
+	in.Method = nil
+	in.Ctrl = w.ctrl
+	in.Validator = w.validator
+	in.Hook = w.hook
+	in.OnTrial = w.onTrial
+	in.Tracer = w.tracer
+	in.StateHook = w.stateHook
+	in.Halt = halt
+	in.MaxSteps = 1 << 18
+	in.MaxTrials = 0
+	in.MinStep = 0
+	in.MaxStep = p.MaxStep
+	in.NoReuseFirstStage = cfg.NoReuseFirstStage
+	in.Init(w.sys, p.T0, p.TEnd, p.X0, p.H0)
 }
 
 // oracleValidator adapts a significance predicate to ode.Validator.

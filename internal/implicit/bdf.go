@@ -46,14 +46,14 @@ func (b *BDF2) Start(sys ode.System, ctrl *ode.Controller, hist *ode.History) {
 // 2 afterwards, with x as x_{n-1} and the older solutions from the history.
 // It exposes no stage evaluation to the hook and ignores the carried k1;
 // the double-check evaluates f(t+h, XProp) itself.
-func (b *BDF2) Trial(t, h float64, x, _ la.Vec, _ ode.StageHook) ode.TrialResult {
+func (b *BDF2) Trial(t, h float64, x, _ la.Vec, _ ode.StageHook) *ode.TrialResult {
 	b.evals = 0
 	tn := t + h
 	order := 2
 	if b.hist.Len() < 2 {
 		order = 1
 	}
-	res := ode.TrialResult{XProp: b.xProp, ErrVec: b.errVec, ControlOrder: order + 1}
+	res := b.res.Begin(b.xProp, b.errVec, nil, order+1)
 
 	// Differentiation weights over {t_n, t_{n-1}, (t_{n-2})}.
 	nodes := b.nodes[:order+1]

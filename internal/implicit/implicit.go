@@ -59,10 +59,10 @@ func (s *SDIRK2) Start(sys ode.System, ctrl *ode.Controller, _ *ode.History) {
 // f(t, x) and ignores the carried k1; the hook sees each converged stage
 // (indices 0 and 1). K2 = f(t+h, XProp) by stiff accuracy, so it is the
 // free FProp.
-func (s *SDIRK2) Trial(t, h float64, x, _ la.Vec, hook ode.StageHook) ode.TrialResult {
+func (s *SDIRK2) Trial(t, h float64, x, _ la.Vec, hook ode.StageHook) *ode.TrialResult {
 	s.evals = 0
 	// The 2(1) pair's step law uses p^ + 1 = 2.
-	res := ode.TrialResult{XProp: s.xProp, ErrVec: s.errVec, FProp: s.k2, ControlOrder: 2}
+	res := s.res.Begin(s.xProp, s.errVec, s.k2, 2)
 	// Stage 1: K1 = f(t + Gamma h, x + h Gamma K1); warm start from f(t, x).
 	s.eval(t, x, s.k1)
 	if !s.solveStage(t+Gamma*h, h, x, s.k1) {
@@ -126,7 +126,7 @@ func (s *SDIRK2) solveStage(ts, h float64, base, K la.Vec) bool {
 
 // newton is the Newton machinery SDIRK2 and BDF2 share: the bound system and
 // controller, the settings as of Start, the linear solve of one iteration,
-// and the evaluation and work counters.
+// the evaluation and work counters, and the record Trial returns.
 type newton struct {
 	sys      ode.System
 	ctrl     *ode.Controller
@@ -141,6 +141,8 @@ type newton struct {
 	evals       int // evaluations of the current trial
 	newtonIters int64
 	krylovIters int64
+
+	res ode.TrialResult
 }
 
 // start binds the solver to one integration and resets its counters.
@@ -163,7 +165,7 @@ func (n *newton) Iterations() (newtonIters, krylovIters int64) {
 }
 
 // abort marks res as a trial that produced no proposal.
-func (n *newton) abort(res ode.TrialResult) ode.TrialResult {
+func (n *newton) abort(res *ode.TrialResult) *ode.TrialResult {
 	res.Evals, res.Aborted = n.evals, true
 	return res
 }

@@ -47,6 +47,7 @@ var funcs = "repro/internal/batch.Integrator.Round," +
 	"repro/internal/control.BatchEngine.DecideLanes," +
 	"repro/internal/control.BatchEngine.kernel," +
 	"repro/internal/control.CheckContext.FProp," +
+	"repro/internal/control.Controller.NewStepSize," +
 	"repro/internal/control.Controller.Score," +
 	"repro/internal/control.Engine.Decide," +
 	"repro/internal/control.Engine.harvest," +
@@ -55,6 +56,9 @@ var funcs = "repro/internal/batch.Integrator.Round," +
 	"repro/internal/core.DoubleCheck.PlanBatch," +
 	"repro/internal/core.DoubleCheck.Validate," +
 	"repro/internal/core.DoubleCheck.ensureEst," +
+	"repro/internal/core.Replication.Validate," +
+	"repro/internal/core.Richardson.PlanBatch," +
+	"repro/internal/core.TMR.Validate," +
 	"repro/internal/la.ErrWeightsRows," +
 	"repro/internal/la.FirstDerivativeWeightsInto," +
 	"repro/internal/la.LagrangeWeightsInto," +

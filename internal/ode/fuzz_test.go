@@ -65,6 +65,9 @@ func FuzzScaledError(f *testing.F) {
 // A corrupted LTE estimate reaches it directly, so it must never emit NaN
 // (which would poison every subsequent step size), and for a well-formed
 // step size the result must stay inside the law's [0.1*h, 10*h] clamp.
+// Every result must also equal, bit for bit, Eq. (5) written with
+// math.Pow at every control order: the law's Sqrt path at order 2 is a
+// shortcut, not a different rounding.
 func FuzzNewStepSize(f *testing.F) {
 	f.Add(0.01, 0.5, byte(2))
 	f.Add(0.01, 0.0, byte(3))
@@ -74,6 +77,10 @@ func FuzzNewStepSize(f *testing.F) {
 	f.Add(-0.01, 2.0, byte(5))
 	f.Add(0.01, math.Inf(1), byte(2))
 	f.Add(1e308, 5e-324, byte(1))
+	// Control order 2 (byte 1), at Pow's special cases and the extremes.
+	for _, sErr := range []float64{5e-324, 1e-308, 1, math.MaxFloat64, 0} {
+		f.Add(0.01, sErr, byte(1))
+	}
 	f.Fuzz(func(t *testing.T, h, sErr float64, order byte) {
 		controlOrder := int(order%8) + 1
 		c := DefaultController(1e-6, 1e-6)
@@ -89,5 +96,26 @@ func FuzzNewStepSize(f *testing.F) {
 					h, sErr, controlOrder, got, lo, hi)
 			}
 		}
+		if want := powStepSize(h, sErr, controlOrder); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NewStepSize(h=%g, sErr=%g, k=%d) = %x, Eq. (5) with math.Pow = %x",
+				h, sErr, controlOrder, math.Float64bits(got), math.Float64bits(want))
+		}
 	})
+}
+
+// powStepSize is the step-size law of Eq. (5) with its sanitizing cases,
+// written with math.Pow at every control order: the bit oracle of
+// FuzzNewStepSize.
+func powStepSize(h, sErr float64, controlOrder int) float64 {
+	if math.IsNaN(h) || math.IsInf(h, 0) {
+		return 0
+	}
+	if math.IsNaN(sErr) || math.IsInf(sErr, 1) {
+		return h * 0.1
+	}
+	factor := 10.0
+	if sErr > 0 {
+		factor = math.Min(10, math.Max(0.1, 0.9*math.Pow(1/sErr, 1/float64(controlOrder))))
+	}
+	return h * factor
 }

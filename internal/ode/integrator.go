@@ -112,8 +112,9 @@ type Method interface {
 	// non-nil, is f(t, x) carried over from the previous step (a method may
 	// ignore it); hook, when non-nil, may corrupt every stage evaluation the
 	// method exposes. The result sets the step law's ControlOrder, and
-	// Aborted when the trial produced no proposal.
-	Trial(t, h float64, x, k1 la.Vec, hook StageHook) TrialResult
+	// Aborted when the trial produced no proposal. It is the method's own
+	// record, valid until its next Trial.
+	Trial(t, h float64, x, k1 la.Vec, hook StageHook) *TrialResult
 }
 
 // Integrator is the protected-step loop of every solver in the tree: it
@@ -328,33 +329,27 @@ func (in *Integrator) Step() error {
 		in.Stats.Evals += int64(chk.FPropEvals)
 
 		// The trial record lives on the integrator so taking its address
-		// for OnTrial does not allocate per trial.
-		in.trial = Trial{
-			StepIndex: in.Stats.Steps, Attempt: attempt,
-			T: in.t, H: h,
-			XStart: in.x, XProp: res.XProp, Weights: in.weights,
-			SErr1:               sErr1,
-			Injections:          res.Injections,
-			StateInjections:     stateInj,
-			InheritedCorruption: in.haveFNext && in.fNextCorrupted,
-			EstimateInjections:  chk.EstimateInjections,
-			ClassicReject:       chk.ClassicReject,
-			SErr2:               chk.SErr2,
-			DetOrder:            chk.DetOrder,
-			DetWindow:           chk.DetWindow,
-			Significance:        telemetry.SigUnknown,
-		}
+		// for OnTrial does not allocate per trial; it is refreshed field by
+		// field, every field, so no composite value is built and copied.
+		accepted := chk.Accepted()
 		trial := &in.trial
-		switch chk.Verdict {
-		case VerdictReject:
-			trial.ValidatorReject = true
-		case VerdictFPRescue:
-			trial.FPRescue = true
+		trial.StepIndex, trial.Attempt = in.Stats.Steps, attempt
+		trial.T, trial.H = in.t, h
+		trial.XStart, trial.XProp, trial.Weights = in.x, res.XProp, in.weights
+		trial.SErr1 = sErr1
+		trial.Injections = res.Injections
+		trial.InheritedCorruption = in.haveFNext && in.fNextCorrupted
+		trial.EstimateInjections = chk.EstimateInjections
+		trial.StateInjections = stateInj
+		trial.ClassicReject = chk.ClassicReject
+		trial.ValidatorReject = chk.Verdict == VerdictReject
+		trial.FPRescue = chk.Verdict == VerdictFPRescue
+		trial.Accepted = accepted
+		trial.SErr2, trial.DetOrder, trial.DetWindow = chk.SErr2, chk.DetOrder, chk.DetWindow
+		trial.Significance = telemetry.SigUnknown
+		if trial.FPRescue {
 			in.Stats.FPRescues++
 		}
-
-		accepted := chk.Accepted()
-		trial.Accepted = accepted
 		if in.OnTrial != nil {
 			in.OnTrial(trial)
 		}

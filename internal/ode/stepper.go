@@ -3,10 +3,10 @@ package ode
 import "repro/internal/la"
 
 // Stepper computes trial steps of one embedded Runge-Kutta pair; it is the
-// Integrator's Method for a tableau. It owns the stage storage so repeated
-// trials allocate nothing. A Stepper is not safe for concurrent use;
-// distributed ranks each own one. The redundancy validators replay trials
-// on clean shadow steppers of their own.
+// Integrator's Method for a tableau. It owns the stage storage and the
+// trial record so repeated trials allocate and copy nothing. A Stepper is
+// not safe for concurrent use; distributed ranks each own one. The
+// redundancy validators replay trials on clean shadow steppers of their own.
 type Stepper struct {
 	Tab *Tableau
 	sys System
@@ -16,6 +16,7 @@ type Stepper struct {
 	xProp la.Vec   // proposed solution x_{n+1}
 	errV  la.Vec   // embedded error estimate x - x~
 	db    []float64
+	res   TrialResult // the record Trial returns
 }
 
 // NewStepper returns a stepper for the pair tab applied to sys.
@@ -46,9 +47,13 @@ func NewStepper(tab *Tableau, sys System) *Stepper {
 // non-nil, is called after each fresh stage evaluation and may corrupt the
 // stage in place. Reused first stages are not re-presented to the hook: they
 // were already exposed to corruption when first computed.
-func (s *Stepper) Trial(t, h float64, x la.Vec, k1 la.Vec, hook StageHook) TrialResult {
+//
+// The result is the stepper's own record: it and its vectors are valid
+// until the next Trial, so a caller holding two results of one stepper
+// copies what it keeps from the first before the second call.
+func (s *Stepper) Trial(t, h float64, x la.Vec, k1 la.Vec, hook StageHook) *TrialResult {
 	tab := s.Tab
-	res := TrialResult{XProp: s.xProp, ErrVec: s.errV, ControlOrder: tab.ControlOrder()}
+	res := s.res.Begin(s.xProp, s.errV, nil, tab.ControlOrder())
 	for i := 0; i < tab.Stages(); i++ {
 		if i == 0 && k1 != nil {
 			s.K[0].CopyFrom(k1)
