@@ -62,17 +62,58 @@ type campaign struct {
 	shardsDone int
 	result     []byte // the encoded ResultDoc, set when state becomes StateDone
 	errMsg     string
-	events     [][]byte // one encoded JSONL line per entry, append-only
+	events     []event // append-only; encoded when the stream is read
 	submitted  time.Time
 	finished   time.Time
 }
 
-// appendEventLocked records one event line and wakes every waiter. Caller
-// holds c.mu.
-func (c *campaign) appendEventLocked(line []byte) {
-	c.events = append(c.events, line)
+// eventKind names what an event log entry records.
+type eventKind uint8
+
+const (
+	eventSubmitted eventKind = iota
+	eventShardStart
+	eventShardDone
+	eventTerminal
+	eventTrace
+)
+
+// event is one entry of a campaign's event log, held as the values its line
+// encodes rather than as the line: a finished shard's report is already
+// held by its shard. Every value an entry encodes is fixed by the time the
+// entry is appended — the campaign's ID, hash, shard count and cache flag,
+// a shard's index, seed and report, the terminal state and message — so
+// encoding it when the stream is read gives the bytes it had when appended.
+type event struct {
+	kind   eventKind
+	cached bool   // eventShardDone: the report came from the shard cache
+	sh     *shard // eventShardStart, eventShardDone
+	line   []byte // eventTrace: the telemetry JSONL line
+}
+
+// appendEventLocked records one event and wakes every waiter. Caller holds
+// c.mu.
+func (c *campaign) appendEventLocked(ev event) {
+	c.events = append(c.events, ev)
 	close(c.notify)
 	c.notify = make(chan struct{})
+}
+
+// encodeEvent renders one appended event as its JSONL line, without the
+// newline. It reads only values that no longer change once the event is
+// appended, so it needs no lock.
+func (c *campaign) encodeEvent(ev event) []byte {
+	switch ev.kind {
+	case eventSubmitted:
+		return encodeSubmittedEvent(c)
+	case eventShardStart:
+		return encodeShardStartEvent(ev.sh)
+	case eventShardDone:
+		return encodeShardDoneEvent(ev.sh, ev.cached)
+	case eventTerminal:
+		return encodeDoneEvent(c.state, c.cacheHit, c.errMsg)
+	}
+	return ev.line
 }
 
 // finishLocked moves the campaign to a terminal state, stamps the finish
@@ -87,7 +128,7 @@ func (c *campaign) finishLocked(state State, errMsg string) {
 	c.errMsg = errMsg
 	//lint:allow walltime -- operational finish timestamp for the status API; never feeds a result byte
 	c.finished = time.Now()
-	c.appendEventLocked(encodeDoneEvent(state, c.cacheHit, errMsg))
+	c.appendEventLocked(event{kind: eventTerminal})
 	if c.onTerminal != nil {
 		c.onTerminal(state, errMsg)
 	}
@@ -242,6 +283,6 @@ func (c *campaign) appendTraceLocked(trace *telemetry.Recorder) {
 	}
 	trace.Do(func(ev *telemetry.StepEvent) {
 		//lint:allow locksafe -- Do runs this closure synchronously inside appendTraceLocked, so the caller's c.mu (the *Locked contract) is held; the per-closure analysis cannot see across the call boundary
-		c.appendEventLocked(telemetry.AppendEvent(nil, ev))
+		c.appendEventLocked(event{kind: eventTrace, line: telemetry.AppendEvent(nil, ev)})
 	})
 }

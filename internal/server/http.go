@@ -131,20 +131,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	next := 0
 	for {
 		c.mu.Lock()
-		lines := c.events[next:]
+		events := c.events[next:]
 		next = len(c.events)
 		terminal := c.state.Terminal()
 		ch := c.notify
 		c.mu.Unlock()
-		for _, line := range lines {
-			if _, err := w.Write(line); err != nil {
+		for _, ev := range events {
+			if _, err := w.Write(c.encodeEvent(ev)); err != nil {
 				return
 			}
 			if _, err := w.Write([]byte{'\n'}); err != nil {
 				return
 			}
 		}
-		if len(lines) > 0 && flusher != nil {
+		if len(events) > 0 && flusher != nil {
 			flusher.Flush()
 		}
 		if terminal || !follow {

@@ -105,7 +105,7 @@ func (s *Server) resumeCampaign(rec store.Record) []*shard {
 
 	if failMsg != "" {
 		c.mu.Lock()
-		c.appendEventLocked(encodeSubmittedEvent(c))
+		c.appendEventLocked(event{kind: eventSubmitted})
 		c.finishLocked(StateFailed, failMsg)
 		c.mu.Unlock()
 		s.registerLocked(c)
@@ -116,7 +116,7 @@ func (s *Server) resumeCampaign(rec store.Record) []*shard {
 		c.shards = append(c.shards, &shard{c: c, idx: i, seed: seed, state: StateQueued})
 	}
 	c.mu.Lock()
-	c.appendEventLocked(encodeSubmittedEvent(c))
+	c.appendEventLocked(event{kind: eventSubmitted})
 	var missing []*shard
 	if spec.Trace {
 		missing = c.shards
@@ -132,8 +132,8 @@ func (s *Server) resumeCampaign(rec store.Record) []*shard {
 			sh.state = StateDone
 			sh.report = rep
 			c.shardsDone++
-			c.appendEventLocked(encodeShardStartEvent(sh))
-			c.appendEventLocked(encodeShardDoneEvent(sh, true))
+			c.appendEventLocked(event{kind: eventShardStart, sh: sh})
+			c.appendEventLocked(event{kind: eventShardDone, sh: sh, cached: true})
 		}
 	}
 	if len(missing) == 0 {

@@ -310,7 +310,7 @@ func (s *Server) Submit(spec Spec) (*campaign, error) {
 			c.cacheHit = true
 			c.result = doc
 			c.mu.Lock()
-			c.appendEventLocked(encodeSubmittedEvent(c))
+			c.appendEventLocked(event{kind: eventSubmitted})
 			c.finishLocked(StateDone, "")
 			c.mu.Unlock()
 			s.registerLocked(c)
@@ -338,7 +338,7 @@ func (s *Server) Submit(spec Spec) (*campaign, error) {
 		c.shards = append(c.shards, &shard{c: c, idx: i, seed: seed, state: StateQueued})
 	}
 	c.mu.Lock()
-	c.appendEventLocked(encodeSubmittedEvent(c))
+	c.appendEventLocked(event{kind: eventSubmitted})
 	c.mu.Unlock()
 	s.registerLocked(c)
 	s.mu.Unlock()
@@ -426,7 +426,7 @@ func (s *Server) runShard(sh *shard) {
 	}
 	c.state = StateRunning
 	sh.state = StateRunning
-	c.appendEventLocked(encodeShardStartEvent(sh))
+	c.appendEventLocked(event{kind: eventShardStart, sh: sh})
 	spec := c.spec
 	c.mu.Unlock()
 
@@ -485,7 +485,7 @@ func (s *Server) finishShard(sh *shard, rep *ShardReport, err error, cached bool
 	sh.report = rep
 	c.shardsDone++
 	c.appendTraceLocked(trace)
-	c.appendEventLocked(encodeShardDoneEvent(sh, cached))
+	c.appendEventLocked(event{kind: eventShardDone, sh: sh, cached: cached})
 	if c.shardsDone < len(c.shards) {
 		return
 	}

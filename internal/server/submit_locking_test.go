@@ -37,7 +37,9 @@ func TestSubmitCacheHitEventOrder(t *testing.T) {
 	c2.mu.Lock()
 	state := c2.state
 	events := make([][]byte, len(c2.events))
-	copy(events, c2.events)
+	for i, ev := range c2.events {
+		events[i] = c2.encodeEvent(ev)
+	}
 	c2.mu.Unlock()
 
 	if state != StateDone {
