@@ -3,6 +3,8 @@ package problems
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/weno"
 )
 
 // DefaultGrid is the grid resolution ByName uses for PDE workloads when
@@ -40,6 +42,9 @@ var builders = map[string]func(n int) *Problem{
 // returns a fresh Problem, so callers may override tolerances or TEnd
 // without aliasing. It is the single name-to-workload mapping shared by
 // the CLIs and the campaign server.
+//
+// The bubble's wall boundaries mirror weno.Ghost cells into each side of
+// an axis, so a bubble grid narrower than that is an error.
 func ByName(name string, n int) (*Problem, error) {
 	b, ok := builders[name]
 	if !ok {
@@ -47,6 +52,9 @@ func ByName(name string, n int) (*Problem, error) {
 	}
 	if n <= 0 {
 		n = DefaultGrid
+	}
+	if name == "bubble" && n < weno.Ghost {
+		return nil, fmt.Errorf("problems: bubble grid n=%d is narrower than the WENO ghost width %d", n, weno.Ghost)
 	}
 	return b(n), nil
 }

@@ -156,6 +156,33 @@ func TestStandardCorpus(t *testing.T) {
 	}
 }
 
+// TestByNameRejectsNarrowBubble pins the bubble's smallest grid: an axis
+// narrower than the WENO ghost width is an error from ByName, not an index
+// panic in the first Eval, and the smallest accepted grid evaluates.
+func TestByNameRejectsNarrowBubble(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		if _, err := ByName("bubble", n); err == nil {
+			t.Errorf("bubble at n=%d: no error", n)
+		}
+	}
+	for _, n := range []int{0, -1} {
+		if _, err := ByName("bubble", n); err != nil {
+			t.Errorf("bubble at n=%d (default grid): %v", n, err)
+		}
+	}
+	p, err := ByName("bubble", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make(la.Vec, len(p.X0))
+	p.Sys.Eval(0, p.X0, dst)
+	for i, v := range dst {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("bubble at n=3: RHS[%d] = %v", i, v)
+		}
+	}
+}
+
 func TestBurgersRHSConservative(t *testing.T) {
 	// Periodic conservative flux differencing: sum of the RHS is zero.
 	for _, scheme := range []string{"weno5", "crweno5-periodic"} {

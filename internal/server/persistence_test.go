@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,5 +247,46 @@ func TestServerCancelledCampaignNotResumed(t *testing.T) {
 	}
 	if depth := s2.Stats().QueueDepth; depth != 0 {
 		t.Fatalf("queue depth %d on a restart with nothing to resume", depth)
+	}
+}
+
+// TestServerNarrowBubbleNotResumed pins the replay side of spec
+// validation: a journaled bubble submission on a grid narrower than the
+// WENO ghost width, which would panic in its first RHS evaluation, is
+// failed on restart instead of run.
+func TestServerNarrowBubbleNotResumed(t *testing.T) {
+	dir := t.TempDir()
+	spec := baseSpec(1)
+	spec.Problem, spec.N = "bubble", 2
+	spec.Canonicalize()
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AppendSubmit("c00000007", spec.Hash(), specJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Options{PoolWorkers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, ok := s.Get("c00000007")
+	if !ok {
+		t.Fatal("journaled campaign not registered on restart")
+	}
+	if st := c.status(); st.State != StateFailed || !strings.Contains(st.Error, "ghost width") {
+		t.Fatalf("journaled narrow bubble status %+v, want failed on its grid", st)
+	}
+	if got := s.Stats().ShardsRun; got != 0 {
+		t.Fatalf("restart ran %d shards, want 0", got)
 	}
 }

@@ -98,6 +98,7 @@ func TestSpecValidateErrors(t *testing.T) {
 		want   string
 	}{
 		{"problem", func(s *Spec) { s.Problem = "nonesuch" }, "unknown workload"},
+		{"bubble grid", func(s *Spec) { s.Problem, s.N = "bubble", 2 }, "ghost width"},
 		{"method", func(s *Spec) { s.Method = "rk9" }, "unknown tableau"},
 		{"injector", func(s *Spec) { s.Injector = "cosmic" }, "unknown injector"},
 		{"detector", func(s *Spec) { s.Detector = "psychic" }, "unknown detector"},
