@@ -93,10 +93,15 @@ func (Weno5) ReconstructLeft(fhat, f []float64) {
 	// over from the previous position: one curvature term per interface
 	// instead of three, each computed by the same operations as in
 	// Smoothness, so the results are Smoothness's bit for bit.
+	//
+	// On amd64, weno5Pairs runs this loop two interfaces at a time and
+	// leaves at most the last one; this loop finishes from where it
+	// stopped, restarting the window there.
+	k := weno5Pairs(fhat, f)
 	_ = f[n+4] // hoist the loop's bounds check
-	m2, m1, c, p1 := f[0], f[1], f[2], f[3]
+	m2, m1, c, p1 := f[k], f[k+1], f[k+2], f[k+3]
 	k0, k1 := curvature(m2, m1, c), curvature(m1, c, p1)
-	for k := 0; k <= n; k++ {
+	for ; k <= n; k++ {
 		p2 := f[k+4]
 		k2 := curvature(c, p1, p2)
 		b0 := k0 + slopeLeft(m2, m1, c)
