@@ -41,7 +41,6 @@ func main() {
 		bubbleN = flag.Int("bubble-n", 32, "bubble grid resolution when -problem bubble or for fig2")
 		outDir  = flag.String("out", "", "directory for figure data files (default: no files)")
 		workers = flag.Int("workers", 0, "campaign workers per cell: 0 = all cores, 1 = serial reference engine (identical numbers either way)")
-		batchW  = flag.Int("batch", 0, "lockstep replicates per worker: >= 2 selects the structure-of-arrays engine (identical numbers either way)")
 
 		traceOut  = flag.String("trace", "", "write the step traces of every table campaign cell to this file (.csv for CSV, else JSONL)")
 		traceCap  = flag.Int("trace-cap", 0, "per-cell trace ring capacity (0 = default)")
@@ -50,7 +49,7 @@ func main() {
 	flag.Parse()
 
 	opts := harness.Options{
-		Seed: *seed, MinInjections: *minInj, Workers: *workers, Batch: *batchW,
+		Seed: *seed, MinInjections: *minInj, Workers: *workers,
 		Trace: *traceOut != "", TraceCap: *traceCap, Metrics: *metricOut != "",
 	}
 	switch *probSel {

@@ -46,7 +46,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the result as JSON instead of text")
 		replicas  = flag.Int("replicas", 0, "run k seed-varied replicas and report mean +- std of the rates")
 		workers   = flag.Int("workers", 0, "campaign workers: 0 = all cores, 1 = serial reference engine (identical numbers either way)")
-		batchW    = flag.Int("batch", 0, "lockstep replicates per worker: >= 2 selects the structure-of-arrays engine (identical numbers either way)")
 		traceOut  = flag.String("trace", "", "write the per-trial step trace to this file (.csv for CSV, else JSONL)")
 		traceCap  = flag.Int("trace-cap", 0, "keep only the most recent N trace events (0 = default ring capacity)")
 		metricOut = flag.String("metrics", "", "write the campaign metrics registry to this file (.csv for CSV, else JSON)")
@@ -84,7 +83,6 @@ func main() {
 		MaxNorm:       *maxNorm,
 		StateProb:     *stateProb,
 		Workers:       *workers,
-		Batch:         *batchW,
 		Trace:         *traceOut != "",
 		TraceCap:      *traceCap,
 		Metrics:       *metricOut != "",

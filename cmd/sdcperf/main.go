@@ -8,18 +8,10 @@
 //
 //	sdcperf [-benchtime 100ms] [-out BENCH_0.json]
 //	    measure the matrix and (optionally) write the JSON report
-//	sdcperf -batched [-benchtime 100ms] [-out BENCH_1.json]
-//	    measure the lockstep batched matrix (same 21 cells × B ∈ {1, 4, 8})
 //	sdcperf -baseline BENCH_0.json [-allocs-only] [-threshold 0.10]
 //	    measure, then gate the fresh numbers against the baseline file
 //	sdcperf -compare OLD.json NEW.json [-threshold 0.10]
 //	    gate two existing reports without measuring
-//
-// The batched matrix drives internal/batch.Integrator instead of the serial
-// ode.Integrator: each cell runs B identical replicate lanes in lockstep and
-// reports ns, allocs, and bytes per accepted step per replicate, so the
-// serial cell and its B=1 batched counterpart are directly comparable and
-// the B=8 column shows the structure-of-arrays amortization.
 //
 // Two gates apply. The allocation gate (allocs/step and B/step must not
 // exceed the baseline) is machine-independent and always on: the committed
@@ -34,12 +26,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/control"
 	_ "repro/internal/core" // registers the lbdc/ibdc detector factories
 	"repro/internal/la"
@@ -49,28 +39,14 @@ import (
 // Entry is one cell of the benchmark matrix.
 type Entry struct {
 	Method        string  `json:"method"`
-	Detector      string  `json:"detector"`    // "classic", "lip", or "bdf"
-	Q             int     `json:"q"`           // pinned order; 0 for classic
-	B             int     `json:"b,omitempty"` // lockstep width; 0 for the serial engine
+	Detector      string  `json:"detector"` // "classic", "lip", or "bdf"
+	Q             int     `json:"q"`        // pinned order; 0 for classic
 	NsPerStep     float64 `json:"ns_per_step"`
 	AllocsPerStep int64   `json:"allocs_per_step"`
 	BytesPerStep  int64   `json:"bytes_per_step"`
-
-	// Batched cells only: the serial engine's ns/step for the same
-	// (method, detector, q) cell measured in the same run, and the derived
-	// per-replicate speedup serial/batched. Same-machine quantities — like
-	// NsPerStep they are informational between machines and gated only on
-	// the same runner.
-	SerialNsPerStep float64 `json:"serial_ns_per_step,omitempty"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
 }
 
-// key omits the B segment for serial cells so BENCH_0.json keys are stable
-// across the introduction of the batched matrix.
 func (e *Entry) key() string {
-	if e.B > 0 {
-		return fmt.Sprintf("%s/%s/q=%d/B=%d", e.Method, e.Detector, e.Q, e.B)
-	}
 	return fmt.Sprintf("%s/%s/q=%d", e.Method, e.Detector, e.Q)
 }
 
@@ -139,60 +115,6 @@ func measure(method string, tab *ode.Tableau, detector string, q int) Entry {
 	}
 }
 
-// measureBatched times steady-state lockstep rounds of one cell at width B.
-// One benchmark op is one Round (each live lane attempts one trial), so the
-// per-replicate step cost is the round time divided by the accepted steps it
-// produced; the steps/op rate is carried out of the closure as a benchmark
-// metric. Allocations are normalized the same way, rounded up so a single
-// allocation anywhere in the timed run still trips the zero gate.
-func measureBatched(method string, tab *ode.Tableau, detector string, q, width int) Entry {
-	r := testing.Benchmark(func(b *testing.B) {
-		bi := batch.New(batch.Config{
-			Tab:      tab,
-			Ctrl:     ode.DefaultController(1e-6, 1e-6),
-			MaxSteps: 1 << 40,
-			MinStep:  1e-12,
-		}, width, oscillator.Dim())
-		lanes := make([]*batch.Lane, width)
-		for i := range lanes {
-			lanes[i] = bi.AddLane(batch.LaneConfig{
-				Sys:       oscillator,
-				Validator: newDetector(detector, q),
-				T0:        0, TEnd: 1e15, X0: la.Vec{1, 0}, H0: 0.001,
-			})
-		}
-		steps := func() int {
-			n := 0
-			for _, ln := range lanes {
-				n += ln.Stats().Steps
-			}
-			return n
-		}
-		for i := 0; i < 200; i++ { // warm every lazily grown buffer
-			bi.Round()
-		}
-		start := steps()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bi.Round()
-		}
-		b.StopTimer()
-		if bi.Live() != width {
-			b.Fatalf("%d of %d lanes retired mid-benchmark", width-bi.Live(), width)
-		}
-		b.ReportMetric(float64(steps()-start)/float64(b.N), "steps/op")
-	})
-	stepsPerOp := r.Extra["steps/op"]
-	totalSteps := stepsPerOp * float64(r.N)
-	return Entry{
-		Method: method, Detector: detector, Q: q, B: width,
-		NsPerStep:     float64(r.T.Nanoseconds()) / totalSteps,
-		AllocsPerStep: int64(math.Ceil(float64(r.AllocsPerOp()) / stepsPerOp)),
-		BytesPerStep:  int64(math.Ceil(float64(r.AllocedBytesPerOp()) / stepsPerOp)),
-	}
-}
-
 var matrixMethods = []struct {
 	name string
 	tab  *ode.Tableau
@@ -220,27 +142,6 @@ var matrixCells = []struct {
 	{"classic", 0},
 	{"lip", 1}, {"lip", 2}, {"lip", 3},
 	{"bdf", 1}, {"bdf", 2}, {"bdf", 3},
-}
-
-// runBatchedMatrix measures the same 21 cells through the lockstep engine at
-// B ∈ {1, 4, 8}. The B=1 column prices the lockstep machinery against the
-// serial engine; B=8 shows the amortization the batched campaign mode buys.
-// Each cell's serial counterpart is measured in the same run, so every
-// batched entry carries its serial/batched per-replicate speedup.
-func runBatchedMatrix() Report {
-	rep := Report{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
-	for _, m := range matrixMethods {
-		for _, c := range matrixCells {
-			serial := measure(m.name, m.tab, c.det, c.q)
-			for _, width := range []int{1, 4, 8} {
-				e := measureBatched(m.name, m.tab, c.det, c.q, width)
-				e.SerialNsPerStep = serial.NsPerStep
-				e.SpeedupVsSerial = serial.NsPerStep / e.NsPerStep
-				rep.Entries = append(rep.Entries, e)
-			}
-		}
-	}
-	return rep
 }
 
 func readReport(path string) (Report, error) {
@@ -302,26 +203,9 @@ func gate(base, cur Report, threshold float64) []string {
 }
 
 func printTable(rep Report) {
-	speedups := false
+	fmt.Printf("%-34s %12s %12s %10s\n", "cell", "ns/step", "allocs/step", "B/step")
 	for _, e := range rep.Entries {
-		if e.SpeedupVsSerial > 0 {
-			speedups = true
-			break
-		}
-	}
-	if !speedups {
-		fmt.Printf("%-34s %12s %12s %10s\n", "cell", "ns/step", "allocs/step", "B/step")
-		for _, e := range rep.Entries {
-			fmt.Printf("%-34s %12.1f %12d %10d\n", e.key(), e.NsPerStep, e.AllocsPerStep, e.BytesPerStep)
-		}
-		return
-	}
-	fmt.Printf("%-34s %12s %12s %10s %11s %10s\n",
-		"cell", "ns/step", "allocs/step", "B/step", "serial", "speedup")
-	for _, e := range rep.Entries {
-		fmt.Printf("%-34s %12.1f %12d %10d %11.1f %9.2fx\n",
-			e.key(), e.NsPerStep, e.AllocsPerStep, e.BytesPerStep,
-			e.SerialNsPerStep, e.SpeedupVsSerial)
+		fmt.Printf("%-34s %12.1f %12d %10d\n", e.key(), e.NsPerStep, e.AllocsPerStep, e.BytesPerStep)
 	}
 }
 
@@ -342,7 +226,6 @@ func main() {
 		threshold  = flag.Float64("threshold", 0.10, "maximum tolerated ns/step regression (fraction)")
 		allocsOnly = flag.Bool("allocs-only", false, "apply only the machine-independent allocation gate")
 		benchtime  = flag.String("benchtime", "100ms", "measurement time per matrix cell (testing -benchtime syntax)")
-		batched    = flag.Bool("batched", false, "measure the lockstep batched matrix (B in {1,4,8}) instead of the serial one")
 	)
 	flag.Parse()
 	nsThreshold := *threshold
@@ -376,12 +259,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdcperf: bad -benchtime:", err)
 		os.Exit(2)
 	}
-	var rep Report
-	if *batched {
-		rep = runBatchedMatrix()
-	} else {
-		rep = runMatrix()
-	}
+	rep := runMatrix()
 	printTable(rep)
 	if *out != "" {
 		if err := writeReport(*out, rep); err != nil {

@@ -1,23 +1,22 @@
-package batch_test
+package batch
 
 import (
 	"math"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/ode"
 	"repro/internal/telemetry"
 )
 
-// FuzzBatchCompaction fuzzes the mask/compaction bookkeeping of the
-// lockstep engine with adversarial accept/reject/rescue patterns: each
-// lane's validator verdicts are scripted directly from the fuzz input, lane
-// spans differ so lanes retire at different rounds, and MaxTrials is small
-// so scripted rejection storms drive lanes into failure-retirement mid-run.
-// Whatever the pattern, the engine must never mix lanes, drop a replicate,
-// or double-step one — checked both directly (per-lane step/attempt
-// sequencing invariants on the event stream) and against the serial oracle
-// (bitwise trajectory, counter, and event equality per lane).
+// FuzzBatchCompaction fuzzes the retirement bookkeeping of the driver with
+// adversarial accept/reject/rescue patterns: each lane's validator verdicts
+// are scripted directly from the fuzz input, lane spans differ so lanes
+// retire at different rounds, and MaxTrials is small so scripted rejection
+// storms drive lanes into failure-retirement mid-run. Whatever the pattern,
+// the round must never mix lanes, drop a replicate, or double-step one —
+// checked both directly (per-lane step/attempt sequencing invariants on the
+// event stream) and against the serial oracle (bitwise trajectory, counter,
+// error and event equality per lane).
 
 // scriptedValidator replays verdicts from a byte script: 0 accepts,
 // 1 rejects, 2 rescues, 3 accepts; an exhausted script always accepts (so
@@ -95,6 +94,9 @@ func FuzzBatchCompaction(f *testing.F) {
 	f.Add([]byte{0, 5, 2, 2, 2, 2, 0, 0, 1, 1})
 	f.Add([]byte{4, 11, 1, 6, 3, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2})
 	f.Add([]byte{1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	// Lane 0 is dealt only rejections and fails on its first
+	// step with ErrTooManyTrials; lane 1 is dealt accepts and runs on.
+	f.Add([]byte{1, 3, 11, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lanes := decodeLanes(data)
 		if lanes == nil {
@@ -103,25 +105,27 @@ func FuzzBatchCompaction(f *testing.F) {
 		p := testProblem()
 		tab := ode.HeunEuler()
 		// MaxTrials is tight so scripted rejection storms retire lanes via
-		// ErrTooManyTrials while their neighbours keep stepping.
-		const maxTrials = 12
+		// ErrTooManyTrials while their neighbours keep stepping. The
+		// driver's Config does not carry it, so it goes onto each lane's
+		// integrator.
+		const maxSteps, maxTrials = 1 << 12, 12
 
-		bi := batch.New(batch.Config{
+		bi := New(Config{
 			Tab: tab, Ctrl: ode.DefaultController(p.TolA, p.TolR),
-			MaxSteps: 1 << 12, MaxTrials: maxTrials, MaxStep: p.MaxStep,
+			MaxSteps: maxSteps, MaxStep: p.MaxStep,
 		}, len(lanes), len(p.X0))
-		refs := make([]*batch.Lane, len(lanes))
+		refs := make([]*Lane, len(lanes))
 		recs := make([]*telemetry.Recorder, len(lanes))
 		for i, fl := range lanes {
 			recs[i] = telemetry.NewRecorder(1 << 14)
-			refs[i] = bi.AddLane(batch.LaneConfig{
+			refs[i] = bi.AddLane(LaneConfig{
 				Sys:       p.SysInstance(),
 				Validator: &scriptedValidator{script: fl.script},
-				Tracer:    recs[i],
 				T0:        p.T0, TEnd: fl.tEnd, X0: p.X0, H0: p.H0,
 			})
+			refs[i].in.Tracer, refs[i].in.MaxTrials = recs[i], maxTrials
 		}
-		bi.Run()
+		drain(bi)
 
 		for i, fl := range lanes {
 			events := recs[i].Events()
@@ -133,14 +137,15 @@ func FuzzBatchCompaction(f *testing.F) {
 				Tab: tab, Ctrl: ode.DefaultController(p.TolA, p.TolR),
 				Validator: &scriptedValidator{script: fl.script},
 				Tracer:    rec,
-				MaxSteps:  1 << 12, MaxTrials: maxTrials, MaxStep: p.MaxStep,
+				MaxSteps:  maxSteps, MaxTrials: maxTrials, MaxStep: p.MaxStep,
 			}
 			in.Init(p.SysInstance(), p.T0, fl.tEnd, p.X0, p.H0)
 			_, runErr := in.Run()
 			want := laneResult{err: runErr, stats: in.Stats,
 				tBits: math.Float64bits(in.T()), xBits: bitsOf(in.X()), events: rec.Events()}
-			got := laneResult{err: refs[i].Err(), stats: refs[i].Stats(),
-				tBits: math.Float64bits(refs[i].T()), xBits: bitsOf(refs[i].X()), events: events}
+			ln := refs[i]
+			got := laneResult{err: ln.err, stats: ln.Stats(),
+				tBits: math.Float64bits(ln.in.T()), xBits: bitsOf(ln.in.X()), events: events}
 			compareLane(t, i, want, got)
 		}
 	})

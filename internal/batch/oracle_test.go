@@ -1,4 +1,4 @@
-package batch_test
+package batch
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/control"
 	// Pull in the lbdc/ibdc/replication/tmr/richardson detector factories.
 	_ "repro/internal/core"
@@ -18,16 +17,20 @@ import (
 	"repro/internal/xrand"
 )
 
-// The oracle-differential suite: every observable a batched lane produces —
-// trajectory, telemetry event stream, counters, terminal error — must be
-// byte-identical to a serial ode.Integrator run of the same replicate. The
-// serial engine is the oracle; any single-bit disagreement fails the batch.
+// The oracle-differential suite: every observable a lane of the driver
+// produces — trajectory, telemetry event stream, counters, terminal error —
+// must be byte-identical to a serial ode.Integrator run of the same
+// replicate. The serial engine is the oracle; any single-bit disagreement
+// fails the lane.
 
 // laneResult is everything one replicate's integration produces, with floats
 // captured as raw bits so the comparison is bitwise, not tolerance-based.
+// evals counts every evaluation of the system, the redundancy detectors'
+// included.
 type laneResult struct {
 	err    error
 	stats  ode.Stats
+	evals  int64
 	tBits  uint64
 	xBits  []uint64
 	events []telemetry.StepEvent
@@ -39,6 +42,13 @@ func bitsOf(v la.Vec) []uint64 {
 		out[i] = math.Float64bits(f)
 	}
 	return out
+}
+
+// drain rounds until every lane has retired.
+func drain(bi *Integrator) {
+	for bi.Live() > 0 {
+		bi.Round()
+	}
 }
 
 // laneRNG holds one replicate's injection substreams, drawn from a shared
@@ -83,85 +93,107 @@ func (wc *wireCase) tEndOr() float64 {
 	return wc.p.TEnd
 }
 
+// wiring is the per-replicate machinery a serial integrator and a lane
+// share. The driver's LaneConfig carries the system and validator; the
+// injection hooks and the recorder go onto the lane's own integrator.
+type wiring struct {
+	sys       *ode.CountingSystem
+	validator ode.Validator
+	hook      ode.StageHook
+	stateHook func(float64, la.Vec) int
+	rec       *telemetry.Recorder
+}
+
 // buildWiring constructs the per-replicate machinery (injection plans,
-// detector instance) identically for the serial and batched runners.
-func buildWiring(tb testing.TB, wc wireCase) (sys ode.System, det control.Detector,
-	hook ode.StageHook, stateHook func(float64, la.Vec) int, rec *telemetry.Recorder) {
+// detector instance) identically for the serial and the driven runs.
+func buildWiring(tb testing.TB, wc wireCase) wiring {
 	tb.Helper()
-	sys = wc.p.SysInstance()
+	w := wiring{sys: &ode.CountingSystem{Sys: wc.p.SysInstance()}, rec: telemetry.NewRecorder(1 << 16)}
 	plan := inject.NewPlan(wc.rng.plan, inject.Scaled{})
 	plan.Prob = wc.prob
-	det, err := control.New(wc.det, control.Spec{Tab: wc.tab, Sys: sys})
+	w.hook = plan.Hook
+	det, err := control.New(wc.det, control.Spec{Tab: wc.tab, Sys: w.sys})
 	if err != nil {
 		tb.Fatalf("detector %q: %v", wc.det, err)
 	}
-	hook = plan.Hook
+	w.validator = det.Validator
 	if wc.stateProb > 0 {
 		sp := inject.NewPlan(wc.rng.state, inject.Scaled{})
 		sp.Prob = wc.stateProb
-		stateHook = sp.StateHook
+		w.stateHook = sp.StateHook
 	}
-	rec = telemetry.NewRecorder(1 << 16)
-	return sys, det, hook, stateHook, rec
+	return w
+}
+
+// addLane starts wc as a lane of bi and wires its hooks and recorder.
+func (w wiring) addLane(bi *Integrator, wc wireCase) *Lane {
+	ln := bi.AddLane(LaneConfig{
+		Sys: w.sys, Validator: w.validator,
+		T0: wc.p.T0, TEnd: wc.tEndOr(), X0: wc.p.X0, H0: wc.p.H0,
+	})
+	ln.in.Hook, ln.in.StateHook, ln.in.Tracer = w.hook, w.stateHook, w.rec
+	return ln
+}
+
+// result reads the observables of ln, a retired lane wired by w.
+func (w wiring) result(ln *Lane) laneResult {
+	return laneResult{err: ln.err, stats: ln.Stats(), evals: w.sys.Evals,
+		tBits: math.Float64bits(ln.in.T()), xBits: bitsOf(ln.in.X()), events: w.rec.Events()}
+}
+
+// newBatch returns a driver configured like the serial oracle.
+func newBatch(p *problems.Problem, tab *ode.Tableau, width int) *Integrator {
+	return New(Config{
+		Tab:      tab,
+		Ctrl:     ode.DefaultController(p.TolA, p.TolR),
+		MaxSteps: 1 << 18,
+		MaxStep:  p.MaxStep,
+	}, width, len(p.X0))
 }
 
 // runSerialLane is the oracle: one replicate through ode.Integrator.
 func runSerialLane(tb testing.TB, wc wireCase) laneResult {
 	tb.Helper()
-	sys, det, hook, stateHook, rec := buildWiring(tb, wc)
+	w := buildWiring(tb, wc)
 	in := &ode.Integrator{
 		Tab:       wc.tab,
 		Ctrl:      ode.DefaultController(wc.p.TolA, wc.p.TolR),
-		Validator: det.Validator,
-		Hook:      hook,
-		StateHook: stateHook,
-		Tracer:    rec,
+		Validator: w.validator,
+		Hook:      w.hook,
+		StateHook: w.stateHook,
+		Tracer:    w.rec,
 		MaxSteps:  1 << 18,
 		MaxStep:   wc.p.MaxStep,
 	}
-	in.Init(sys, wc.p.T0, wc.tEndOr(), wc.p.X0, wc.p.H0)
+	in.Init(w.sys, wc.p.T0, wc.tEndOr(), wc.p.X0, wc.p.H0)
 	_, runErr := in.Run()
 	return laneResult{
-		err: runErr, stats: in.Stats,
+		err: runErr, stats: in.Stats, evals: w.sys.Evals,
 		tBits: math.Float64bits(in.T()), xBits: bitsOf(in.X()),
-		events: rec.Events(),
+		events: w.rec.Events(),
 	}
 }
 
-// runBatchLanes runs the given replicates as lanes of one lockstep batch of
-// the given width (len(cases) may be smaller: a partially filled batch).
+// runBatchLanes runs the given replicates as lanes of one driver of the
+// given width (len(cases) may be smaller: a partially filled group).
 func runBatchLanes(tb testing.TB, cases []wireCase, width int) []laneResult {
 	tb.Helper()
-	p := cases[0].p
-	bi := batch.New(batch.Config{
-		Tab:      cases[0].tab,
-		Ctrl:     ode.DefaultController(p.TolA, p.TolR),
-		MaxSteps: 1 << 18,
-		MaxStep:  p.MaxStep,
-	}, width, len(p.X0))
-	lanes := make([]*batch.Lane, len(cases))
-	recs := make([]*telemetry.Recorder, len(cases))
+	return runLanes(tb, newBatch(cases[0].p, cases[0].tab, width), cases)
+}
+
+// runLanes adds the replicates to bi as lanes and rounds until all retire.
+func runLanes(tb testing.TB, bi *Integrator, cases []wireCase) []laneResult {
+	tb.Helper()
+	lanes := make([]*Lane, len(cases))
+	wires := make([]wiring, len(cases))
 	for i, wc := range cases {
-		sys, det, hook, stateHook, rec := buildWiring(tb, wc)
-		recs[i] = rec
-		lanes[i] = bi.AddLane(batch.LaneConfig{
-			Sys:       sys,
-			Validator: det.Validator,
-			Hook:      hook,
-			StateHook: stateHook,
-			Tracer:    rec,
-			T0:        wc.p.T0, TEnd: wc.tEndOr(),
-			X0: wc.p.X0, H0: wc.p.H0,
-		})
+		wires[i] = buildWiring(tb, wc)
+		lanes[i] = wires[i].addLane(bi, wc)
 	}
-	bi.Run()
+	drain(bi)
 	out := make([]laneResult, len(cases))
 	for i, ln := range lanes {
-		out[i] = laneResult{
-			err: ln.Err(), stats: ln.Stats(),
-			tBits: math.Float64bits(ln.T()), xBits: bitsOf(ln.X()),
-			events: recs[i].Events(),
-		}
+		out[i] = wires[i].result(ln)
 	}
 	return out
 }
@@ -174,14 +206,15 @@ func errEq(a, b error) bool {
 }
 
 // compareLane fails the test on the first observable disagreement between
-// the serial oracle and the batched lane.
+// the serial oracle and the lane.
 func compareLane(t *testing.T, lane int, want, got laneResult) {
 	t.Helper()
 	if !errEq(want.err, got.err) {
 		t.Fatalf("lane %d: err = %v, serial oracle %v", lane, got.err, want.err)
 	}
-	if want.stats != got.stats {
-		t.Fatalf("lane %d: stats = %+v, serial oracle %+v", lane, got.stats, want.stats)
+	if want.stats != got.stats || want.evals != got.evals {
+		t.Fatalf("lane %d: stats = %+v after %d evaluations, serial oracle %+v after %d",
+			lane, got.stats, got.evals, want.stats, want.evals)
 	}
 	if want.tBits != got.tBits {
 		t.Fatalf("lane %d: final t bits = %x, serial oracle %x", lane, got.tBits, want.tBits)
@@ -199,8 +232,8 @@ func compareLane(t *testing.T, lane int, want, got laneResult) {
 	}
 }
 
-// runDifferential builds len==width replicates, runs them serially and as a
-// batch, and compares every lane.
+// runDifferential builds len==width replicates, runs them serially and as
+// lanes, and compares every lane.
 func runDifferential(t *testing.T, tab *ode.Tableau, det string, width int, seed uint64, prob, stateProb float64) {
 	t.Helper()
 	p := testProblem()
@@ -216,13 +249,13 @@ func runDifferential(t *testing.T, tab *ode.Tableau, det string, width int, seed
 	for i := range cases {
 		wc := cases[i]
 		wc.rng = serialRNGs[i]
-		want := runSerialLane(t, wc)
-		compareLane(t, i, want, got[i])
+		compareLane(t, i, runSerialLane(t, wc), got[i])
 	}
 }
 
 // TestBatchMatchesSerial is the main oracle-differential matrix: every
-// registered detector × B ∈ {1, 2, 3, 4, 8, 16}, bitwise.
+// registered detector × B ∈ {1, 2, 3, 4, 8, 16}, under stage injection,
+// bitwise.
 func TestBatchMatchesSerial(t *testing.T) {
 	detectors := []string{"classic", "lbdc", "ibdc", "replication", "tmr", "richardson"}
 	widths := []int{1, 2, 3, 4, 8, 16}
@@ -236,7 +269,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 }
 
 // TestBatchMatchesSerialTableaux exercises the other pairs — including the
-// FSAL pairs, whose reused first stage takes the k[0] preload path.
+// FSAL pairs, whose reused first stage carries across a lane's steps.
 func TestBatchMatchesSerialTableaux(t *testing.T) {
 	tabs := map[string]*ode.Tableau{
 		"bs23":  ode.BogackiShampine(),
@@ -254,13 +287,13 @@ func TestBatchMatchesSerialTableaux(t *testing.T) {
 }
 
 // TestBatchMatchesSerialStateHook covers the §V-D transient state
-// corruption path (per-lane state RNG substreams, xTrialBuf swap).
+// corruption path (per-lane state RNG substreams).
 func TestBatchMatchesSerialStateHook(t *testing.T) {
 	runDifferential(t, ode.HeunEuler(), "lbdc", 8, 0xfeed, 0.05, 0.1)
 }
 
-// TestBatchPartialFill runs fewer lanes than the batch width: the unused
-// slots must not perturb the live lanes.
+// TestBatchPartialFill runs fewer lanes than the width: the unused
+// capacity must not perturb the live lanes.
 func TestBatchPartialFill(t *testing.T) {
 	p := testProblem()
 	tab := ode.HeunEuler()
@@ -280,8 +313,8 @@ func TestBatchPartialFill(t *testing.T) {
 }
 
 // TestBatchDivergentSpans gives every lane a different TEnd, so lanes retire
-// from the batch at different rounds while the rest keep stepping; each lane
-// must still match its own serial oracle exactly.
+// at different rounds while the rest keep stepping; each lane must still
+// match its own serial oracle exactly.
 func TestBatchDivergentSpans(t *testing.T) {
 	p := testProblem()
 	tab := ode.HeunEuler()
@@ -303,8 +336,9 @@ func TestBatchDivergentSpans(t *testing.T) {
 	}
 }
 
-// TestBatchReuse reruns a batch after Reset on the same Integrator: recycled
-// lane pools and SoA buffers must change nothing.
+// TestBatchReuse refills a drained driver with a second group: the lanes
+// the first group retired must leave nothing behind that changes the
+// second.
 func TestBatchReuse(t *testing.T) {
 	p := testProblem()
 	tab := ode.HeunEuler()
@@ -317,32 +351,9 @@ func TestBatchReuse(t *testing.T) {
 		}
 		return cases
 	}
-	bi := batch.New(batch.Config{
-		Tab: tab, Ctrl: ode.DefaultController(p.TolA, p.TolR),
-		MaxSteps: 1 << 18, MaxStep: p.MaxStep,
-	}, width, len(p.X0))
-	run := func(cases []wireCase) []laneResult {
-		bi.Reset()
-		lanes := make([]*batch.Lane, len(cases))
-		recs := make([]*telemetry.Recorder, len(cases))
-		for i, wc := range cases {
-			sys, det, hook, stateHook, rec := buildWiring(t, wc)
-			recs[i] = rec
-			lanes[i] = bi.AddLane(batch.LaneConfig{
-				Sys: sys, Validator: det.Validator, Hook: hook, StateHook: stateHook,
-				Tracer: rec, T0: wc.p.T0, TEnd: wc.tEndOr(), X0: wc.p.X0, H0: wc.p.H0,
-			})
-		}
-		bi.Run()
-		out := make([]laneResult, len(cases))
-		for i, ln := range lanes {
-			out[i] = laneResult{err: ln.Err(), stats: ln.Stats(),
-				tBits: math.Float64bits(ln.T()), xBits: bitsOf(ln.X()), events: recs[i].Events()}
-		}
-		return out
-	}
-	first := run(mk())
-	second := run(mk())
+	bi := newBatch(p, tab, width)
+	first := runLanes(t, bi, mk())
+	second := runLanes(t, bi, mk())
 	for i := range first {
 		compareLane(t, i, first[i], second[i])
 	}

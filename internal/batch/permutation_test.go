@@ -1,4 +1,4 @@
-package batch_test
+package batch
 
 import (
 	"fmt"
@@ -7,28 +7,26 @@ import (
 	"repro/internal/ode"
 )
 
-// Lane-permutation invariance: the slot a replicate occupies is an artifact
-// of AddLane order (and of compaction churn afterwards), so shuffling the
-// order replicates enter the batch must change nothing a replicate observes —
-// not its trajectory, not its verdict stream, not a single bit. This is the
-// property that makes the lane-planar decide path (batched row norms, kernel
-// grouping across lanes, the shared SErr_2 row pass) safe: any cross-lane
-// leakage or slot-order dependence in the batched kernels shows up here as a
-// bitwise diff between runs that differ only in lane order.
+// Lane-permutation invariance: the place a replicate takes in the round is
+// an artifact of AddLane order (and of retirements afterwards), so
+// shuffling the order replicates enter the driver must change nothing a
+// replicate observes — not its trajectory, not its verdict stream, not a
+// single bit. Any state shared between lanes, or any dependence on the
+// order a round steps them in, shows up here as a bitwise diff between runs
+// that differ only in lane order.
 func TestBatchLanePermutationInvariance(t *testing.T) {
 	p := testProblem()
 	tab := ode.HeunEuler()
 	const width = 8
-	// A deliberately heterogeneous batch: different detectors (batched-kernel,
-	// Aux-planning, scalar-fallback, and none), different spans, per-replicate
-	// injection substreams — so kernel groups, pend sets, and retirements all
-	// differ by slot.
+	// A deliberately heterogeneous group: different detectors, different
+	// spans, per-replicate injection substreams — so verdicts and
+	// retirements all differ by lane.
 	dets := [width]string{"lbdc", "ibdc", "richardson", "classic", "lbdc", "ibdc", "tmr", "replication"}
 
 	// run integrates the replicates with AddLane order perm and returns the
-	// results indexed by replicate (not slot). RNG substreams are drawn per
-	// replicate index, so a replicate's fault pattern is identical under any
-	// permutation.
+	// results indexed by replicate (not by order). RNG substreams are drawn
+	// per replicate index, so a replicate's fault pattern is identical
+	// under any permutation.
 	run := func(perm [width]int) [width]laneResult {
 		rngs := drawRNGs(0x9e3779b9, width, 0.1)
 		cases := make([]wireCase, width)

@@ -42,10 +42,6 @@ type Engine struct {
 	ctx          CheckContext
 	fPropBuf     la.Vec
 	rejectedLast bool
-	// staged marks e.ctx as primed by the lane-planar path (stage), whose
-	// fast re-stage rewrites only the per-trial scalars. Decide and Reset
-	// clear it, forcing the next stage to rebuild the context in full.
-	staged bool
 }
 
 // Reset prepares the engine for a new integration of dimension m, reusing
@@ -56,7 +52,6 @@ func (e *Engine) Reset(m int) {
 	}
 	e.ctx = CheckContext{}
 	e.rejectedLast = false
-	e.staged = false
 }
 
 // BeginStep clears the recomputation latch. Call it when a new step index
@@ -108,61 +103,15 @@ func (e *Engine) Decide(ctrl *Controller, step int, t, h float64,
 	c.sys, c.hook, c.fsalFProp, c.fProp = sys, hook, fsalFProp, e.fPropBuf
 	c.fPropDone, c.fPropInjs, c.fPropEvals = false, 0, 0
 	c.checkReported = false
-	e.staged = false // any staged lane context is gone
 	chk.Verdict = e.Validator.Validate(c)
-	e.harvest(chk)
-	return chk
-}
-
-// harvest copies the validator's observable outcome out of the engine-owned
-// context into chk and advances the recomputation latch — the shared tail of
-// the scalar Decide and every lane-planar decision path, extracted so the
-// two cannot drift.
-func (e *Engine) harvest(chk *Check) {
-	chk.EstimateInjections = e.ctx.fPropInjs
-	chk.FPropEvals = e.ctx.fPropEvals
-	if sErr2, q, cWin, ok := e.ctx.CheckReport(); ok {
+	chk.EstimateInjections = c.fPropInjs
+	chk.FPropEvals = c.fPropEvals
+	if sErr2, q, cWin, ok := c.CheckReport(); ok {
 		chk.SErr2, chk.DetOrder, chk.DetWindow = sErr2, q, cWin
 	}
-	if e.ctx.fPropDone {
-		chk.FProp = e.ctx.fProp
+	if c.fPropDone {
+		chk.FProp = c.fProp
 	}
 	e.rejectedLast = chk.Verdict == VerdictReject
-}
-
-// stage primes the engine's context for one lane-planar decision with the
-// same field-for-field content Decide would build. The first call after
-// Reset (or after a scalar Decide) writes the context in full; later calls
-// rewrite only the per-trial scalars and transients, relying on the
-// lane-planar caller's contract that a lane's backing buffers (XStored,
-// XProp, ErrVec, Weights, Hist, Sys, Hook) keep their identity between
-// Engine.Reset calls.
-func (e *Engine) stage(ctrl *Controller, tab *Tableau, ld *LaneDecide, sErr1 float64) {
-	if !e.staged {
-		e.ctx = CheckContext{
-			StepIndex: ld.Step,
-			T:         ld.T, H: ld.H,
-			XStart: ld.XStart, XStored: ld.XStored, XProp: ld.XProp, ErrVec: ld.ErrVec,
-			SErr1: sErr1, Weights: ld.Weights,
-			Hist: ld.Hist, Ctrl: ctrl, Tab: tab,
-			Recomputation: e.rejectedLast,
-			sys:           ld.Sys,
-			hook:          ld.Hook,
-			fsalFProp:     ld.Fsal,
-			fProp:         e.fPropBuf,
-		}
-		e.staged = true
-		return
-	}
-	c := &e.ctx
-	c.StepIndex = ld.Step
-	c.T, c.H = ld.T, ld.H
-	c.XStart = ld.XStart
-	c.SErr1 = sErr1
-	c.Recomputation = e.rejectedLast
-	c.fsalFProp = ld.Fsal
-	c.fPropDone = false
-	c.fPropInjs = 0
-	c.fPropEvals = 0
-	c.checkReported = false
+	return chk
 }

@@ -375,22 +375,11 @@ func NewRichardson(tab *ode.Tableau, sys ode.System) *Richardson {
 	return &Richardson{Sys: sys, stepper: ode.NewStepper(tab, sys)}
 }
 
-// Validate implements ode.Validator. Like DoubleCheck it is composed from
-// the PlanBatch/FinishBatch phases the lane-planar engine runs, with the
-// scaled difference computed inline.
+// Validate implements ode.Validator: the two half-steps recompute the step
+// from the stored solution, and their scaled difference from the proposal
+// is judged against the acceptance factor. A NaN difference rejects, as in
+// control.DetectorReject.
 func (r *Richardson) Validate(c *ode.CheckContext) ode.Verdict {
-	var plan ode.EstimatePlan
-	r.PlanBatch(c, &plan)
-	sErr := c.Ctrl.ScaledDiff(c.XProp, plan.Aux, c.Weights)
-	return r.FinishBatch(c, sErr)
-}
-
-// PlanBatch implements ode.BatchValidator. Richardson's "estimate" is the
-// two half-step recomputation, which no cross-lane kernel can amortize, so
-// the plan always hands it over as Aux (a view into the validator-owned
-// stepper, valid until the next Trial — i.e. through the batched SErr_2
-// pass, since each lane owns its validator).
-func (r *Richardson) PlanBatch(c *ode.CheckContext, plan *ode.EstimatePlan) bool {
 	r.Stats.Checks++
 	if r.stepper == nil {
 		r.stepper = ode.NewStepper(c.Tab, r.Sys)
@@ -405,14 +394,7 @@ func (r *Richardson) PlanBatch(c *ode.CheckContext, plan *ode.EstimatePlan) bool
 	res1 := r.stepper.Trial(c.T, half, c.XStored, nil, nil)
 	r.mid.CopyFrom(res1.XProp)
 	res2 := r.stepper.Trial(c.T+half, half, r.mid, nil, nil)
-	*plan = ode.EstimatePlan{Aux: res2.XProp}
-	return true
-}
-
-// FinishBatch implements ode.BatchValidator: judge the (batched) scaled
-// difference against the acceptance factor. A NaN difference rejects, as
-// in control.DetectorReject.
-func (r *Richardson) FinishBatch(c *ode.CheckContext, sErr2 float64) ode.Verdict {
+	sErr2 := c.Ctrl.ScaledDiff(c.XProp, res2.XProp, c.Weights)
 	c.ReportCheck(sErr2, -1, -1)
 	if math.IsNaN(sErr2) || sErr2 > richardsonFactor {
 		r.Stats.Rejections++

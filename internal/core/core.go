@@ -114,11 +114,6 @@ func (s *BDF) Estimate(dst la.Vec, c *ode.CheckContext, q int) {
 	s.est.Estimate(dst, c.Hist, q, c.T+c.H, c.FProp())
 }
 
-// NeedsFProp marks the strategy's estimate as consuming f(T+H, XProp), so
-// the lane-planar plan evaluates CheckContext.FProp at the same point of
-// the lane's stream the scalar Estimate would.
-func (BDF) NeedsFProp() bool { return true }
-
 // ExtraVectors implements Strategy: order q uses q previous solutions
 // (x_{n-1} free); f(x_n) lives in the solver's next-first-stage slot.
 func (BDF) ExtraVectors(q int) int { return q - 1 }
@@ -156,14 +151,6 @@ type DoubleCheck struct {
 
 	Stats Stats
 
-	// Lane-planar capability, probed once by init: kern names the registered
-	// control.BatchKernel whose EstimateLanes is bitwise-equivalent to
-	// Strat.Estimate ("" keeps planning scalar-side via EstimatePlan.Aux);
-	// planF marks that the kernel consumes f(T+H, XProp), which PlanBatch then
-	// evaluates through CheckContext.FProp at the same point of the lane's
-	// stream the scalar Estimate would.
-	kern   string
-	planF  bool
 	inited bool
 }
 
@@ -185,12 +172,6 @@ func (d *DoubleCheck) init() {
 	d.inited = true
 	qMin, qMax := d.Strat.OrderRange()
 	d.Policy.Init(qMin, qMax)
-	if control.HasBatchKernel(d.Strat.Name()) {
-		d.kern = d.Strat.Name()
-		if f, ok := d.Strat.(interface{ NeedsFProp() bool }); ok {
-			d.planF = f.NeedsFProp()
-		}
-	}
 }
 
 // Order returns the order currently selected by Algorithm 1.
@@ -211,40 +192,8 @@ func (d *DoubleCheck) SetOrder(q int) {
 
 // Validate implements ode.Validator with Algorithm 1. The accept/reject
 // arithmetic and the order bookkeeping live in internal/control; this method
-// wires them to the Strategy's second estimate and keeps the statistics. It
-// is composed from the same PlanBatch/FinishBatch phases the lane-planar
-// engine runs, with the second estimate and its scaled difference computed
-// inline — the one structural guarantee that the scalar oracle and the
-// batched path cannot drift.
+// wires them to the Strategy's second estimate and keeps the statistics.
 func (d *DoubleCheck) Validate(c *ode.CheckContext) ode.Verdict {
-	var plan ode.EstimatePlan
-	if !d.PlanBatch(c, &plan) {
-		return plan.Verdict
-	}
-	est := plan.Aux
-	if est == nil {
-		d.ensureEst(len(c.XProp))
-		d.Strat.Estimate(d.est, c, plan.Q)
-		est = d.est
-	}
-	sErr2 := c.Ctrl.ScaledDiff(c.XProp, est, c.Weights)
-	return d.FinishBatch(c, sErr2)
-}
-
-func (d *DoubleCheck) ensureEst(m int) {
-	if d.est == nil {
-		//lint:allow allocfree -- one-time scratch: sized on the first check, reused forever after
-		d.est = la.NewVec(m)
-	}
-}
-
-// PlanBatch implements ode.BatchValidator: the scalar head of Algorithm 1 —
-// order reselection, false-positive rescue, the effective-order clamp, and
-// the statistics those phases carry. When an estimate is needed it is planned
-// rather than computed: strategies with a registered kernel return the kernel
-// name (plus f(T+H, XProp) for integration-based ones); strategies without
-// one compute the estimate here and hand it over as Aux.
-func (d *DoubleCheck) PlanBatch(c *ode.CheckContext, plan *ode.EstimatePlan) bool {
 	d.init()
 	d.Stats.Checks++
 
@@ -261,35 +210,22 @@ func (d *DoubleCheck) PlanBatch(c *ode.CheckContext, plan *ode.EstimatePlan) boo
 		}
 		d.Stats.FPRescues++
 		c.ReportCheck(-1, d.Policy.Order(), d.Policy.Window())
-		*plan = ode.EstimatePlan{Verdict: ode.VerdictFPRescue}
-		return false
+		return ode.VerdictFPRescue
 	}
 
 	q := d.Strat.EffectiveOrder(c, d.Policy.Order())
 	if q < 0 {
 		d.Stats.Skipped++
-		*plan = ode.EstimatePlan{Verdict: ode.VerdictAccept}
-		return false // not enough history yet
+		return ode.VerdictAccept // not enough history yet
 	}
 	d.Stats.OrderSum += q
 
-	if d.kern == "" {
-		// No batched kernel for this strategy: estimate scalar-side.
-		d.ensureEst(len(c.XProp))
-		d.Strat.Estimate(d.est, c, q)
-		*plan = ode.EstimatePlan{Aux: d.est}
-		return true
+	if d.est == nil {
+		//lint:allow allocfree -- one-time scratch: sized on the first check, reused forever after
+		d.est = la.NewVec(len(c.XProp))
 	}
-	*plan = ode.EstimatePlan{Kernel: d.kern, Q: q}
-	if d.planF {
-		plan.F = c.FProp()
-	}
-	return true
-}
-
-// FinishBatch implements ode.BatchValidator: the scalar tail of Algorithm 1,
-// judging the batched SErr_2 and advancing the (q, c) policy.
-func (d *DoubleCheck) FinishBatch(c *ode.CheckContext, sErr2 float64) ode.Verdict {
+	d.Strat.Estimate(d.est, c, q)
+	sErr2 := c.Ctrl.ScaledDiff(c.XProp, d.est, c.Weights)
 	c.ReportCheck(sErr2, d.Policy.Order(), d.Policy.Window())
 	if control.DetectorReject(sErr2) {
 		d.Policy.NoteReject(c.SErr1)

@@ -20,9 +20,9 @@ func TestReplicateStepAllocationFree(t *testing.T) {
 	for _, kind := range []DetectorKind{Classic, LBDC, IBDC, Replication, TMR, Richardson, Oracle} {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := Config{Problem: problems.Oscillator(), Tab: ode.HeunEuler(), Injector: inject.Scaled{}, Detector: kind}
-			scr := workerScratch{lanes: make([]laneScratch, 1)}
+			var scr workerScratch
 			var out repOutcome
-			w, err := wireReplicate(&cfg, nextJob(&cfg, xrand.New(1), 0), &scr.lanes[0], &out)
+			w, err := wireReplicate(&cfg, nextJob(&cfg, xrand.New(1), 0), &scr, &out)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,18 +12,17 @@ import (
 	"repro/internal/ode"
 )
 
-// The batched oracle-differential sweep: a campaign run through the lockstep
-// structure-of-arrays engine must reproduce the committed serial goldens —
-// canonical result, full per-trial trace (verdicts, SErr estimates, and the
-// detectors' (q, c) order state), and the timing-free metrics snapshot —
-// byte for byte, for every detector kind, every lane width, and both worker
+// Config.Batch is accepted and ignored: it stays only because the
+// repository benchmark still sets it. A campaign that carries the hint must
+// reproduce the committed serial goldens — canonical result, full per-trial
+// trace (verdicts, SErr estimates, and the detectors' (q, c) order state),
+// and the timing-free metrics snapshot — byte for byte, for every detector
+// kind, every lane width the retired lockstep engine took, and both worker
 // modes. The goldens are the serially generated artifacts of
-// TestDetectorSweepGolden; this suite never regenerates them, it only holds
-// the batched engine to them.
+// TestDetectorSweepGolden; this suite never regenerates them.
 
 // readGolden loads a committed golden artifact; unlike checkGolden it never
-// writes, so -update cannot accidentally re-anchor the oracle to a batched
-// run.
+// writes, so -update cannot re-anchor the goldens to a run with the hint.
 func readGolden(t *testing.T, name string) []byte {
 	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", name))
@@ -47,7 +46,7 @@ func TestBatchedSweepGolden(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/workers=%d/B=%d", det, workers, b), func(t *testing.T) {
 					got := sweepArtifact(t, det, workers, b)
 					if !bytes.Equal(got, want) {
-						t.Errorf("batched artifact diverges from serial golden (%d vs %d bytes)", len(got), len(want))
+						t.Errorf("artifact with Batch=%d diverges from serial golden (%d vs %d bytes)", b, len(got), len(want))
 					}
 				})
 			}
@@ -56,8 +55,8 @@ func TestBatchedSweepGolden(t *testing.T) {
 }
 
 // stateSweepConfig is a campaign cell with the §V-D transient state
-// corruption enabled, so the batched engine's per-lane state substreams and
-// xTrialBuf handling are exercised end to end.
+// corruption enabled, so the per-replicate state substreams are exercised
+// end to end.
 func stateSweepConfig() Config {
 	return Config{
 		Problem:       fastProblem(),
@@ -79,9 +78,9 @@ func canonicalJSON(t *testing.T, res *Result) []byte {
 	return b
 }
 
-// TestBatchedStateHookSweep covers the §V-D state-corruption path (per-lane
-// state substreams through the batched engine): canonical results must agree
-// with the serial engine across widths and worker counts.
+// TestBatchedStateHookSweep covers the §V-D state-corruption path: with
+// the Batch hint set, canonical results must agree with the serial run
+// across widths and worker counts.
 func TestBatchedStateHookSweep(t *testing.T) {
 	run := func(workers, b int) []byte {
 		t.Helper()

@@ -109,15 +109,9 @@ type Config struct {
 	// zero shared mutable state, and are merged back in replicate order.
 	Workers int
 
-	// Batch sets the lockstep lane width within one worker: values >= 2
-	// advance that many consecutive replicates simultaneously through the
-	// structure-of-arrays engine of internal/batch (0 or 1 runs each
-	// replicate on the serial integrator, the default and the oracle).
-	// Batching composes with Workers — a wave hands each worker groups of
-	// Batch replicates — and changes no campaign number: the lockstep
-	// engine is bitwise identical to the serial integrator lane by lane, so
-	// every (Workers, Batch) pair produces the same Canonical Result,
-	// trace, and metrics.
+	// Batch is ignored. It remains only because the repository benchmark
+	// (perfbench) still sets it, and goes with the benchmark change that
+	// drops its B = 8 pass.
 	Batch int
 
 	// Trace enables the step tracer: every trial of every replicate emits
@@ -157,13 +151,6 @@ func (c *Config) workers() int {
 		return 1
 	}
 	return c.Workers
-}
-
-func (c *Config) batch() int {
-	if c.Batch < 2 {
-		return 1
-	}
-	return c.Batch
 }
 
 // Result aggregates a campaign cell's outcome.
@@ -296,8 +283,8 @@ type repJob struct {
 
 // nextJob draws replicate rep's substreams from root. It must be called in
 // strictly increasing replicate order: Split advances the root stream, and
-// the replicate-order draw sequence is what makes every worker count and
-// batch width reproduce a replicate-at-a-time run bit for bit.
+// the replicate-order draw sequence is what makes every worker count
+// reproduce a replicate-at-a-time run bit for bit.
 func nextJob(cfg *Config, root *xrand.RNG, rep int) repJob {
 	j := repJob{rep: rep, planRNG: root.Split(uint64(rep))}
 	if cfg.StateProb > 0 {
@@ -320,10 +307,9 @@ type repOutcome struct {
 	err        error
 }
 
-// repWiring is everything one replicate's integration needs, built once by
-// wireReplicate and consumed by either the serial integrator or a batch
-// lane. The two engines plug the same wiring into the same fields, so a
-// replicate's behaviour cannot depend on which engine runs it.
+// repWiring is everything one replicate's integration needs, built by
+// wireReplicate and plugged into the worker's integrator by
+// startReplicate.
 type repWiring struct {
 	sys       *ode.CountingSystem
 	det       control.Detector
@@ -339,8 +325,8 @@ type repWiring struct {
 // on the job's substreams, the detector instance, the oracle's clean-shadow
 // validator, the significance-labelling OnTrial observer, and the
 // observability attachments (written into out). The heavy buffers live in
-// ls, a per-lane arena recycled across a worker's replicates.
-func wireReplicate(cfg *Config, job repJob, ls *laneScratch, out *repOutcome) (repWiring, error) {
+// scr, the worker's arena recycled across its replicates.
+func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome) (repWiring, error) {
 	p := cfg.Problem
 	sys := p.SysInstance()
 
@@ -381,14 +367,14 @@ func wireReplicate(cfg *Config, job repJob, ls *laneScratch, out *repOutcome) (r
 		stepSizes = out.metrics.Histogram(MStepSize, telemetry.Log10Edges(-12, 2))
 	}
 
-	shadow := stepperFor(&ls.shadow, cfg.Tab, sys) // clean reference, uncounted
-	cw := vecFor(&ls.cw, sys.Dim())                // clean weights
-	xt := vecFor(&ls.xt, sys.Dim())                // clean approximation solution
+	shadow := stepperFor(&scr.shadow, cfg.Tab, sys) // clean reference, uncounted
+	cw := vecFor(&scr.cw, sys.Dim())                // clean weights
+	xt := vecFor(&scr.xt, sys.Dim())                // clean approximation solution
 
 	if cfg.Detector == Oracle {
-		oxt := vecFor(&ls.oxt, sys.Dim())
-		ocw := vecFor(&ls.ocw, sys.Dim())
-		oshadow := stepperFor(&ls.oshadow, cfg.Tab, sys)
+		oxt := vecFor(&scr.oxt, sys.Dim())
+		ocw := vecFor(&scr.ocw, sys.Dim())
+		oshadow := stepperFor(&scr.oshadow, cfg.Tab, sys)
 		w.validator = oracleValidator(func(c *ode.CheckContext) bool {
 			restore := plan.Pause()
 			clean := oshadow.Trial(c.T, c.H, c.XStored, nil, nil)
@@ -434,9 +420,7 @@ func wireReplicate(cfg *Config, job repJob, ls *laneScratch, out *repOutcome) (r
 }
 
 // collectOutcome folds one finished integration into its repOutcome: the
-// run tally, the counters, and (when enabled) the metric counters. It is
-// shared by the serial integrator and the lockstep batch so the accounting
-// of a replicate cannot depend on which one ran it.
+// run tally, the counters, and (when enabled) the metric counters.
 func collectOutcome(out *repOutcome, w repWiring, runErr error, st ode.Stats, seconds float64) {
 	out.rates.TallyRun(runErr != nil)
 	out.steps = st.Steps
@@ -461,10 +445,10 @@ func collectOutcome(out *repOutcome, w repWiring, runErr error, st ode.Stats, se
 	}
 }
 
-// haltCheckInterval is how many accepted steps an in-flight replicate (or
-// batch group) takes between context-cancellation polls. Wide enough that
-// the uncontended ctx.Err mutex never shows in a step profile, narrow
-// enough that even a PDE-sized replicate abandons within milliseconds of a
+// haltCheckInterval is how many accepted steps an in-flight replicate
+// takes between context-cancellation polls. Wide enough that the
+// uncontended ctx.Err mutex never shows in a step profile, narrow enough
+// that even a PDE-sized replicate abandons within milliseconds of a
 // cancel.
 const haltCheckInterval = 64
 
@@ -497,7 +481,7 @@ func runReplicate(ctx context.Context, cfg *Config, job repJob, scr *workerScrat
 	}
 	//lint:allow walltime -- per-replicate wall time feeds the §VI-B overhead ratio, never the deterministic outputs
 	repStart := time.Now()
-	w, err := wireReplicate(cfg, job, &scr.lanes[0], &out)
+	w, err := wireReplicate(cfg, job, scr, &out)
 	if err != nil {
 		out.err = err
 		return out

@@ -24,10 +24,10 @@ func slowProblem() *problems.Problem {
 }
 
 // TestRunContextCancelPrompt is the cancellation regression test of the
-// campaign engines: for every engine shape (serial, parallel, batched,
-// parallel-batched) a cancelled context must make RunContext return the
-// context error promptly — abandoning the in-flight integration on a step
-// boundary — and leave no campaign goroutine behind.
+// campaign engine: serially and on a pool, with and without the ignored
+// Batch hint, a cancelled context must make RunContext return the context
+// error promptly — abandoning the in-flight integration on a step boundary
+// — and leave no campaign goroutine behind.
 func TestRunContextCancelPrompt(t *testing.T) {
 	shapes := []struct {
 		name           string
@@ -95,20 +95,17 @@ func TestRunContextCancelPrompt(t *testing.T) {
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, batch := range []int{0, 4} {
-		for _, workers := range []int{1, 4} {
-			cfg := Config{
-				Problem:  fastProblem(),
-				Tab:      ode.HeunEuler(),
-				Injector: inject.Scaled{},
-				Detector: Classic,
-				Seed:     1,
-				Workers:  workers,
-				Batch:    batch,
-			}
-			if _, err := RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
-				t.Errorf("workers=%d batch=%d: got %v, want context.Canceled", workers, batch, err)
-			}
+	for _, workers := range []int{1, 4} {
+		cfg := Config{
+			Problem:  fastProblem(),
+			Tab:      ode.HeunEuler(),
+			Injector: inject.Scaled{},
+			Detector: Classic,
+			Seed:     1,
+			Workers:  workers,
+		}
+		if _, err := RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: got %v, want context.Canceled", workers, err)
 		}
 	}
 }

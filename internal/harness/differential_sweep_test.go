@@ -23,7 +23,7 @@ import (
 // sweepArtifact runs one campaign cell and serializes its deterministic
 // outputs into a single byte stream: one JSON line for the canonical result,
 // one JSONL line per trace event, one JSON line for the metrics snapshot.
-// batch selects the lockstep lane width (0 or 1 = the serial engine).
+// batch sets Config.Batch, which the engine ignores.
 func sweepArtifact(t *testing.T, det DetectorKind, workers, batch int) []byte {
 	t.Helper()
 	res, err := Run(Config{

@@ -230,8 +230,9 @@ func TestRunReplicatedWorkerInvariance(t *testing.T) {
 // dispatch channel sdcvet's ctxflow analyzer flagged: the wave dispatcher
 // now fills a buffered channel and closes it without needing a receiver
 // per send. With far more workers than wave entries (and a MaxRuns cap
-// smaller than the pool) every engine shape must complete and stay
-// bitwise identical to the serial reference.
+// smaller than the pool) the campaign must complete and stay bitwise
+// identical to the serial reference, with or without the ignored Batch
+// hint.
 func TestWaveDispatchOverprovisioned(t *testing.T) {
 	cfg := Config{
 		Problem:       fastProblem(),
@@ -273,14 +274,15 @@ func TestWaveDispatchOverprovisioned(t *testing.T) {
 // only the ones it merges: the goldens cannot see a replicate that ran and
 // was then discarded by the stopping rule. wireReplicate calls NewSys once
 // per executed replicate, so counting the calls counts the work. One
-// worker with no batching runs exactly the merged replicates; otherwise
-// the last group, or the last wave on a pool, may overshoot the replicate
-// that fired the stopping rule, but by no more than its own size.
+// worker runs exactly the merged replicates; on a pool the last wave may
+// overshoot the replicate that fired the stopping rule, but by no more
+// than its own size. The ignored Batch hint adds no work.
 func TestCampaignExecutedWork(t *testing.T) {
 	for _, shape := range []struct{ workers, batch int }{
 		{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 8}, {2, 0}, {4, 0}, {2, 3}, {4, 4},
 	} {
-		t.Run(fmt.Sprintf("workers=%d/B=%d", shape.workers, shape.batch), func(t *testing.T) {
+		workers := shape.workers
+		t.Run(fmt.Sprintf("workers=%d/B=%d", workers, shape.batch), func(t *testing.T) {
 			p := fastProblem()
 			var executed atomic.Int64
 			sys := p.Sys
@@ -295,17 +297,16 @@ func TestCampaignExecutedWork(t *testing.T) {
 				Detector:      Classic,
 				Seed:          7,
 				MinInjections: 200,
-				Workers:       shape.workers,
+				Workers:       workers,
 				Batch:         shape.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			runs, got := res.Rates.Runs, int(executed.Load())
-			width := max(shape.batch, 1)
-			bound := runs + width - 1
-			if shape.workers > 1 {
-				bound = runs + waveFactor*shape.workers*width - 1
+			bound := runs
+			if workers > 1 {
+				bound = runs + waveFactor*workers - 1
 			}
 			if got < runs || got > bound {
 				t.Errorf("executed %d replicates for %d merged runs, want within [%d, %d]", got, runs, runs, bound)

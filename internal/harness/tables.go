@@ -15,7 +15,6 @@ type Options struct {
 	Seed          uint64
 	MinInjections int // per cell; the paper uses >= 10000
 	Workers       int // campaign workers per cell (see Config.Workers)
-	Batch         int // lockstep replicates per worker (see Config.Batch)
 
 	// Trace, TraceCap and Metrics enable the observability layer on every
 	// campaign cell (see the Config fields of the same names); the
@@ -73,7 +72,6 @@ func RunGrid(o Options, tabs []*ode.Tableau, injs []inject.Injector, det Detecto
 				Seed:          o.Seed + uint64(len(cells)),
 				MinInjections: o.minInj(),
 				Workers:       o.Workers,
-				Batch:         o.Batch,
 			}))
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s/%s: %w", tab.Name, inj.Name(), err)
@@ -189,7 +187,6 @@ func Table3(w io.Writer, o Options, tab *ode.Tableau, stateProb float64) (map[De
 			Seed:          o.Seed + 7777,
 			MinInjections: o.minInj(),
 			Workers:       o.Workers,
-			Batch:         o.Batch,
 			StateProb:     stateProb,
 		}))
 		if err != nil {
@@ -223,7 +220,6 @@ func Table4(w io.Writer, o Options) (map[DetectorKind]Overheads, error) {
 			Seed:          o.Seed + 4242,
 			MinInjections: o.minInj(),
 			Workers:       o.Workers,
-			Batch:         o.Batch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("harness: table4 %s: %w", det, err)
@@ -261,7 +257,6 @@ func ToleranceSweep(w io.Writer, o Options, tols []float64) ([]CellResult, error
 			Seed:          o.Seed + uint64(i)*13,
 			MinInjections: o.minInj(),
 			Workers:       o.Workers,
-			Batch:         o.Batch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("harness: tolerance sweep %g: %w", tol, err)
@@ -362,7 +357,6 @@ func FieldSweep(w io.Writer, o Options, p *problems.Problem, varNames []string) 
 			Seed:          o.Seed + uint64(v)*17,
 			MinInjections: o.minInj(),
 			Workers:       o.Workers,
-			Batch:         o.Batch,
 			Field:         &inject.FieldSelective{Lo: v * blk, Hi: (v + 1) * blk},
 		})
 		if err != nil {
@@ -400,7 +394,6 @@ func Table3X(w io.Writer, o Options, tab *ode.Tableau) error {
 				Seed:          o.Seed + 99,
 				MinInjections: o.minInj(),
 				Workers:       o.Workers,
-				Batch:         o.Batch,
 			})
 			if err != nil {
 				return err
@@ -431,7 +424,6 @@ func Corpus(w io.Writer, o Options, det DetectorKind) (*Rates, error) {
 			Seed:          o.Seed + uint64(i)*7,
 			MinInjections: o.minInj() / 2,
 			Workers:       o.Workers,
-			Batch:         o.Batch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("harness: corpus %s: %w", p.Name, err)

@@ -38,39 +38,17 @@ var Analyzer = &analysis.Analyzer{
 // for functions, pkgpath.Type.Method for methods (pointer receivers drop
 // the *). The default set is the per-step path of the protected integrator.
 var funcs = "repro/internal/batch.Integrator.Round," +
-	"repro/internal/batch.Integrator.accum," +
-	"repro/internal/batch.Integrator.decideLanes," +
-	"repro/internal/batch.Integrator.finish," +
-	"repro/internal/batch.Integrator.load," +
-	"repro/internal/batch.Integrator.prep," +
-	"repro/internal/batch.Integrator.trialRound," +
-	"repro/internal/control.BatchEngine.DecideLanes," +
-	"repro/internal/control.BatchEngine.kernel," +
 	"repro/internal/control.CheckContext.FProp," +
 	"repro/internal/control.Controller.NewStepSize," +
 	"repro/internal/control.Controller.Score," +
 	"repro/internal/control.Engine.Decide," +
-	"repro/internal/control.Engine.harvest," +
-	"repro/internal/control.Engine.stage," +
-	"repro/internal/core.DoubleCheck.FinishBatch," +
-	"repro/internal/core.DoubleCheck.PlanBatch," +
 	"repro/internal/core.DoubleCheck.Validate," +
-	"repro/internal/core.DoubleCheck.ensureEst," +
 	"repro/internal/core.Replication.Validate," +
-	"repro/internal/core.Richardson.PlanBatch," +
+	"repro/internal/core.Richardson.Validate," +
 	"repro/internal/core.TMR.Validate," +
-	"repro/internal/la.ErrWeightsRows," +
 	"repro/internal/la.FirstDerivativeWeightsInto," +
 	"repro/internal/la.LagrangeWeightsInto," +
-	"repro/internal/la.NonFiniteRows," +
-	"repro/internal/la.ScoreRows," +
-	"repro/internal/la.WMaxDiffRows," +
-	"repro/internal/la.WMaxRows," +
-	"repro/internal/la.WRMSDiffRows," +
-	"repro/internal/la.WRMSRows," +
 	"repro/internal/ode.BDFEstimator.Estimate," +
-	"repro/internal/ode.BatchBDFEstimator.EstimateLanes," +
-	"repro/internal/ode.BatchLIPEstimator.EstimateLanes," +
 	"repro/internal/ode.Integrator.Step," +
 	"repro/internal/ode.LIPEstimator.Estimate," +
 	"repro/internal/ode.Stepper.Trial," +

@@ -1,9 +1,8 @@
 // Package hashpure guards the server's content-addressing purity: the
-// execution-hint fields of server.Spec (Workers, Batch, Trace,
-// TraceCap) change how a campaign runs but — by the harness's
-// determinism guarantees — never a result byte, and the exactness of
-// the result cache depends on them staying out of everything that is
-// hashed, cached, or served. A hint that leaks into the fingerprint
+// execution-hint fields of server.Spec (Workers, Trace, TraceCap) change
+// how a campaign runs but — by the harness's determinism guarantees —
+// never a result byte, and the exactness of the result cache depends on
+// them staying out of everything that is hashed, cached, or served. A hint that leaks into the fingerprint
 // splits the cache (identical campaigns miss); a hint that leaks into
 // the result document breaks byte-identity with the serial reference.
 //
@@ -55,7 +54,7 @@ var Analyzer = &analysis.Analyzer{
 var (
 	pkgs = "repro/internal/server,repro/internal/server/store"
 	typs = "repro/internal/server.Spec"
-	flds = "Workers,Batch,Trace,TraceCap"
+	flds = "Workers,Trace,TraceCap"
 	sink = "repro/internal/server.Spec.appendCore," +
 		"repro/internal/server.Spec.Hash," +
 		"repro/internal/server.Spec.ShardKey," +

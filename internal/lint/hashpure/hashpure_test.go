@@ -9,9 +9,10 @@ import (
 
 func TestHashpure(t *testing.T) {
 	linttest.SetFlags(t, hashpure.Analyzer, map[string]string{
-		"pkgs":  "",
-		"typ":   "a.Spec",
-		"sinks": "a.hashSpec,a.Spec.fingerprint,a.scrub,a.bump,a.store",
+		"pkgs":   "",
+		"typ":    "a.Spec",
+		"fields": "Workers,Batch,Trace,TraceCap",
+		"sinks":  "a.hashSpec,a.Spec.fingerprint,a.scrub,a.bump,a.store",
 	})
 	linttest.Run(t, "testdata/src/a", "a", hashpure.Analyzer)
 }

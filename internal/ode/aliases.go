@@ -61,11 +61,6 @@ type Validator = control.Validator
 // trial step.
 type CheckContext = control.CheckContext
 
-// EstimatePlan is the scalar plan of a lane-planar double-check
-// (control.BatchValidator.PlanBatch); this package registers the "lip" and
-// "bdf" batch kernels that execute it (batchestimate.go).
-type EstimatePlan = control.EstimatePlan
-
 // FixedValidator inspects a completed fixed-step trial (§VII-C).
 type FixedValidator = control.FixedValidator
 

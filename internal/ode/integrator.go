@@ -51,10 +51,8 @@ type Trial struct {
 	Significance int8
 }
 
-// Event flattens the trial into its telemetry record. It is exported so the
-// lockstep batch engine (internal/batch) emits records byte-identical to the
-// serial integrator's.
-func (tr *Trial) Event() telemetry.StepEvent {
+// event flattens the trial into its telemetry record.
+func (tr *Trial) event() telemetry.StepEvent {
 	v := telemetry.VerdictAccept
 	switch {
 	case tr.ClassicReject:
@@ -354,7 +352,7 @@ func (in *Integrator) Step() error {
 			in.OnTrial(trial)
 		}
 		if in.Tracer != nil {
-			in.Tracer.Record(trial.Event())
+			in.Tracer.Record(trial.event())
 		}
 
 		if accepted {

@@ -8,10 +8,10 @@ import (
 
 // Table-driven coverage of the recycled-integrator path across problems of
 // different dimension: the campaign arenas re-Init one integrator across
-// replicates, and the batch engine recycles lane pools the same way, so a
-// stale stage buffer, history ring, or engine scratch surviving a Dim
-// change would silently skew campaign numbers. Every recycled run must reproduce a fresh integrator's
-// run bit for bit, including through a history-consuming validator.
+// replicates, so a stale stage buffer, history ring, or engine scratch
+// surviving a Dim change would silently skew campaign numbers. Every
+// recycled run must reproduce a fresh integrator's run bit for bit,
+// including through a history-consuming validator.
 
 // triDecay is a 3-dimensional system, giving the retarget table a third
 // distinct dimension beyond the shared decay (1) and oscillator (2).

@@ -44,7 +44,10 @@ var builders = map[string]func(n int) *Problem{
 // the CLIs and the campaign server.
 //
 // The bubble's wall boundaries mirror weno.Ghost cells into each side of
-// an axis, so a bubble grid narrower than that is an error.
+// an axis, so a bubble grid narrower than that is an error. The Brusselator
+// places n/2 interior cells, so n < 2 — a system of dimension 0, on which a
+// campaign would run its replicates without a single injection — is an
+// error too.
 func ByName(name string, n int) (*Problem, error) {
 	b, ok := builders[name]
 	if !ok {
@@ -55,6 +58,9 @@ func ByName(name string, n int) (*Problem, error) {
 	}
 	if name == "bubble" && n < weno.Ghost {
 		return nil, fmt.Errorf("problems: bubble grid n=%d is narrower than the WENO ghost width %d", n, weno.Ghost)
+	}
+	if name == "brusselator" && n < 2 {
+		return nil, fmt.Errorf("problems: brusselator grid n=%d has no interior cell (n/2 cells; it needs n >= 2)", n)
 	}
 	return b(n), nil
 }

@@ -2,6 +2,7 @@ package problems
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/la"
@@ -312,5 +313,24 @@ func TestBurgersSpatialConvergence(t *testing.T) {
 	order := math.Log2(e1 / e2)
 	if order < 3.5 { // WENO5 away from critical points; some weight damping expected
 		t.Fatalf("spatial order %.2f (e1=%g e2=%g)", order, e1, e2)
+	}
+}
+
+// TestByNameRejectsEmptyBrusselator pins the Brusselator's smallest grid:
+// n = 1 would build a system of dimension 0, on which a campaign runs its
+// replicates without a single injection, so ByName rejects it; n = 2 is
+// one interior cell.
+func TestByNameRejectsEmptyBrusselator(t *testing.T) {
+	if _, err := ByName("brusselator", 1); err == nil || !strings.Contains(err.Error(), "interior cell") {
+		t.Errorf("brusselator at n=1: err = %v, want an interior-cell error", err)
+	}
+	for _, n := range []int{2, 0} {
+		p, err := ByName("brusselator", n)
+		if err != nil {
+			t.Fatalf("brusselator at n=%d: %v", n, err)
+		}
+		if p.Sys.Dim() == 0 {
+			t.Errorf("brusselator at n=%d: dimension 0", n)
+		}
 	}
 }

@@ -20,15 +20,14 @@ import (
 // result — and proves the headline claim: the bytes served by
 // GET /v1/campaigns/{id}/result are identical to a committed golden
 // generated through the *serial* harness path, even though the server runs
-// the campaign through a parallel batched engine. Regenerate deliberately
-// with:
+// the campaign on a parallel engine. Regenerate deliberately with:
 //
 //	go test ./internal/server -run Contract -update
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // serialResultDoc produces the reference bytes for a spec by running every
-// shard through harness.Run with the serial engine (Workers=1, Batch=0) —
+// shard through harness.Run with the serial engine (Workers=1) —
 // no server, no queue, no cache — and encoding the merged document.
 func serialResultDoc(t *testing.T, spec Spec) []byte {
 	t.Helper()
@@ -37,7 +36,7 @@ func serialResultDoc(t *testing.T, spec Spec) []byte {
 		t.Fatal(err)
 	}
 	serial := spec
-	serial.Workers, serial.Batch = 1, 0
+	serial.Workers = 1
 	reports := make([]*ShardReport, 0, len(spec.Seeds))
 	for _, seed := range spec.Seeds {
 		cfg, err := serial.ShardConfig(seed)
@@ -143,7 +142,7 @@ func TestServerContractGolden(t *testing.T) {
 	// Submit through a deliberately non-serial engine shape: the served
 	// bytes must still match the serially generated golden.
 	submit := spec
-	submit.Workers, submit.Batch = 2, 4
+	submit.Workers = 2
 	st, code := postSpec(t, ts, submit)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST status %d, want 202", code)
@@ -214,33 +213,33 @@ func TestServerContractGolden(t *testing.T) {
 	}
 }
 
-// TestServerResultMatchesEngineShapes re-proves the engine-shape invariance
-// end to end without goldens: four shapes of the same spec all serve the
-// same bytes (the first from the pool, the rest from the cache — so this
-// also pins that the cache returns exactly what the runner produced).
+// TestServerResultMatchesEngineShapes re-proves the worker-count invariance
+// end to end without goldens: a serial and a four-worker submission of the
+// same spec serve the same bytes (the first from the pool, the second from
+// the cache — so this also pins that the cache returns exactly what the
+// runner produced).
 func TestServerResultMatchesEngineShapes(t *testing.T) {
 	_, ts := newTestServer(t, Options{PoolWorkers: 4})
 	spec := baseSpec(7, 8)
 
 	var first []byte
-	shapes := []struct{ workers, batch int }{{1, 0}, {4, 0}, {1, 4}, {4, 4}}
-	for i, shape := range shapes {
+	for i, workers := range []int{1, 4} {
 		sub := spec
-		sub.Workers, sub.Batch = shape.workers, shape.batch
+		sub.Workers = workers
 		st, code := postSpec(t, ts, sub)
 		if code != http.StatusOK && code != http.StatusAccepted {
-			t.Fatalf("shape %v: POST status %d", shape, code)
+			t.Fatalf("workers=%d: POST status %d", workers, code)
 		}
 		body, code, _ := fetchResult(t, ts, st.ID)
 		if code != http.StatusOK {
-			t.Fatalf("shape %v: result status %d (%s)", shape, code, body)
+			t.Fatalf("workers=%d: result status %d (%s)", workers, code, body)
 		}
 		if i == 0 {
 			first = body
 			continue
 		}
 		if !bytes.Equal(body, first) {
-			t.Errorf("shape %v served different bytes than shape %v", shape, shapes[0])
+			t.Errorf("workers=%d served different bytes than the serial submission", workers)
 		}
 	}
 }
@@ -269,17 +268,27 @@ func TestServerMetaAndValidation(t *testing.T) {
 		t.Fatalf("bad detector: POST status %d, want 400", code)
 	}
 
-	// Execution hints past their limits are rejected before the harness
-	// sizes anything from them, and the server keeps serving afterwards.
+	// An execution hint past its limit is rejected before the harness sizes
+	// anything from it. The retired lockstep-width hint "batch" is an
+	// unknown field now, and the 400 names it. The server keeps serving
+	// afterwards.
 	huge := baseSpec(1)
 	huge.Workers = 1 << 40
 	if _, code := postSpec(t, ts, huge); code != http.StatusBadRequest {
 		t.Fatalf("huge workers: POST status %d, want 400", code)
 	}
-	huge = baseSpec(1)
-	huge.Batch = 1 << 40
-	if _, code := postSpec(t, ts, huge); code != http.StatusBadRequest {
-		t.Fatalf("huge batch: POST status %d, want 400", code)
+	resp, err = http.Post(ts.URL+"/v1/campaigns", "application/json",
+		strings.NewReader(`{"problem":"oscillator","seeds":[1],"batch":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batchErr errorDoc
+	if err := json.NewDecoder(resp.Body).Decode(&batchErr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(batchErr.Error, `"batch"`) {
+		t.Fatalf("batch hint: POST status %d, error %q; want 400 naming the field", resp.StatusCode, batchErr.Error)
 	}
 	st, code := postSpec(t, ts, baseSpec(1))
 	if code != http.StatusOK && code != http.StatusAccepted {

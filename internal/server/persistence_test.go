@@ -176,16 +176,7 @@ func TestServerResumeDeterministicPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AppendSubmit("c00000099", wide.Hash(), specJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	journalSubmit(t, dir, "c00000099", wide.Hash(), specJSON)
 
 	s2, ts2 := newTestServer(t, Options{PoolWorkers: 2, DataDir: dir})
 	if got := s2.Stats().Resumed; got != 1 {
@@ -255,24 +246,30 @@ func TestServerCancelledCampaignNotResumed(t *testing.T) {
 // WENO ghost width, which would panic in its first RHS evaluation, is
 // failed on restart instead of run.
 func TestServerNarrowBubbleNotResumed(t *testing.T) {
+	checkGridNotResumed(t, "bubble", 2, "ghost width")
+}
+
+// TestServerEmptyBrusselatorNotResumed is the same check for a journaled
+// Brusselator submission on n = 1, a grid with no interior cell, whose
+// shards would otherwise run their replicates without a single injection.
+func TestServerEmptyBrusselatorNotResumed(t *testing.T) {
+	checkGridNotResumed(t, "brusselator", 1, "interior cell")
+}
+
+// checkGridNotResumed journals a submission of problem on grid n by hand
+// and checks that a restart fails it with an error containing want,
+// without running a shard.
+func checkGridNotResumed(t *testing.T, problem string, n int, want string) {
+	t.Helper()
 	dir := t.TempDir()
 	spec := baseSpec(1)
-	spec.Problem, spec.N = "bubble", 2
+	spec.Problem, spec.N = problem, n
 	spec.Canonicalize()
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AppendSubmit("c00000007", spec.Hash(), specJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	journalSubmit(t, dir, "c00000007", spec.Hash(), specJSON)
 
 	s, err := New(Options{PoolWorkers: 1, DataDir: dir})
 	if err != nil {
@@ -283,10 +280,62 @@ func TestServerNarrowBubbleNotResumed(t *testing.T) {
 	if !ok {
 		t.Fatal("journaled campaign not registered on restart")
 	}
-	if st := c.status(); st.State != StateFailed || !strings.Contains(st.Error, "ghost width") {
-		t.Fatalf("journaled narrow bubble status %+v, want failed on its grid", st)
+	if st := c.status(); st.State != StateFailed || !strings.Contains(st.Error, want) {
+		t.Fatalf("journaled %s n=%d status %+v, want failed on its grid", problem, n, st)
 	}
 	if got := s.Stats().ShardsRun; got != 0 {
 		t.Fatalf("restart ran %d shards, want 0", got)
+	}
+}
+
+// TestServerJournaledBatchHintResumes pins the journal side of the retired
+// lockstep-width hint: a submission journaled while the spec still had a
+// "batch" field carries it in its spec JSON. The journal decoder ignores
+// the unknown field, so the campaign resumes under its ID and content hash
+// and serves the serial result bytes.
+func TestServerJournaledBatchHintResumes(t *testing.T) {
+	dir := t.TempDir()
+	spec := baseSpec(5, 6)
+	spec.Canonicalize()
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON = append(specJSON[:len(specJSON)-1], `,"batch":4}`...)
+	journalSubmit(t, dir, "c00000042", spec.Hash(), specJSON)
+
+	s, ts := newTestServer(t, Options{PoolWorkers: 1, DataDir: dir})
+	if got := s.Stats().Resumed; got != 1 {
+		t.Fatalf("resumed %d campaigns, want 1", got)
+	}
+	body, code, _ := fetchResult(t, ts, "c00000042")
+	if code != http.StatusOK {
+		t.Fatalf("resumed result status %d (%s)", code, body)
+	}
+	c, ok := s.Get("c00000042")
+	if !ok {
+		t.Fatal("journaled campaign not registered on restart")
+	}
+	if st := c.status(); st.Hash != spec.Hash() {
+		t.Errorf("resumed under hash %s, want the journaled %s", st.Hash, spec.Hash())
+	}
+	if golden := serialResultDoc(t, baseSpec(5, 6)); !bytes.Equal(body, golden) {
+		t.Errorf("resumed result differs from the serial golden")
+	}
+}
+
+// journalSubmit appends a submit record for specJSON to the journal in
+// dir, as if a process had crashed the instant after accepting it.
+func journalSubmit(t *testing.T, dir, id, hash string, specJSON []byte) {
+	t.Helper()
+	db, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AppendSubmit(id, hash, specJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // ShardReport is the deterministic outcome of one shard: the canonical
 // (timing-free, scheduling-free) portion of the harness result for one
-// seed. Every field is worker-count and batch-width invariant, so the
-// report is byte-stable across engine shapes and safe to content-address.
+// seed. Every field is worker-count invariant, so the report is
+// byte-stable across engine shapes and safe to content-address.
 type ShardReport struct {
 	Seed       uint64        `json:"seed"`
 	Rates      harness.Rates `json:"rates"`
@@ -74,10 +74,10 @@ type ResultDoc struct {
 // pure function of (spec core, seeds) — the determinism guarantee of the
 // harness lifted to the wire — so a cached document can be served verbatim
 // for any later identical submission. To keep that purity, the embedded
-// spec is scrubbed of its execution hints (workers, batch, trace): two
+// spec is scrubbed of its execution hints (workers, trace): two
 // submissions that differ only in engine shape produce one document.
 func EncodeResult(spec Spec, hash string, shards []*ShardReport) ([]byte, error) {
-	spec.Workers, spec.Batch, spec.Trace, spec.TraceCap = 0, 0, false, 0
+	spec.Workers, spec.Trace, spec.TraceCap = 0, false, 0
 	var tot Totals
 	for _, sh := range shards {
 		tot.Rates.Add(sh.Rates)

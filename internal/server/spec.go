@@ -22,15 +22,14 @@ import (
 
 // Limits on a single submission. MaxSeeds bounds a campaign's shard count
 // (and thereby its queue reservation); MaxMinInjections and MaxRuns bound
-// the work a single shard may demand of the pool; MaxWorkers and MaxBatch
-// bound the execution hints, since the harness sizes per-worker arenas and
-// lockstep batches from them before a replicate runs.
+// the work a single shard may demand of the pool; MaxWorkers bounds the
+// workers hint, since the harness sizes per-worker arenas from it before a
+// replicate runs.
 const (
 	MaxSeeds         = 1024
 	MaxMinInjections = 1 << 20
 	MaxRunsCeiling   = 1 << 20
 	MaxWorkers       = 256
-	MaxBatch         = 64
 )
 
 // Spec is the submission body of POST /v1/campaigns: one campaign = one
@@ -39,10 +38,10 @@ const (
 // the harness defaults, applied by Canonicalize so that specs that mean
 // the same campaign hash the same.
 //
-// Workers, Batch, Trace and TraceCap are execution hints: they change how
-// a shard runs (engine shape, telemetry) but — by the harness's
-// determinism guarantees — not a single result byte, so they are excluded
-// from the content hash.
+// Workers, Trace and TraceCap are execution hints: they change how a shard
+// runs (worker count, telemetry) but — by the harness's determinism
+// guarantees — not a single result byte, so they are excluded from the
+// content hash.
 type Spec struct {
 	Problem  string   `json:"problem"`
 	N        int      `json:"n,omitempty"`        // PDE grid resolution (0 = problems.DefaultGrid)
@@ -67,7 +66,6 @@ type Spec struct {
 
 	// Execution hints — not part of the content hash.
 	Workers  int  `json:"workers,omitempty"`   // per-shard engine workers (0 = 1, the serial engine)
-	Batch    int  `json:"batch,omitempty"`     // lockstep lane width (0/1 = serial)
 	Trace    bool `json:"trace,omitempty"`     // stream per-trial telemetry into the event feed
 	TraceCap int  `json:"trace_cap,omitempty"` // trace ring capacity per shard (0 = DefaultTraceCap)
 }
@@ -104,9 +102,6 @@ func (s *Spec) Canonicalize() {
 	}
 	if s.Workers < 1 {
 		s.Workers = 1
-	}
-	if s.Batch < 2 {
-		s.Batch = 0
 	}
 	if s.Trace && s.TraceCap <= 0 {
 		s.TraceCap = DefaultTraceCap
@@ -149,9 +144,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Workers > MaxWorkers {
 		return fmt.Errorf("server: workers %d exceeds the limit of %d", s.Workers, MaxWorkers)
-	}
-	if s.Batch > MaxBatch {
-		return fmt.Errorf("server: batch %d exceeds the limit of %d", s.Batch, MaxBatch)
 	}
 	return nil
 }
@@ -228,9 +220,9 @@ func (s *Spec) ShardKey(seed uint64) string {
 
 // ShardConfig builds the harness configuration of one shard. The problem
 // instance is fresh per call (overrides must not alias across shards), and
-// the engine shape comes from the execution hints — any (Workers, Batch)
-// produces the same canonical result as the serial reference, which is the
-// contract the golden tests pin.
+// the worker count comes from the execution hints — any Workers produces
+// the same canonical result as the serial reference, which is the contract
+// the golden tests pin.
 func (s *Spec) ShardConfig(seed uint64) (harness.Config, error) {
 	p, err := problems.ByName(s.Problem, s.N)
 	if err != nil {
@@ -268,7 +260,6 @@ func (s *Spec) ShardConfig(seed uint64) (harness.Config, error) {
 		NoReuseFirstStage: s.NoReuseFirstStage,
 		StateProb:         s.StateProb,
 		Workers:           s.Workers,
-		Batch:             s.Batch,
 		Trace:             s.Trace,
 		TraceCap:          s.TraceCap,
 	}, nil

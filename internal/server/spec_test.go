@@ -28,8 +28,8 @@ func TestSpecCanonicalizeDefaults(t *testing.T) {
 	if s.MinInjections != 1000 || s.MaxRuns != 10000 || s.InjectProb != 0.01 {
 		t.Fatalf("budget defaults not applied: %+v", s)
 	}
-	if s.Workers != 1 || s.Batch != 0 {
-		t.Fatalf("engine hints not canonicalized: workers=%d batch=%d", s.Workers, s.Batch)
+	if s.Workers != 1 {
+		t.Fatalf("workers hint not canonicalized: workers=%d", s.Workers)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("canonical default spec invalid: %v", err)
@@ -39,7 +39,7 @@ func TestSpecCanonicalizeDefaults(t *testing.T) {
 func TestSpecHashIgnoresExecutionHints(t *testing.T) {
 	a := baseSpec(1, 2, 3)
 	b := baseSpec(1, 2, 3)
-	b.Workers, b.Batch, b.Trace, b.TraceCap = 8, 16, false, 0
+	b.Workers, b.Trace, b.TraceCap = 8, false, 0
 	a.Canonicalize()
 	b.Canonicalize()
 	if a.Hash() != b.Hash() {
@@ -99,6 +99,7 @@ func TestSpecValidateErrors(t *testing.T) {
 	}{
 		{"problem", func(s *Spec) { s.Problem = "nonesuch" }, "unknown workload"},
 		{"bubble grid", func(s *Spec) { s.Problem, s.N = "bubble", 2 }, "ghost width"},
+		{"brusselator grid", func(s *Spec) { s.Problem, s.N = "brusselator", 1 }, "interior cell"},
 		{"method", func(s *Spec) { s.Method = "rk9" }, "unknown tableau"},
 		{"injector", func(s *Spec) { s.Injector = "cosmic" }, "unknown injector"},
 		{"detector", func(s *Spec) { s.Detector = "psychic" }, "unknown detector"},
@@ -109,7 +110,6 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"min injections", func(s *Spec) { s.MinInjections = MaxMinInjections + 1 }, "min_injections"},
 		{"max runs", func(s *Spec) { s.MaxRuns = MaxRunsCeiling + 1 }, "max_runs"},
 		{"workers", func(s *Spec) { s.Workers = MaxWorkers + 1 }, "workers"},
-		{"batch", func(s *Spec) { s.Batch = MaxBatch + 1 }, "batch"},
 	}
 	for _, tc := range cases {
 		s := baseSpec(1)
