@@ -23,7 +23,6 @@ import (
 	"repro/internal/euler"
 	"repro/internal/grid"
 	"repro/internal/harness"
-	"repro/internal/inject"
 	"repro/internal/ode"
 	"repro/internal/pde"
 	"repro/internal/problems"
@@ -128,7 +127,11 @@ func main() {
 		run("fig3", func() error { return fig3(os.Stdout, *outDir) })
 	}
 	if want("fixed") {
-		run("fixed", func() error { return fixedComparison(os.Stdout, *seed, *minInj) })
+		run("fixed", func() error {
+			cells, err := harness.FixedTable(os.Stdout, opts)
+			tel.collectCells(cells)
+			return err
+		})
 	}
 	if want("tolsweep") {
 		run("tolsweep", func() error {
@@ -318,31 +321,6 @@ func isKnown(e string) bool {
 		}
 	}
 	return false
-}
-
-// fixedComparison measures the related-work fixed-step detectors (§VII-C):
-// AID and Hot Rode against the unprotected fixed solver.
-func fixedComparison(w *os.File, seed uint64, minInj int) error {
-	t := &harness.Table{
-		Title:   "Related work — fixed-step detectors (Heun-Euler, scaled injections), %",
-		Headers: []string{"Detector", "FPR", "TPR", "Significant FNR"},
-	}
-	for _, det := range []harness.FixedDetectorKind{harness.FixedNone, harness.FixedAID, harness.FixedHotRode} {
-		res, err := harness.RunFixed(harness.FixedConfig{
-			Problem:       problems.Oscillator(),
-			Tab:           ode.HeunEuler(),
-			Injector:      inject.Scaled{},
-			Detector:      det,
-			Seed:          seed,
-			MinInjections: minInj,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRowf(string(det), res.Rates.FPR(), res.Rates.TPR(), res.Rates.SFNR())
-	}
-	t.Render(w)
-	return nil
 }
 
 // table5 reproduces the mean execution time of the step and of the

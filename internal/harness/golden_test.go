@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -80,4 +81,32 @@ func TestToleranceSweepGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "tolsweep.golden", buf.Bytes())
+}
+
+// TestFixedTableGolden pins the related-work fixed-step table end to end:
+// the rendered rows and each row's canonical Result, serially and with four
+// workers.
+func TestFixedTableGolden(t *testing.T) {
+	var serial []byte
+	for _, workers := range []int{1, 4} {
+		var buf bytes.Buffer
+		cells, err := FixedTable(&buf, Options{Seed: 20170905, MinInjections: 2000, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			canon, err := json.Marshal(c.Result.Canonical())
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(canon)
+			buf.WriteByte('\n')
+		}
+		if serial == nil {
+			serial = buf.Bytes()
+			checkGolden(t, "fixed_table.golden", serial)
+		} else if !bytes.Equal(buf.Bytes(), serial) {
+			t.Errorf("workers=%d table diverges from serial:\n%s", workers, buf.Bytes())
+		}
+	}
 }
