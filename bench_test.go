@@ -295,18 +295,21 @@ func BenchmarkImplicitSolvers(b *testing.B) {
 	}
 }
 
-// BenchmarkFixedDetectors measures the related-work fixed-step detectors.
+// BenchmarkFixedDetectors measures the related-work detectors in
+// fixed-step cells.
 func BenchmarkFixedDetectors(b *testing.B) {
-	for _, det := range []harness.FixedDetectorKind{harness.FixedAID, harness.FixedHotRode} {
+	for _, det := range []harness.DetectorKind{harness.AID, harness.HotRode} {
 		b.Run(string(det), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunFixed(harness.FixedConfig{
+				res, err := harness.Run(harness.Config{
 					Problem:       problems.Oscillator(),
 					Tab:           ode.HeunEuler(),
 					Injector:      inject.Scaled{},
 					Detector:      det,
 					Seed:          3,
 					MinInjections: 300,
+					Workers:       1,
+					FixedStep:     true,
 				})
 				if err != nil {
 					b.Fatal(err)

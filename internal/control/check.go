@@ -19,8 +19,10 @@ const (
 )
 
 // Validator double-checks trial steps that the classic adaptive controller
-// already accepted (SErr_1 <= 1). This is the seam where the paper's
-// contribution (internal/core) plugs into the solvers.
+// already accepted (SErr_1 <= 1), or every trial of a fixed-step
+// integration, which has no classic test. This is the seam where the
+// paper's contribution and the related-work detectors (internal/core) plug
+// into the solvers.
 type Validator interface {
 	Validate(c *CheckContext) Verdict
 }
@@ -111,21 +113,4 @@ func (c *CheckContext) FProp() la.Vec {
 		c.fPropDone = true
 	}
 	return c.fProp
-}
-
-// FixedValidator inspects a completed fixed-step trial and decides whether
-// to accept it or to ask for a recomputation (rollback-and-retry, the
-// correction model of the fixed-solver detectors AID and Hot Rode, §VII-C).
-type FixedValidator interface {
-	ValidateFixed(c *FixedCheckContext) bool
-}
-
-// FixedCheckContext is the fixed-step analog of CheckContext.
-type FixedCheckContext struct {
-	StepIndex     int
-	T, H          float64
-	XStart, XProp la.Vec
-	ErrVec        la.Vec // embedded error estimate (still available to detectors)
-	Hist          *History
-	Recomputation bool
 }

@@ -65,8 +65,11 @@ func (e *Engine) BeginStep() { e.rejectedLast = false }
 // screen and the norms cover every rank), applies the classic test,
 // and hands survivors to the Validator with a fully populated CheckContext.
 // hist, tab, sys, and hook flow through to the Validator's second estimate;
-// fsalFProp, when non-nil, supplies f(T+H, XProp) for free. The returned
-// Check is the engine's, valid until the next Decide.
+// fsalFProp, when non-nil, supplies f(T+H, XProp) for free. fixedStep, the
+// integrator's constant-step mode, skips the classic test, its NaN screen
+// included: every trial goes to the Validator, and an unguarded trial is
+// accepted as computed. The returned Check is the engine's, valid until the
+// next Decide.
 //
 // Its one non-test caller is ode.Integrator.Step, the protected-step loop
 // of every serial, implicit and distributed solve. It must not allocate in
@@ -75,7 +78,7 @@ func (e *Engine) BeginStep() { e.rejectedLast = false }
 // composite literals, which the compiler would build and copy whole.
 func (e *Engine) Decide(ctrl *Controller, step int, t, h float64,
 	xStart, xStored, xProp, errVec, weights la.Vec,
-	hist *History, tab *Tableau, sys System, hook StageHook, fsalFProp la.Vec) *Check {
+	hist *History, tab *Tableau, sys System, hook StageHook, fsalFProp la.Vec, fixedStep bool) *Check {
 	chk := &e.chk
 	chk.SErr1 = ctrl.Score(weights, xProp, errVec)
 	chk.ClassicReject = false
@@ -83,7 +86,7 @@ func (e *Engine) Decide(ctrl *Controller, step int, t, h float64,
 	chk.SErr2, chk.DetOrder, chk.DetWindow = -1, -1, -1
 	chk.EstimateInjections, chk.FPropEvals = 0, 0
 	chk.FProp = nil
-	if ClassicReject(chk.SErr1) {
+	if !fixedStep && ClassicReject(chk.SErr1) {
 		chk.ClassicReject = true
 		e.rejectedLast = false
 		return chk

@@ -42,7 +42,7 @@ func TestEngineDecideAllocationFree(t *testing.T) {
 	decide := func() {
 		eng.BeginStep()
 		chk := eng.Decide(&ctrl, 3, 0.3, 0.1, x, x, xProp, errVec, weights,
-			hist, nil, sys, nil, nil)
+			hist, nil, sys, nil, nil, false)
 		if chk.ClassicReject {
 			t.Fatal("trial unexpectedly classic-rejected")
 		}

@@ -1,6 +1,7 @@
 package control_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/control"
@@ -53,7 +54,7 @@ func TestDecideRefreshesCheckAndContext(t *testing.T) {
 	eng.BeginStep()
 	for call := 1; call <= 6; call++ {
 		chk := eng.Decide(&ctrl, 0, 0, 0.1, x, x, xProp, errVec, weights,
-			hist, nil, sys, hook, nil)
+			hist, nil, sys, hook, nil, false)
 		if chk.ClassicReject {
 			t.Fatalf("call %d: classic-rejected", call)
 		}
@@ -72,6 +73,40 @@ func TestDecideRefreshesCheckAndContext(t *testing.T) {
 	for i, r := range v.recomp {
 		if want := i%2 == 1; r != want {
 			t.Fatalf("call %d: Recomputation = %v, want %v", i+1, r, want)
+		}
+	}
+}
+
+// acceptAll accepts every trial and records the proposals it saw.
+type acceptAll struct{ seen int }
+
+func (v *acceptAll) Validate(*control.CheckContext) control.Verdict {
+	v.seen++
+	return control.VerdictAccept
+}
+
+// TestDecideFixedStepSkipsClassicTest pins the constant-step mode: a
+// proposal the classic test rejects (a NaN one included) reaches the
+// Validator, and without a Validator it is accepted as computed.
+func TestDecideFixedStepSkipsClassicTest(t *testing.T) {
+	ctrl := control.DefaultController(1e-6, 1e-6)
+	hist := control.NewHistory(4, 2)
+	x := la.Vec{1, 0}
+	weights := la.NewVec(2)
+	for _, xProp := range []la.Vec{{2, 1}, {math.NaN(), 0}} {
+		errVec := la.Vec{1, 1}
+		v := &acceptAll{}
+		var eng control.Engine
+		eng.Reset(2)
+		if chk := eng.Decide(&ctrl, 0, 0, 0.1, x, x, xProp, errVec, weights, hist, nil, nil, nil, nil, false); !chk.ClassicReject {
+			t.Fatalf("%v: classic test accepted SErr1 = %g", xProp, chk.SErr1)
+		}
+		if chk := eng.Decide(&ctrl, 0, 0, 0.1, x, x, xProp, errVec, weights, hist, nil, nil, nil, nil, true); chk.ClassicReject || !chk.Accepted() {
+			t.Fatalf("%v: unguarded fixed step not accepted: %+v", xProp, *chk)
+		}
+		eng.Validator = v
+		if chk := eng.Decide(&ctrl, 0, 0, 0.1, x, x, xProp, errVec, weights, hist, nil, nil, nil, nil, true); chk.ClassicReject || v.seen != 1 {
+			t.Fatalf("%v: validator saw %d trials, classic reject %v", xProp, v.seen, chk.ClassicReject)
 		}
 	}
 }

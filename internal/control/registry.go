@@ -33,14 +33,7 @@ type Spec struct {
 // Factory builds one detector instance for one integration.
 type Factory func(Spec) (Detector, error)
 
-// FixedFactory builds one fixed-step detector instance (§VII-C); a nil
-// FixedValidator means the fixed integrator runs unguarded.
-type FixedFactory func() FixedValidator
-
-var (
-	registry      = map[string]Factory{}
-	fixedRegistry = map[string]FixedFactory{}
-)
+var registry = map[string]Factory{}
 
 // Register adds a named detector factory. Detector implementations register
 // themselves in their package init (internal/core registers the paper's
@@ -53,28 +46,10 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
-// RegisterFixed adds a named fixed-step detector factory.
-func RegisterFixed(name string, f FixedFactory) {
-	if _, dup := fixedRegistry[name]; dup {
-		panic(fmt.Sprintf("control: fixed detector %q registered twice", name))
-	}
-	fixedRegistry[name] = f
-}
-
-// Names returns the registered adaptive detector names, sorted.
+// Names returns the registered detector names, sorted.
 func Names() []string {
 	names := make([]string, 0, len(registry))
 	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// FixedNames returns the registered fixed-step detector names, sorted.
-func FixedNames() []string {
-	names := make([]string, 0, len(fixedRegistry))
-	for name := range fixedRegistry {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -102,19 +77,9 @@ func New(name string, s Spec) (Detector, error) {
 	return d, nil
 }
 
-// NewFixed builds the named fixed-step detector.
-func NewFixed(name string) (FixedValidator, error) {
-	f, ok := fixedRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("control: unknown fixed detector %q", name)
-	}
-	return f(), nil
-}
-
 func init() {
 	// The classic adaptive controller alone — the registry's identity
-	// element — and the unguarded fixed integrator live here: they need
-	// nothing beyond this package.
+	// element, and the unguarded solver of a fixed-step cell — lives here:
+	// it needs nothing beyond this package.
 	Register("classic", func(Spec) (Detector, error) { return Detector{}, nil })
-	RegisterFixed("none", func() FixedValidator { return nil })
 }

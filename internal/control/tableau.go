@@ -28,8 +28,8 @@ type Tableau struct {
 func (t *Tableau) Stages() int { return len(t.B) }
 
 // HasErrorEstimate reports whether the embedded weights differ from the
-// propagated ones; pairs without an estimate (SSPRK3) only suit the
-// FixedIntegrator.
+// propagated ones; pairs without an estimate (SSPRK3) only suit a
+// fixed-step integration (ode.Integrator.FixedStep).
 func (t *Tableau) HasErrorEstimate() bool {
 	for i := range t.B {
 		if !la.ExactEq(t.B[i], t.BHat[i]) {

@@ -184,28 +184,30 @@ func (a *AID) extrapolate(dst la.Vec, hist *ode.History, method int, t float64) 
 	return true
 }
 
-// ValidateFixed implements ode.FixedValidator. Following Di & Cappello's
+// Validate implements ode.Validator. Following Di & Cappello's
 // per-data-point formulation, every component is predicted individually and
 // the step is rejected as soon as any point's deviation exceeds the
 // impact-driven threshold (1+eta)(eps + θ*r); eps is the recent maximum
 // per-point prediction error and r the global value range. A proposal with
 // a NaN or infinite component is rejected outright: the ordered deviation
 // test skips NaN components, and a NaN value range makes the threshold NaN.
-func (a *AID) ValidateFixed(c *ode.FixedCheckContext) bool {
+func (a *AID) Validate(c *ode.CheckContext) ode.Verdict {
 	a.Stats.Checks++
 	if c.XProp.HasNaNOrInf() {
 		a.Stats.Rejections++
-		return false
+		return ode.VerdictReject
 	}
 	a.step++
 	if a.est == nil {
+		//lint:allow allocfree -- grow-once extrapolation buffers: sized on the first check, reused forever after
 		a.est = la.NewVec(len(c.XProp))
+		//lint:allow allocfree -- grow-once extrapolation buffers: sized on the first check, reused forever after
 		a.ones = la.NewVec(len(c.XProp))
 		a.ones.Fill(1)
 	}
 	if !a.extrapolate(a.est, c.Hist, a.method, c.T+c.H) {
 		a.Stats.Skipped++
-		return true
+		return ode.VerdictAccept
 	}
 	// Per-point maximum deviation |x_i - x~_i| and the point attaining it.
 	diff := 0.0
@@ -226,35 +228,32 @@ func (a *AID) ValidateFixed(c *ode.FixedCheckContext) bool {
 	}
 	eps := a.epsFor(a.method)
 	thr := (1 + a.eta) * (eps + aidTheta*r)
-	reject := eps > 0 && diff > thr
-	if reject {
+	verdict := ode.VerdictAccept
+	if eps > 0 && diff > thr {
 		// A recomputation reproducing the same surrogate marks a false
 		// positive; relax the threshold.
 		if a.haveLast && c.Recomputation && la.ExactEq(diff, a.lastDiff) {
 			a.eta += 0.5
-			a.haveLast = false
 			a.Stats.FPRescues++
-			reject = false
+			verdict = ode.VerdictFPRescue
 		} else {
 			a.lastDiff = diff
 			a.haveLast = true
+			a.Stats.Rejections++
+			return ode.VerdictReject
 		}
 	}
-	if !reject {
-		// Learn the normal extrapolation error and rescore the methods.
-		a.record(a.method, diff)
-		if a.step%aidBestFitPeriod == 0 {
-			a.bestFit(c)
-		}
-		a.haveLast = false
-		return true
+	// Learn the normal extrapolation error and rescore the methods.
+	a.record(a.method, diff)
+	if a.step%aidBestFitPeriod == 0 {
+		a.bestFit(c)
 	}
-	a.Stats.Rejections++
-	return false
+	a.haveLast = false
+	return verdict
 }
 
 // bestFit picks the extrapolation method with the smallest current error.
-func (a *AID) bestFit(c *ode.FixedCheckContext) {
+func (a *AID) bestFit(c *ode.CheckContext) {
 	best, bestErr := a.method, math.Inf(1)
 	for m := 0; m <= 2; m++ {
 		if !a.extrapolate(a.est, c.Hist, m, c.T+c.H) {
@@ -302,21 +301,23 @@ func (h *HotRode) threshold() float64 {
 // NewHotRode returns a Hot Rode detector with default calibration.
 func NewHotRode() *HotRode { return &HotRode{} }
 
-// ValidateFixed implements ode.FixedValidator. A proposal with a NaN or
-// infinite component is rejected outright, since the infinity norm of the
-// surrogate skips NaN components.
-func (h *HotRode) ValidateFixed(c *ode.FixedCheckContext) bool {
+// Validate implements ode.Validator. A proposal with a NaN or infinite
+// component is rejected outright, since the infinity norm of the surrogate
+// skips NaN components.
+func (h *HotRode) Validate(c *ode.CheckContext) ode.Verdict {
 	h.Stats.Checks++
 	if c.XProp.HasNaNOrInf() {
 		h.Stats.Rejections++
-		return false
+		return ode.VerdictReject
 	}
 	if c.Hist.Len() < 2 {
 		h.Stats.Skipped++
-		return true
+		return ode.VerdictAccept
 	}
 	if h.est == nil {
+		//lint:allow allocfree -- grow-once surrogate buffers: sized on the first check, reused forever after
 		h.est = la.NewVec(len(c.XProp))
+		//lint:allow allocfree -- grow-once surrogate buffers: sized on the first check, reused forever after
 		h.diff = la.NewVec(len(c.XProp))
 	}
 	// Second error estimate: linear extrapolation residual.
@@ -334,7 +335,7 @@ func (h *HotRode) ValidateFixed(c *ode.FixedCheckContext) bool {
 		if s > h.calMax {
 			h.calMax = s
 		}
-		return true
+		return ode.VerdictAccept
 	}
 	if s > h.threshold() {
 		if h.haveLast && c.Recomputation && la.ExactEq(s, h.lastS) {
@@ -343,15 +344,15 @@ func (h *HotRode) ValidateFixed(c *ode.FixedCheckContext) bool {
 			h.fpCount++
 			h.haveLast = false
 			h.Stats.FPRescues++
-			return true
+			return ode.VerdictFPRescue
 		}
 		h.lastS = s
 		h.haveLast = true
 		h.Stats.Rejections++
-		return false
+		return ode.VerdictReject
 	}
 	h.haveLast = false
-	return true
+	return ode.VerdictAccept
 }
 
 // richardsonFactor is Richardson's acceptance multiple of the tolerance.

@@ -341,11 +341,12 @@ func TestRichardsonRejectsNaNSecondEstimate(t *testing.T) {
 	}
 }
 
-// runNaNStage integrates the oscillator with h = 0.01 under the fixed-step
-// detector v for 60 clean steps, then takes one step whose first trial has
-// NaN written into stage 1. No classic test runs on the fixed-step path, so
-// the detector alone stands between the NaN and the stored solution.
-func runNaNStage(t *testing.T, v ode.FixedValidator) {
+// runNaNStage integrates the oscillator with the constant step h = 0.01
+// under the detector v for 60 clean steps, then takes one step whose first
+// trial has NaN written into stage 1. No classic test runs on the
+// fixed-step path, so the detector alone stands between the NaN and the
+// stored solution.
+func runNaNStage(t *testing.T, v ode.Validator) {
 	t.Helper()
 	armed := false
 	hook := func(stage int, _ float64, k la.Vec) int {
@@ -356,11 +357,9 @@ func runNaNStage(t *testing.T, v ode.FixedValidator) {
 		}
 		return 0
 	}
-	in := &ode.FixedIntegrator{Tab: ode.HeunEuler(), Validator: v, Hook: hook}
-	in.Init(oscillator, 0, la.Vec{1, 0}, 0.01)
-	if err := in.RunN(60); err != nil {
-		t.Fatal(err)
-	}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Validator: v, Hook: hook, FixedStep: true}
+	in.Init(oscillator, 0, 20, la.Vec{1, 0}, 0.01)
+	runSteps(t, in, 60)
 	if in.Stats.RejectedValidator != 0 {
 		t.Fatalf("clean warm-up rejected %d steps", in.Stats.RejectedValidator)
 	}
@@ -371,8 +370,19 @@ func runNaNStage(t *testing.T, v ode.FixedValidator) {
 	if in.X().HasNaNOrInf() {
 		t.Fatalf("NaN stage accepted: x = %v", in.X())
 	}
-	if in.Stats.RejectedValidator != 1 {
-		t.Fatalf("%d validator rejections, want 1 (the NaN trial, then a clean recomputation)", in.Stats.RejectedValidator)
+	if in.Stats.RejectedValidator != 1 || in.Stats.RejectedClassic != 0 {
+		t.Fatalf("%d validator and %d classic rejections, want 1 and 0 (the NaN trial, then a clean recomputation)",
+			in.Stats.RejectedValidator, in.Stats.RejectedClassic)
+	}
+}
+
+// runSteps advances in by n accepted steps.
+func runSteps(t *testing.T, in *ode.Integrator, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := in.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -396,16 +406,12 @@ func TestAIDFixedStepDetection(t *testing.T) {
 	aid := NewAID()
 	plan := inject.NewPlan(xrand.New(11), inject.Scaled{})
 	plan.Prob = 0 // warm up clean first
-	in := &ode.FixedIntegrator{Tab: ode.HeunEuler(), Validator: aid, Hook: plan.Hook}
-	in.Init(oscillator, 0, la.Vec{1, 0}, 0.01)
-	if err := in.RunN(50); err != nil {
-		t.Fatal(err)
-	}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Validator: aid, Hook: plan.Hook, FixedStep: true}
+	in.Init(oscillator, 0, 20, la.Vec{1, 0}, 0.01)
+	runSteps(t, in, 50)
 	cleanRej := aid.Stats.Rejections
 	plan.Prob = 0.2
-	if err := in.RunN(200); err != nil {
-		t.Fatal(err)
-	}
+	runSteps(t, in, 200)
 	if plan.Count == 0 {
 		t.Fatal("vacuous")
 	}
@@ -418,15 +424,11 @@ func TestHotRodeFixedStepDetection(t *testing.T) {
 	hr := NewHotRode()
 	plan := inject.NewPlan(xrand.New(13), inject.Scaled{})
 	plan.Prob = 0
-	in := &ode.FixedIntegrator{Tab: ode.HeunEuler(), Validator: hr, Hook: plan.Hook}
-	in.Init(oscillator, 0, la.Vec{1, 0}, 0.01)
-	if err := in.RunN(50); err != nil {
-		t.Fatal(err)
-	}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Validator: hr, Hook: plan.Hook, FixedStep: true}
+	in.Init(oscillator, 0, 20, la.Vec{1, 0}, 0.01)
+	runSteps(t, in, 50)
 	plan.Prob = 0.2
-	if err := in.RunN(200); err != nil {
-		t.Fatal(err)
-	}
+	runSteps(t, in, 200)
 	if plan.Count == 0 {
 		t.Fatal("vacuous")
 	}

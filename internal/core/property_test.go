@@ -168,7 +168,7 @@ func TestPropertyOrderAdaptationBounds(t *testing.T) {
 			errVec := la.Vec{0.5 * (1e-6 + 1e-6*math.Abs(x))}
 			eng.BeginStep()
 			chk := eng.Decide(&c, step, tPrev, h, la.Vec{xPrev}, la.Vec{xPrev}, la.Vec{x}, errVec,
-				w, hist, ode.HeunEuler(), decay, nil, nil)
+				w, hist, ode.HeunEuler(), decay, nil, nil, false)
 			if chk.ClassicReject {
 				t.Fatalf("trial %d step %d: classic test rejected SErr_1 = %g", trial, step, chk.SErr1)
 			}

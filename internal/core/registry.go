@@ -71,8 +71,14 @@ func init() {
 			MemVectors: func() float64 { return 2 }, // midpoint + replica proposal
 		}, nil
 	})
-	control.RegisterFixed("aid", func() control.FixedValidator { return NewAID() })
-	control.RegisterFixed("hotrode", func() control.FixedValidator { return NewHotRode() })
+	// The related-work detectors of §VII-C keep no accounting: Table IV
+	// leaves them out, so their cells report no memory or order.
+	control.Register("aid", func(control.Spec) (control.Detector, error) {
+		return control.Detector{Validator: NewAID()}, nil
+	})
+	control.Register("hotrode", func(control.Spec) (control.Detector, error) {
+		return control.Detector{Validator: NewHotRode()}, nil
+	})
 }
 
 // stagePlusTwo reports the memory cost of n full replicas of the solver

@@ -15,11 +15,25 @@ import (
 // significance OnTrial with its clean shadow recomputation, and the
 // worker's recycled integrator. sdcperf's gated matrix builds bare
 // integrators without hooks, so an allocation the wiring adds per step
-// shows only here.
+// shows only here. Every detector kind runs an adaptive cell; the
+// unguarded solver and the related-work detectors also run a fixed-step
+// one.
 func TestReplicateStepAllocationFree(t *testing.T) {
-	for _, kind := range []DetectorKind{Classic, LBDC, IBDC, Replication, TMR, Richardson, Oracle} {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := Config{Problem: problems.Oscillator(), Tab: ode.HeunEuler(), Injector: inject.Scaled{}, Detector: kind}
+	type cell struct {
+		name  string
+		kind  DetectorKind
+		fixed bool
+	}
+	var cells []cell
+	for _, kind := range AllDetectors() {
+		cells = append(cells, cell{string(kind), kind, false})
+	}
+	for _, kind := range []DetectorKind{Classic, AID, HotRode} {
+		cells = append(cells, cell{"fixed-" + string(kind), kind, true})
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Problem: problems.Oscillator(), Tab: ode.HeunEuler(), Injector: inject.Scaled{}, Detector: c.kind, FixedStep: c.fixed}
 			var scr workerScratch
 			var out repOutcome
 			w, err := wireReplicate(&cfg, nextJob(&cfg, xrand.New(1), 0), &scr, &out)

@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
 	"repro/internal/control"
 	// The detector registry is populated by package init functions; the blank
 	// import pulls in the lbdc/ibdc/replication/tmr/richardson factories and
-	// the aid/hotrode fixed-step detectors.
+	// the related-work aid/hotrode detectors.
 	_ "repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/la"
@@ -47,8 +48,9 @@ const (
 type DetectorKind string
 
 // The detector kinds of the evaluation: the classic adaptive controller
-// alone, the paper's two double-checking strategies, and the redundancy
-// baselines.
+// alone, the paper's two double-checking strategies, the redundancy
+// baselines, and the related-work detectors built for constant-step solvers
+// (§VII-C), which guard adaptive and fixed-step cells alike.
 const (
 	Classic     DetectorKind = "classic"
 	LBDC        DetectorKind = "lbdc"
@@ -59,12 +61,14 @@ const (
 	// Oracle rejects exactly the significantly corrupted steps (it compares
 	// against a clean recomputation like the harness's ground truth): the
 	// unreachable ideal detector, useful as the upper bound in comparisons.
-	Oracle DetectorKind = "oracle"
+	Oracle  DetectorKind = "oracle"
+	AID     DetectorKind = "aid"
+	HotRode DetectorKind = "hotrode"
 )
 
-// AllDetectors lists every adaptive-solver detector kind.
+// AllDetectors lists every detector kind.
 func AllDetectors() []DetectorKind {
-	return []DetectorKind{Classic, LBDC, IBDC, Replication, TMR, Richardson, Oracle}
+	return []DetectorKind{Classic, LBDC, IBDC, Replication, TMR, Richardson, Oracle, AID, HotRode}
 }
 
 // Config describes one campaign cell: a problem, an embedded pair, an
@@ -99,6 +103,13 @@ type Config struct {
 	// Field, when non-nil, confines stage injections to one component range
 	// (per-variable vulnerability studies on field-blocked PDE states).
 	Field *inject.FieldSelective
+	// FixedStep makes the cell a fixed-step one (§VII-C): the integrator
+	// holds h at Problem.H0 with no classic test (ode.Integrator.FixedStep),
+	// Classic then means the unguarded solver, and a corrupted trial is
+	// significant when it is not finite or moves the proposal, in the max
+	// norm, by more than a tenth of the clean step's error estimate. Fixed
+	// cells draw their replicates from their own root stream.
+	FixedStep bool
 
 	// Workers sets the replicate-level parallelism: 0 uses
 	// runtime.GOMAXPROCS(0), a negative value runs one worker, and a
@@ -260,6 +271,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.Metrics = telemetry.NewMetrics()
 	}
 	root := xrand.New(cfg.Seed ^ 0xc0ffee)
+	if cfg.FixedStep {
+		root = xrand.New(cfg.Seed ^ 0xf1eed)
+	}
 	//lint:allow walltime -- §VI-B wall-clock overhead metric; WallSeconds is excluded from determinism comparisons
 	start := time.Now()
 
@@ -396,15 +410,20 @@ func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome)
 		if corrupted {
 			// Significance: recompute the step cleanly (from the clean stored
 			// state — XStart is never the corrupted transient copy) and
-			// measure the real scaled LTE of the corrupted solution against
-			// the clean approximation solution (§IV-A).
+			// compare the corrupted solution with it.
 			restore := plan.Pause()
 			clean := shadow.Trial(tr.T, tr.H, tr.XStart, nil, nil)
 			restore()
-			xt.CopyFrom(clean.XProp)
-			xt.Sub(clean.ErrVec) // x~ = x - (x - x~)
-			ctrl.Weights(cw, clean.XProp)
-			significant = tr.XProp.HasNaNOrInf() || ctrl.ScaledDiff(tr.XProp, xt, cw) > 1
+			if cfg.FixedStep {
+				significant = fixedSignificant(tr.XProp, clean.XProp, clean.ErrVec)
+			} else {
+				// The real scaled LTE of the corrupted solution against the
+				// clean approximation solution (§IV-A).
+				xt.CopyFrom(clean.XProp)
+				xt.Sub(clean.ErrVec) // x~ = x - (x - x~)
+				ctrl.Weights(cw, clean.XProp)
+				significant = tr.XProp.HasNaNOrInf() || ctrl.ScaledDiff(tr.XProp, xt, cw) > 1
+			}
 			if significant {
 				tr.Significance = telemetry.SigSignificant
 			} else {
@@ -417,6 +436,28 @@ func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome)
 		out.rates.Tally(corrupted, rejected, significant, tr.Injections+tr.StateInjections)
 	}
 	return w, nil
+}
+
+// fixedSignificant is the ground truth of a fixed-step cell, Hot Rode's
+// convention, since a fixed-step solver has no tolerance to compare with: a
+// corrupted proposal is significant when it is not finite, or when its
+// max-norm deviation from the clean proposal exceeds a tenth of the clean
+// error estimate's max norm (1e-300 when that estimate is 0).
+func fixedSignificant(xProp, clean, cleanErr la.Vec) bool {
+	if xProp.HasNaNOrInf() {
+		return true
+	}
+	thresh := cleanErr.NormInf() / 10
+	if thresh == 0 {
+		thresh = 1e-300
+	}
+	var dev float64
+	for i := range clean {
+		if d := math.Abs(xProp[i] - clean[i]); d > dev {
+			dev = d
+		}
+	}
+	return dev > thresh
 }
 
 // collectOutcome folds one finished integration into its repOutcome: the
@@ -521,6 +562,7 @@ func startReplicate(in *ode.Integrator, cfg *Config, w repWiring, halt func() bo
 	in.MinStep = 0
 	in.MaxStep = p.MaxStep
 	in.NoReuseFirstStage = cfg.NoReuseFirstStage
+	in.FixedStep = cfg.FixedStep
 	in.Init(w.sys, p.T0, p.TEnd, p.X0, p.H0)
 }
 

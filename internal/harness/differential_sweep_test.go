@@ -79,29 +79,44 @@ func TestDetectorSweepGolden(t *testing.T) {
 	}
 }
 
-// TestFixedSweepGolden pins the fixed-step campaign path for every fixed
-// detector kind. RunFixed is serial-only, so the golden comparison is the
-// whole check.
+// TestFixedSweepGolden pins the fixed-step campaign path for the unguarded
+// solver and both related-work detectors: the serial canonical result must
+// match its committed golden file byte for byte, and the 4-worker result
+// the serial one.
 func TestFixedSweepGolden(t *testing.T) {
-	for _, det := range []FixedDetectorKind{FixedNone, FixedAID, FixedHotRode} {
-		t.Run(string(det), func(t *testing.T) {
-			res, err := RunFixed(FixedConfig{
-				Problem:       fastProblem(),
-				Tab:           ode.HeunEuler(),
-				Injector:      inject.Scaled{},
-				Detector:      det,
-				Seed:          20170905,
-				MinInjections: 30,
-				MaxRuns:       200,
-			})
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		det  DetectorKind
+	}{{"none", Classic}, {"aid", AID}, {"hotrode", HotRode}} {
+		t.Run(c.name, func(t *testing.T) {
+			var serial []byte
+			for _, workers := range []int{1, 4} {
+				res, err := Run(Config{
+					Problem:       fastProblem(),
+					Tab:           ode.HeunEuler(),
+					Injector:      inject.Scaled{},
+					Detector:      c.det,
+					Seed:          20170905,
+					MinInjections: 30,
+					MaxRuns:       200,
+					Workers:       workers,
+					FixedStep:     true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				canon, err := json.Marshal(res.Canonical())
+				if err != nil {
+					t.Fatal(err)
+				}
+				canon = append(canon, '\n')
+				if serial == nil {
+					serial = canon
+					checkGolden(t, fmt.Sprintf("sweep_fixed_%s.golden", c.name), canon)
+				} else if !bytes.Equal(canon, serial) {
+					t.Errorf("workers=%d result diverges from serial:\n%s", workers, canon)
+				}
 			}
-			canon, err := json.Marshal(res.Canonical())
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, fmt.Sprintf("sweep_fixed_%s.golden", det), append(canon, '\n'))
 		})
 	}
 }

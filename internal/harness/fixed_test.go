@@ -1,35 +1,38 @@
 package harness
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/inject"
 	"repro/internal/ode"
 	"repro/internal/problems"
+	"repro/internal/xrand"
 )
 
-func fixedWorkload() *problems.Problem {
-	return problems.Oscillator()
+// fixedCell is a fixed-step campaign cell on the oscillator.
+func fixedCell(det DetectorKind, seed uint64, minInj int) Config {
+	return Config{Problem: problems.Oscillator(), Tab: ode.HeunEuler(), Injector: inject.Scaled{},
+		Detector: det, Seed: seed, MinInjections: minInj, FixedStep: true}
 }
 
-func TestRunFixedRequiresConfig(t *testing.T) {
-	if _, err := RunFixed(FixedConfig{}); err == nil {
+func TestFixedStepRequiresConfig(t *testing.T) {
+	if _, err := Run(Config{FixedStep: true}); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-func TestRunFixedUnknownDetector(t *testing.T) {
-	_, err := RunFixed(FixedConfig{Problem: fixedWorkload(), Tab: ode.HeunEuler(), Injector: inject.Scaled{},
-		Detector: "bogus", MinInjections: 1, MaxRuns: 1})
-	if err == nil {
+func TestFixedStepUnknownDetector(t *testing.T) {
+	cfg := fixedCell("bogus", 0, 1)
+	cfg.MaxRuns = 1
+	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-func TestRunFixedBaselineRates(t *testing.T) {
+func TestFixedStepBaselineRates(t *testing.T) {
 	// Without a detector nothing is rejected.
-	res, err := RunFixed(FixedConfig{Problem: fixedWorkload(), Tab: ode.HeunEuler(), Injector: inject.Scaled{},
-		Detector: FixedNone, Seed: 1, MinInjections: 200})
+	res, err := Run(fixedCell(Classic, 1, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +44,12 @@ func TestRunFixedBaselineRates(t *testing.T) {
 	}
 }
 
-func TestRunFixedAIDImprovesOverNone(t *testing.T) {
-	base, err := RunFixed(FixedConfig{Problem: fixedWorkload(), Tab: ode.HeunEuler(), Injector: inject.Scaled{},
-		Detector: FixedNone, Seed: 3, MinInjections: 400})
+func TestFixedStepAIDImprovesOverNone(t *testing.T) {
+	base, err := Run(fixedCell(Classic, 3, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	aid, err := RunFixed(FixedConfig{Problem: fixedWorkload(), Tab: ode.HeunEuler(), Injector: inject.Scaled{},
-		Detector: FixedAID, Seed: 3, MinInjections: 400})
+	aid, err := Run(fixedCell(AID, 3, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +61,8 @@ func TestRunFixedAIDImprovesOverNone(t *testing.T) {
 	}
 }
 
-func TestRunFixedHotRodeDetects(t *testing.T) {
-	hr, err := RunFixed(FixedConfig{Problem: fixedWorkload(), Tab: ode.HeunEuler(), Injector: inject.Scaled{},
-		Detector: FixedHotRode, Seed: 5, MinInjections: 400})
+func TestFixedStepHotRodeDetects(t *testing.T) {
+	hr, err := Run(fixedCell(HotRode, 5, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,10 @@ func TestRunFixedHotRodeDetects(t *testing.T) {
 	}
 }
 
-func TestRunFixedCustomProbability(t *testing.T) {
-	res, err := RunFixed(FixedConfig{Problem: fixedWorkload(), Tab: ode.HeunEuler(), Injector: inject.Scaled{},
-		Detector: FixedNone, Seed: 2, MinInjections: 100, InjectProb: 0.1, MaxRuns: 5})
+func TestFixedStepCustomProbability(t *testing.T) {
+	cfg := fixedCell(Classic, 2, 100)
+	cfg.InjectProb, cfg.MaxRuns = 0.1, 5
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,5 +86,54 @@ func TestRunFixedCustomProbability(t *testing.T) {
 	frac := float64(res.Rates.Injections) / float64(res.Rates.CorruptTrials+res.Rates.CleanTrials)
 	if frac < 0.05 {
 		t.Fatalf("injection density %.3f, want ~0.1-ish", frac)
+	}
+}
+
+// nanInjector replaces the corrupted component with NaN.
+type nanInjector struct{}
+
+func (nanInjector) Name() string                        { return "nan" }
+func (nanInjector) Corrupt(*xrand.RNG, float64) float64 { return math.NaN() }
+
+// TestFixedStepNaNProposalIsSignificant pins the fixed-step ground truth on
+// non-finite proposals. An unguarded fixed-step cell accepts a NaN stage and
+// carries the NaN state to the end of the run; every corrupted trial then
+// proposes NaN, which the deviation test alone would skip as 0.
+func TestFixedStepNaNProposalIsSignificant(t *testing.T) {
+	cfg := fixedCell(Classic, 1, 40)
+	cfg.Injector = nanInjector{}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Rates
+	if r.CorruptTrials == 0 || r.SigTrials != r.CorruptTrials || r.SigAccepted != r.SigTrials {
+		t.Fatalf("rates %s: every NaN proposal must be significant and, unguarded, accepted", r.String())
+	}
+}
+
+// TestFixedStepHoldsH0 pins the constant step: every trial runs at H0 but
+// the last, which shortens to land on TEnd when the span is not a multiple
+// of H0.
+func TestFixedStepHoldsH0(t *testing.T) {
+	cfg := fixedCell(HotRode, 7, 1)
+	cfg.Problem.TEnd = 1.005
+	cfg.MaxRuns, cfg.Trace = 1, true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := res.Trace.Events()
+	if res.Steps != 101 || len(events) == 0 {
+		t.Fatalf("%d steps, %d events; want 101 steps", res.Steps, len(events))
+	}
+	for _, ev := range events[:len(events)-1] {
+		if ev.H != cfg.Problem.H0 {
+			t.Fatalf("step %d attempt %d ran at h = %g, want %g", ev.Step, ev.Attempt, ev.H, cfg.Problem.H0)
+		}
+	}
+	last := events[len(events)-1]
+	if last.Step != 100 || math.Abs(last.T+last.H-1.005) > 1e-12 {
+		t.Fatalf("last step %d at t = %g with h = %g, want step 100 ending on 1.005", last.Step, last.T, last.H)
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // The detector registry is the single source of truth for detector names.
-// Every enumeration of detectors elsewhere — the harness kinds, the scaling
-// model's analytic subset, the fixed-step kinds — must agree with it, so a
-// detector added in one place cannot silently be missing from another.
+// Every enumeration of detectors elsewhere — the harness kinds and the
+// scaling model's analytic subset — must agree with it, so a detector added
+// in one place cannot silently be missing from another.
 func TestDetectorRegistryComplete(t *testing.T) {
 	reg := control.Names()
 
@@ -29,6 +29,14 @@ func TestDetectorRegistryComplete(t *testing.T) {
 		}
 	}
 
+	// Every registered name must construct without error (the registry
+	// entry would otherwise be dead weight that no campaign can use).
+	for _, n := range reg {
+		if _, err := control.New(n, control.Spec{}); err != nil {
+			t.Errorf("New(%q): %v", n, err)
+		}
+	}
+
 	// The scaling model covers an analytic subset; each member must still be
 	// a registered detector name.
 	inReg := make(map[string]bool, len(reg))
@@ -38,31 +46,6 @@ func TestDetectorRegistryComplete(t *testing.T) {
 	for _, d := range []scaling.Detector{scaling.Classic, scaling.LBDC, scaling.IBDC, scaling.Replication} {
 		if !inReg[string(d)] {
 			t.Errorf("scaling detector %q is not a registered detector name", d)
-		}
-	}
-}
-
-func TestFixedDetectorRegistryComplete(t *testing.T) {
-	reg := control.FixedNames()
-	var kinds []string
-	for _, k := range []FixedDetectorKind{FixedNone, FixedAID, FixedHotRode} {
-		kinds = append(kinds, string(k))
-	}
-	sort.Strings(kinds)
-	if len(kinds) != len(reg) {
-		t.Fatalf("fixed kinds count %d != registry count %d: %v vs %v", len(kinds), len(reg), kinds, reg)
-	}
-	for i := range reg {
-		if kinds[i] != reg[i] {
-			t.Errorf("name %d: fixed kind %q != registry name %q", i, kinds[i], reg[i])
-		}
-	}
-
-	// Every registered fixed name must construct without error (the registry
-	// entry would otherwise be dead weight that RunFixed can never use).
-	for _, n := range reg {
-		if _, err := control.NewFixed(n); err != nil {
-			t.Errorf("NewFixed(%q): %v", n, err)
 		}
 	}
 }

@@ -199,30 +199,37 @@ func Table3(w io.Writer, o Options, tab *ode.Tableau, stateProb float64) (map[De
 	return out, nil
 }
 
-// FixedTable compares the related-work fixed-step detectors of §VII-C, AID
-// and Hot Rode, against the unguarded fixed-step solver ("none") on the 2-D
-// oscillator at its constant step H0 (Heun-Euler, scaled injections). The
-// workload is always the oscillator; o.Problem is ignored.
+// FixedTable compares the related-work detectors of §VII-C, AID and Hot
+// Rode, against the unguarded solver (row "none", the Classic cell) in
+// fixed-step cells on the 2-D oscillator at its constant step H0
+// (Heun-Euler, scaled injections). The workload is always the oscillator;
+// o.Problem is ignored.
 func FixedTable(w io.Writer, o Options) ([]CellResult, error) {
 	t := &Table{
 		Title:   "Related work — fixed-step detectors (Heun-Euler, scaled injections), %",
 		Headers: []string{"Detector", "FPR", "TPR", "Significant FNR"},
 	}
 	var cells []CellResult
-	for _, det := range []FixedDetectorKind{FixedNone, FixedAID, FixedHotRode} {
-		res, err := RunFixed(FixedConfig{
+	for _, det := range []DetectorKind{Classic, AID, HotRode} {
+		res, err := Run(o.telemetry(Config{
 			Problem:       problems.Oscillator(),
 			Tab:           ode.HeunEuler(),
 			Injector:      inject.Scaled{},
 			Detector:      det,
 			Seed:          o.Seed,
 			MinInjections: o.minInj(),
-		})
+			Workers:       o.Workers,
+			FixedStep:     true,
+		}))
 		if err != nil {
 			return nil, fmt.Errorf("harness: fixed %s: %w", det, err)
 		}
-		cells = append(cells, CellResult{Method: "heun-euler", Injector: "scaled", Detector: DetectorKind(det), Result: res})
-		t.AddRowf(string(det), res.Rates.FPR(), res.Rates.TPR(), res.Rates.SFNR())
+		cells = append(cells, CellResult{Method: "heun-euler", Injector: "scaled", Detector: det, Result: res})
+		label := string(det)
+		if det == Classic {
+			label = "none"
+		}
+		t.AddRowf(label, res.Rates.FPR(), res.Rates.TPR(), res.Rates.SFNR())
 	}
 	t.Render(w)
 	return cells, nil

@@ -42,7 +42,9 @@ var funcs = "repro/internal/batch.Integrator.Round," +
 	"repro/internal/control.Controller.NewStepSize," +
 	"repro/internal/control.Controller.Score," +
 	"repro/internal/control.Engine.Decide," +
+	"repro/internal/core.AID.Validate," +
 	"repro/internal/core.DoubleCheck.Validate," +
+	"repro/internal/core.HotRode.Validate," +
 	"repro/internal/core.Replication.Validate," +
 	"repro/internal/core.Richardson.Validate," +
 	"repro/internal/core.TMR.Validate," +

@@ -60,9 +60,3 @@ type Validator = control.Validator
 // CheckContext gives a Validator the full view of a controller-accepted
 // trial step.
 type CheckContext = control.CheckContext
-
-// FixedValidator inspects a completed fixed-step trial (§VII-C).
-type FixedValidator = control.FixedValidator
-
-// FixedCheckContext is the fixed-step analog of CheckContext.
-type FixedCheckContext = control.FixedCheckContext

@@ -158,6 +158,12 @@ type Integrator struct {
 	// the double-check's FProp) into the next step's first stage. Ablation
 	// switch for the first-same-as-last reuse of §V-B.
 	NoReuseFirstStage bool
+	// FixedStep runs the constant-step solver that the related-work
+	// detectors AID and Hot Rode assume (§VII-C): h stays at the h0 given
+	// to Init (only the last step shortens to land on tEnd), and the
+	// classic test, NaN screen included, is skipped. The Validator alone
+	// decides; without one every trial is accepted as computed.
+	FixedStep bool
 
 	sys     System
 	stepper *Stepper // the explicit method for Tab, kept across Init calls
@@ -322,7 +328,7 @@ func (in *Integrator) Step() error {
 		// validator double-check with the engine-owned CheckContext.
 		chk := in.engine.Decide(&in.Ctrl, in.Stats.Steps, in.t, h,
 			xTrial, in.x, res.XProp, res.ErrVec, in.weights,
-			in.hist, in.Tab, in.sys, in.Hook, res.FProp)
+			in.hist, in.Tab, in.sys, in.Hook, res.FProp, in.FixedStep)
 		sErr1 := chk.SErr1
 		in.Stats.Evals += int64(chk.FPropEvals)
 
@@ -377,6 +383,9 @@ func (in *Integrator) Step() error {
 				in.haveFNext = false
 			}
 			in.fNextCorrupted = in.haveFNext && lastInj > 0
+			if in.FixedStep {
+				return nil
+			}
 			in.h = in.Ctrl.NewStepSize(h, sErr1, res.ControlOrder)
 			if in.MaxStep > 0 && in.h > in.MaxStep {
 				in.h = in.MaxStep

@@ -328,13 +328,18 @@ func TestInjectionThroughIntegrator(t *testing.T) {
 	}
 }
 
-func TestFixedIntegratorMatchesExact(t *testing.T) {
-	in := &FixedIntegrator{Tab: DormandPrince()}
-	in.Init(oscillator, 0, la.Vec{1, 0}, 0.01)
-	if err := in.RunN(100); err != nil {
-		t.Fatal(err)
+func TestFixedStepMatchesExact(t *testing.T) {
+	in := &Integrator{Tab: DormandPrince(), FixedStep: true}
+	in.Init(oscillator, 0, 1, la.Vec{1, 0}, 0.01)
+	for i := 0; i < 100; i++ {
+		if err := in.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if in.StepSize() != 0.01 {
+			t.Fatalf("step %d: h = %g, want the constant 0.01", i, in.StepSize())
+		}
 	}
-	if math.Abs(in.T()-1) > 1e-12 {
+	if math.Abs(in.T()-1) > 1e-12 || !in.Done() {
 		t.Fatalf("t = %g", in.T())
 	}
 	if e := math.Hypot(in.X()[0]-math.Cos(1), in.X()[1]+math.Sin(1)); e > 1e-9 {
@@ -342,24 +347,24 @@ func TestFixedIntegratorMatchesExact(t *testing.T) {
 	}
 }
 
-// fixedRejectOnce rejects the first step once.
+// fixedRejectOnce rejects the first trial once.
 type fixedRejectOnce struct{ done bool }
 
-func (v *fixedRejectOnce) ValidateFixed(c *FixedCheckContext) bool {
+func (v *fixedRejectOnce) Validate(*CheckContext) Verdict {
 	if !v.done {
 		v.done = true
-		return false
+		return VerdictReject
 	}
-	return true
+	return VerdictAccept
 }
 
-func TestFixedIntegratorValidatorRetry(t *testing.T) {
-	in := &FixedIntegrator{Tab: HeunEuler(), Validator: &fixedRejectOnce{}}
-	in.Init(decay, 0, la.Vec{1}, 0.1)
+func TestFixedStepValidatorRetry(t *testing.T) {
+	in := &Integrator{Tab: HeunEuler(), Validator: &fixedRejectOnce{}, FixedStep: true}
+	in.Init(decay, 0, 1, la.Vec{1}, 0.1)
 	if err := in.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if in.Stats.RejectedValidator != 1 || in.Stats.Steps != 1 {
+	if in.Stats.RejectedValidator != 1 || in.Stats.Steps != 1 || in.Stats.RejectedClassic != 0 {
 		t.Fatalf("stats: %+v", in.Stats)
 	}
 }

@@ -133,8 +133,9 @@ func TableauByName(name string) (*Tableau, error) {
 
 // SSPRK3 returns the three-stage strong-stability-preserving Runge-Kutta
 // method of Shu & Osher — the classic companion of WENO spatial schemes.
-// It has no embedded pair (BHat = B), so it suits the FixedIntegrator; the
-// adaptive controller would see a zero error estimate.
+// It has no embedded pair (BHat = B), so it suits a fixed-step integration
+// (Integrator.FixedStep); the adaptive controller would see a zero error
+// estimate.
 func SSPRK3() *Tableau {
 	return &Tableau{
 		Name: "ssprk3",

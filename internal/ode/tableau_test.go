@@ -189,10 +189,12 @@ func TestHasErrorEstimate(t *testing.T) {
 }
 
 func TestSSPRK3FixedIntegration(t *testing.T) {
-	in := &FixedIntegrator{Tab: SSPRK3()}
-	in.Init(oscillator, 0, la.Vec{1, 0}, 0.01)
-	if err := in.RunN(100); err != nil {
-		t.Fatal(err)
+	in := &Integrator{Tab: SSPRK3(), FixedStep: true}
+	in.Init(oscillator, 0, 1, la.Vec{1, 0}, 0.01)
+	for i := 0; i < 100; i++ {
+		if err := in.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if e := math.Hypot(in.X()[0]-math.Cos(1), in.X()[1]+math.Sin(1)); e > 1e-6 {
 		t.Fatalf("SSPRK3 fixed error %g", e)
