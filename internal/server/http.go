@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"repro/internal/control"
@@ -13,7 +14,7 @@ import (
 
 // Handler returns the campaign API:
 //
-//	POST   /v1/campaigns              submit a Spec; 202 (accepted) or 200 (cache hit)
+//	POST   /v1/campaigns              submit a Spec; 202 (accepted) or 200 (cache hit); 413 past MaxSpecBytes
 //	GET    /v1/campaigns              list campaign statuses, submission order
 //	GET    /v1/campaigns/{id}         one campaign's status
 //	DELETE /v1/campaigns/{id}         cancel a campaign
@@ -52,9 +53,14 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("spec body exceeds %d bytes", MaxSpecBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding spec: "+err.Error())
 		return
 	}

@@ -32,6 +32,11 @@ const (
 	MaxWorkers       = 256
 )
 
+// MaxSpecBytes caps the body of a submission, which is decoded whole
+// before Validate sees it. A spec at MaxSeeds seeds of 20 digits each needs
+// about 22 KB, so every valid spec fits with room to spare.
+const MaxSpecBytes = 1 << 20
+
 // Spec is the submission body of POST /v1/campaigns: one campaign = one
 // (problem, method, injector, detector, injection config) cell swept over
 // Seeds, one shard per seed. The zero values of the optional fields select
