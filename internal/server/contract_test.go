@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -273,7 +274,7 @@ func TestServerMetaAndValidation(t *testing.T) {
 	// unknown field now, and the 400 names it. The server keeps serving
 	// afterwards.
 	huge := baseSpec(1)
-	huge.Workers = 1 << 40
+	huge.Workers = math.MaxInt
 	if _, code := postSpec(t, ts, huge); code != http.StatusBadRequest {
 		t.Fatalf("huge workers: POST status %d, want 400", code)
 	}
@@ -296,6 +297,21 @@ func TestServerMetaAndValidation(t *testing.T) {
 	}
 	if body, code, _ := fetchResult(t, ts, st.ID); code != http.StatusOK {
 		t.Fatalf("valid spec after rejections: result status %d (%s)", code, body)
+	}
+
+	// A body past MaxSpecBytes is refused with a 413 before it is decoded
+	// whole, and the server keeps accepting valid specs afterwards.
+	oversized := `{"problem":"oscillator","seeds":[` + strings.Repeat("1,", MaxSpecBytes/2) + `1]}`
+	resp, err = http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(oversized))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: POST status %d, want 413", resp.StatusCode)
+	}
+	if _, code := postSpec(t, ts, baseSpec(2)); code != http.StatusOK && code != http.StatusAccepted {
+		t.Fatalf("valid spec after an oversized body: POST status %d", code)
 	}
 
 	// Unknown fields are rejected, so typos don't silently select defaults.
