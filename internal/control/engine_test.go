@@ -77,7 +77,7 @@ func TestDecideRefreshesCheckAndContext(t *testing.T) {
 	}
 }
 
-// acceptAll accepts every trial and records the proposals it saw.
+// acceptAll accepts every trial and counts the trials it saw.
 type acceptAll struct{ seen int }
 
 func (v *acceptAll) Validate(*control.CheckContext) control.Verdict {

@@ -209,12 +209,13 @@ func FixedTable(w io.Writer, o Options) ([]CellResult, error) {
 		Title:   "Related work — fixed-step detectors (Heun-Euler, scaled injections), %",
 		Headers: []string{"Detector", "FPR", "TPR", "Significant FNR"},
 	}
+	tab, inj := ode.HeunEuler(), inject.Scaled{}
 	var cells []CellResult
 	for _, det := range []DetectorKind{Classic, AID, HotRode} {
 		res, err := Run(o.telemetry(Config{
 			Problem:       problems.Oscillator(),
-			Tab:           ode.HeunEuler(),
-			Injector:      inject.Scaled{},
+			Tab:           tab,
+			Injector:      inj,
 			Detector:      det,
 			Seed:          o.Seed,
 			MinInjections: o.minInj(),
@@ -224,7 +225,7 @@ func FixedTable(w io.Writer, o Options) ([]CellResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: fixed %s: %w", det, err)
 		}
-		cells = append(cells, CellResult{Method: "heun-euler", Injector: "scaled", Detector: det, Result: res})
+		cells = append(cells, CellResult{Method: tab.Name, Injector: inj.Name(), Detector: det, Result: res})
 		label := string(det)
 		if det == Classic {
 			label = "none"

@@ -160,9 +160,10 @@ type Integrator struct {
 	NoReuseFirstStage bool
 	// FixedStep runs the constant-step solver that the related-work
 	// detectors AID and Hot Rode assume (§VII-C): h stays at the h0 given
-	// to Init (only the last step shortens to land on tEnd), and the
-	// classic test, NaN screen included, is skipped. The Validator alone
-	// decides; without one every trial is accepted as computed.
+	// to Init (MaxStep still clamps it, and the last step shortens to land
+	// on tEnd), and the classic test, NaN screen included, is skipped. The
+	// Validator alone decides; without one every trial is accepted as
+	// computed.
 	FixedStep bool
 
 	sys     System
