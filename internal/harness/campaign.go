@@ -270,10 +270,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Metrics {
 		res.Metrics = telemetry.NewMetrics()
 	}
-	root := xrand.New(cfg.Seed ^ 0xc0ffee)
+	salt := uint64(0xc0ffee)
 	if cfg.FixedStep {
-		root = xrand.New(cfg.Seed ^ 0xf1eed)
+		salt = 0xf1eed
 	}
+	root := xrand.New(cfg.Seed ^ salt)
 	//lint:allow walltime -- §VI-B wall-clock overhead metric; WallSeconds is excluded from determinism comparisons
 	start := time.Now()
 
