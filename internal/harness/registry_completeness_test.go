@@ -49,3 +49,23 @@ func TestDetectorRegistryComplete(t *testing.T) {
 		}
 	}
 }
+
+// The fixed-step detectors — the rows of FixedTable, with Classic as the
+// unguarded "none" — live in the one registry: each must be a registered
+// name and construct, or a fixed-step cell could name a detector that no
+// campaign can build.
+func TestFixedDetectorRegistryComplete(t *testing.T) {
+	inReg := make(map[string]bool)
+	for _, n := range control.Names() {
+		inReg[n] = true
+	}
+	for _, k := range []DetectorKind{Classic, AID, HotRode} {
+		if !inReg[string(k)] {
+			t.Errorf("fixed-step detector %q is not a registered detector name", k)
+			continue
+		}
+		if _, err := control.New(string(k), control.Spec{}); err != nil {
+			t.Errorf("New(%q): %v", k, err)
+		}
+	}
+}
