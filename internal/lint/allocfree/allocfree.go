@@ -55,6 +55,7 @@ var funcs = "repro/internal/batch.Integrator.Round," +
 	"repro/internal/ode.LIPEstimator.Estimate," +
 	"repro/internal/ode.Stepper.Trial," +
 	"repro/internal/pde.EulerSystem.Eval," +
+	"repro/internal/pde.split," +
 	"repro/internal/weno.Crweno5.ReconstructLeft," +
 	"repro/internal/weno.Weno5.ReconstructLeft," +
 	"repro/internal/weno.WenoZ5.ReconstructLeft"

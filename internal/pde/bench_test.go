@@ -9,10 +9,13 @@ import (
 	"repro/internal/weno"
 )
 
+// benchEval times Eval on an n-by-n bubble whose initial state carries
+// perturb's noise: a campaign evaluates moving states, and at rest every
+// momentum is 0.
 func benchEval(b *testing.B, scheme weno.Scheme, n int) {
 	g := grid.New2D(n, n, 1000, 1000)
 	s := NewEulerSystem(g, euler.DefaultGas(), scheme)
-	x := s.InitialState(euler.DefaultBubble())
+	x := perturb(s, s.InitialState(euler.DefaultBubble()), 1)
 	dst := la.NewVec(s.Dim())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -89,11 +89,18 @@ func checkAgainstReference(t *testing.T, label string, s *EulerSystem, seed uint
 		}
 		s.Eval(0, x, got)
 		referenceEval(s, x, want)
-		for i := range got {
-			if !sameValue(got[i], want[i]) {
-				t.Fatalf("%s trial %d: component %d = %v (%#016x), reference %v (%#016x)",
-					label, trial, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-			}
+		requireSame(t, fmt.Sprintf("%s trial %d: ", label, trial), got, want)
+	}
+}
+
+// requireSame fails the test at the first component where got breaks
+// sameValue with the reference want, prefixing the report with label.
+func requireSame(t *testing.T, label string, got, want la.Vec) {
+	t.Helper()
+	for i := range got {
+		if !sameValue(got[i], want[i]) {
+			t.Fatalf("%scomponent %d = %v (%#016x), reference %v (%#016x)",
+				label, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }

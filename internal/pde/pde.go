@@ -59,7 +59,7 @@ type EulerSystem struct {
 
 // scratch is the system's per-Eval workspace, sized at construction.
 type scratch struct {
-	// Pass 1 unpacks every grid point once and keeps what the fluxes and
+	// Pass 1 reads every grid point once and keeps what the fluxes and
 	// the parabolic terms need from it: the pressure perturbation p',
 	// E + p, and the velocity m/rho along each active axis (indexed like
 	// the momenta). tp, allocated by SetParabolic, is the temperature
@@ -187,53 +187,70 @@ func ghostIndex(i, n int, bc BC) (int, float64) {
 	}
 }
 
-// Eval implements ode.System. Pass 1 unpacks every grid point once into
-// the scratch and accumulates the Rusanov speeds and the gravity source;
-// pass 2 builds each padded line cell's split flux from those values and
-// differences the reconstructed interface fluxes; pass 3 adds the
-// parabolic terms. Nothing is derived from BCs, AlphaOverride or the
-// parabolic coefficients before the call, because callers set them after
-// construction.
+// Eval implements ode.System. Pass 1 reads every grid point once, keeps
+// in the scratch what the later passes need from it and accumulates the
+// Rusanov speeds and the gravity source; pass 2 fills each line's padded
+// split fluxes one variable at a time from those values and differences
+// the reconstructed interface fluxes; pass 3 adds the parabolic terms.
+// Nothing is derived from BCs, AlphaOverride or the parabolic coefficients
+// before the call, because callers set them after construction.
+//
+// Each value takes euler.Gas.Unpack's, MaxWave's and euler.Flux's
+// operations in their order, so the bits are theirs (DESIGN.md §7).
 func (s *EulerSystem) Eval(t float64, x la.Vec, dst la.Vec) {
 	g := s.Grid
 	sc := s.scr
+	np, d := s.np, s.d
+	gas := s.Gas
 	dst.Zero()
 	parabolic := s.Nu != 0 || s.Kappa != 0
 
 	// Pass 1: per-point values, global Rusanov speeds per axis and the
-	// gravity source.
+	// gravity source. The pressure, the sound speed and each velocity are
+	// taken once per point.
 	alpha := sc.maxbuf
 	for i := range alpha {
 		alpha[i] = 0
 	}
-	var q [5]float64
 	gm := -1
 	if s.GravAxis >= 0 {
 		gm = s.axisIndexOf(s.GravAxis)
 	}
-	for idx := 0; idx < s.np; idx++ {
-		for v := 0; v < s.nvar; v++ {
-			q[v] = x[v*s.np+idx]
+	rhoBar, pBar, eBar := s.bg[0][:np], s.bg[1][:np], s.bg[2][:np]
+	rhoP, eP := x[:np], x[(1+d)*np:(2+d)*np]
+	var mom [3][]float64
+	for ai := 0; ai < d; ai++ {
+		mom[ai] = x[(1+ai)*np : (2+ai)*np]
+	}
+	for idx := 0; idx < np; idx++ {
+		rho, e := rhoBar[idx]+rhoP[idx], eBar[idx]+eP[idx]
+		var ke float64
+		for ai := 0; ai < d; ai++ {
+			m := mom[ai][idx]
+			ke += m * m
 		}
-		pt := s.Gas.Unpack(q[:s.nvar], s.d, s.bg[0][idx], s.bg[1][idx], s.bg[2][idx])
-		sc.pp[idx], sc.ep[idx] = pt.PP, pt.E+pt.P
+		ke /= 2 * rho
+		p := (gas.Gamma - 1) * (e - ke)
+		sc.pp[idx], sc.ep[idx] = p-pBar[idx], e+p
+		c := math.Sqrt(gas.Gamma * p / rho)
 		for ai, ax := range s.axes {
-			sc.vel[ai][idx] = pt.M[ai] / pt.Rho
-			if w := s.Gas.MaxWave(pt, ai); w > alpha[ax] {
+			u := mom[ai][idx] / rho
+			sc.vel[ai][idx] = u
+			if w := math.Abs(u) + c; w > alpha[ax] {
 				alpha[ax] = w
 			}
 		}
 		if parabolic {
 			// T' = T - TBar, with T = p/(R rho).
-			tBar := s.bg[1][idx] / (s.Gas.R * s.bg[0][idx])
-			sc.tp[idx] = pt.P/(s.Gas.R*pt.Rho) - tBar
+			tBar := pBar[idx] / (gas.R * rhoBar[idx])
+			sc.tp[idx] = p/(gas.R*rho) - tBar
 		}
 		if gm < 0 {
 			continue
 		}
 		// Gravity source: d(m_vert)/dt -= rho' g ; dE'/dt -= rho g w.
-		dst[(1+gm)*s.np+idx] -= q[0] * s.Gas.G
-		dst[(1+s.d)*s.np+idx] -= pt.Rho * s.Gas.G * sc.vel[gm][idx]
+		dst[(1+gm)*np+idx] -= rhoP[idx] * gas.G
+		dst[(1+d)*np+idx] -= rho * gas.G * sc.vel[gm][idx]
 	}
 
 	if s.AlphaOverride != nil {
@@ -248,17 +265,69 @@ func (s *EulerSystem) Eval(t float64, x la.Vec, dst la.Vec) {
 		a := alpha[ax]
 		ami := s.axisIndexOf(ax)
 		last := n + 2*weno.Ghost - 1 // padded index of the last cell
+		mA, uA := mom[ami], sc.vel[ami]
 		for _, ln := range s.lines[ax] {
-			// Interior cells read their own point; only the ghost cells
-			// map through the axis BC.
-			for p := -weno.Ghost; p < 0; p++ {
-				src, sign := ghostIndex(p, n, bc)
-				s.splitFluxes(x, ln.Start+src*ln.Stride, 0, p+weno.Ghost, 1, last, sign < 0, ami, a)
+			// Interior cells read their own point; only the ghost cells map
+			// through the axis BC. A slip-wall ghost mirrors its point's
+			// normal momentum and velocity; negation is exact, so each
+			// finite split flux equals euler.Flux of the mirrored state.
+			var gjp, gflat [2 * weno.Ghost]int
+			var gmA, guA [2 * weno.Ghost]float64
+			for k := range gjp {
+				jp := k
+				if k >= weno.Ghost {
+					jp += n
+				}
+				src, sign := ghostIndex(jp-weno.Ghost, n, bc)
+				flat := ln.Start + src*ln.Stride
+				gjp[k], gflat[k], gmA[k], guA[k] = jp, flat, mA[flat], uA[flat]
+				if sign < 0 {
+					gmA[k], guA[k] = -gmA[k], -guA[k]
+				}
 			}
-			s.splitFluxes(x, ln.Start, ln.Stride, weno.Ghost, n, last, false, ami, a)
-			for p := n; p < n+weno.Ghost; p++ {
-				src, sign := ghostIndex(p, n, bc)
-				s.splitFluxes(x, ln.Start+src*ln.Stride, 0, p+weno.Ghost, 1, last, sign < 0, ami, a)
+			for v := 0; v < s.nvar; v++ {
+				// The Rusanov split fluxes f± = (F(q) ± a q)/2 of variable
+				// v along the axis, f+ in line order and f- reversed.
+				fp, fm := sc.fP[v][:last+1], sc.fM[v][:last+1]
+				col := x[v*np : (v+1)*np]
+				flat := ln.Start
+				switch {
+				case v == 0: // rho', flux m_a
+					for jp := weno.Ghost; jp < weno.Ghost+n; jp++ {
+						split(fp, fm, jp, mA[flat], col[flat], a)
+						flat += ln.Stride
+					}
+					for k, src := range gflat {
+						split(fp, fm, gjp[k], gmA[k], col[src], a)
+					}
+				case v == 1+ami: // normal momentum, flux m_a u_a + p'
+					for jp := weno.Ghost; jp < weno.Ghost+n; jp++ {
+						m := mA[flat]
+						split(fp, fm, jp, m*uA[flat]+sc.pp[flat], m, a)
+						flat += ln.Stride
+					}
+					for k, src := range gflat {
+						split(fp, fm, gjp[k], gmA[k]*guA[k]+sc.pp[src], gmA[k], a)
+					}
+				case v == 1+d: // E', flux (E + p) u_a
+					for jp := weno.Ghost; jp < weno.Ghost+n; jp++ {
+						split(fp, fm, jp, sc.ep[flat]*uA[flat], col[flat], a)
+						flat += ln.Stride
+					}
+					for k, src := range gflat {
+						split(fp, fm, gjp[k], sc.ep[src]*guA[k], col[src], a)
+					}
+				default: // tangential momentum m_i, flux m_i u_a
+					for jp := weno.Ghost; jp < weno.Ghost+n; jp++ {
+						m := col[flat]
+						split(fp, fm, jp, m*uA[flat], m, a)
+						flat += ln.Stride
+					}
+					for k, src := range gflat {
+						m := col[src]
+						split(fp, fm, gjp[k], m*guA[k], m, a)
+					}
+				}
 			}
 			// Reconstruct and difference per variable. f- runs on the
 			// reversed line, so its interface k is the original n-k; the
@@ -284,41 +353,11 @@ func (s *EulerSystem) Eval(t float64, x la.Vec, dst la.Vec) {
 	}
 }
 
-// splitFluxes fills cnt consecutive padded cells of the current line,
-// starting at padded index jp, from the grid points flat, flat+stride, ...:
-// the Rusanov split fluxes f± = (F(q) ± a q)/2 along momentum axis ami,
-// f+ in line order and f- in reverse order (padded index last-jp). mirror
-// gives the slip-wall ghost state, whose normal momentum and velocity are
-// the point's negated; negation is exact, so each finite value equals
-// euler.Flux of the unpacked mirrored state.
-func (s *EulerSystem) splitFluxes(x la.Vec, flat, stride, jp, cnt, last int, mirror bool, ami int, a float64) {
-	sc := s.scr
-	np, d := s.np, s.d
-	for end := jp + cnt; jp < end; jp++ {
-		rev := last - jp
-		mA := x[(1+ami)*np+flat]
-		ua := sc.vel[ami][flat]
-		if mirror {
-			mA, ua = -mA, -ua
-		}
-		sc.split(0, jp, rev, mA, x[flat], a)
-		for i := 0; i < d; i++ {
-			if i == ami {
-				sc.split(1+i, jp, rev, mA*ua+sc.pp[flat], mA, a)
-				continue
-			}
-			m := x[(1+i)*np+flat]
-			sc.split(1+i, jp, rev, m*ua, m, a)
-		}
-		sc.split(1+d, jp, rev, sc.ep[flat]*ua, x[(1+d)*np+flat], a)
-		flat += stride
-	}
-}
-
-// split stores the split fluxes of variable v with flux f and value u.
-func (sc *scratch) split(v, jp, rev int, f, u, a float64) {
-	sc.fP[v][jp] = 0.5 * (f + a*u)
-	sc.fM[v][rev] = 0.5 * (f - a*u)
+// split stores padded cell jp's split fluxes of flux f and value u under
+// speed a: f+ at jp, f- at the reversed index len(fm)-1-jp.
+func split(fp, fm []float64, jp int, f, u, a float64) {
+	fp[jp] = 0.5 * (f + a*u)
+	fm[len(fm)-1-jp] = 0.5 * (f - a*u)
 }
 
 // LocalMaxWave returns this system's per-axis maximum wave speeds for the

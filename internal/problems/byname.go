@@ -12,6 +12,12 @@ import (
 // campaign server.
 const DefaultGrid = 128
 
+// maxBubbleGrid bounds the bubble's n-by-n grid at twice DefaultGrid, which
+// is the largest grid any command or document runs. The problem's memory
+// grows as n², and the campaign server builds it on the request's
+// goroutine.
+const maxBubbleGrid = 2 * DefaultGrid
+
 // builders maps the workload names accepted by ByName to their
 // constructors. n is the grid resolution; scalar/ODE workloads ignore it.
 var builders = map[string]func(n int) *Problem{
@@ -44,10 +50,12 @@ var builders = map[string]func(n int) *Problem{
 // the CLIs and the campaign server.
 //
 // The bubble's wall boundaries mirror weno.Ghost cells into each side of
-// an axis, so a bubble grid narrower than that is an error. The Brusselator
-// places n/2 interior cells, so n < 2 — a system of dimension 0, on which a
-// campaign would run its replicates without a single injection — is an
-// error too.
+// an axis, so a bubble grid narrower than that is an error. A bubble grid
+// wider than 256 (twice DefaultGrid) is an error as well, reported before
+// anything is built: at n = 2048 the problem alone takes 369 MB. The
+// Brusselator places n/2 interior cells, so n < 2 — a system of dimension
+// 0, on which a campaign would run its replicates without a single
+// injection — is an error too.
 func ByName(name string, n int) (*Problem, error) {
 	b, ok := builders[name]
 	if !ok {
@@ -58,6 +66,9 @@ func ByName(name string, n int) (*Problem, error) {
 	}
 	if name == "bubble" && n < weno.Ghost {
 		return nil, fmt.Errorf("problems: bubble grid n=%d is narrower than the WENO ghost width %d", n, weno.Ghost)
+	}
+	if name == "bubble" && n > maxBubbleGrid {
+		return nil, fmt.Errorf("problems: bubble grid n=%d exceeds the largest grid %d", n, maxBubbleGrid)
 	}
 	if name == "brusselator" && n < 2 {
 		return nil, fmt.Errorf("problems: brusselator grid n=%d has no interior cell (n/2 cells; it needs n >= 2)", n)

@@ -184,6 +184,24 @@ func TestByNameRejectsNarrowBubble(t *testing.T) {
 	}
 }
 
+// TestByNameRejectsWideBubble pins the bubble's largest grid: past twice
+// DefaultGrid ByName is an error, reported before the problem is built, so
+// it allocates less than building the smallest grid does.
+func TestByNameRejectsWideBubble(t *testing.T) {
+	for _, n := range []int{2*DefaultGrid + 1, 4096} {
+		if _, err := ByName("bubble", n); err == nil {
+			t.Errorf("bubble at n=%d: no error", n)
+		}
+	}
+	if _, err := ByName("bubble", 2*DefaultGrid); err != nil {
+		t.Errorf("bubble at n=%d: %v", 2*DefaultGrid, err)
+	}
+	build := testing.AllocsPerRun(5, func() { ByName("bubble", 3) })
+	if reject := testing.AllocsPerRun(5, func() { ByName("bubble", 4096) }); reject >= build {
+		t.Errorf("rejecting n=4096 allocates %v times, building n=3 %v: the grid is built before the check", reject, build)
+	}
+}
+
 func TestBurgersRHSConservative(t *testing.T) {
 	// Periodic conservative flux differencing: sum of the RHS is zero.
 	for _, scheme := range []string{"weno5", "crweno5-periodic"} {

@@ -99,6 +99,7 @@ func TestSpecValidateErrors(t *testing.T) {
 	}{
 		{"problem", func(s *Spec) { s.Problem = "nonesuch" }, "unknown workload"},
 		{"bubble grid", func(s *Spec) { s.Problem, s.N = "bubble", 2 }, "ghost width"},
+		{"wide bubble grid", func(s *Spec) { s.Problem, s.N = "bubble", 4096 }, "largest grid"},
 		{"brusselator grid", func(s *Spec) { s.Problem, s.N = "brusselator", 1 }, "interior cell"},
 		{"method", func(s *Spec) { s.Method = "rk9" }, "unknown tableau"},
 		{"injector", func(s *Spec) { s.Injector = "cosmic" }, "unknown injector"},
