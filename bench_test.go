@@ -9,6 +9,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/dist"
 	"repro/internal/harness"
 	"repro/internal/implicit"
@@ -121,7 +122,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := problems.Bubble2D(24, "weno5", 10)
-		in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(p.TolA, p.TolR), MaxStep: p.MaxStep}
+		in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(p.TolA, p.TolR), MaxStep: p.MaxStep}
 		in.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)
 		if _, err := in.Run(); err != nil {
 			b.Fatal(err)
@@ -284,7 +285,7 @@ func BenchmarkImplicitSolvers(b *testing.B) {
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				in := &ode.Integrator{Method: m.method(), Ctrl: ode.DefaultController(1e-5, 1e-5)}
+				in := &ode.Integrator{Method: m.method(), Ctrl: control.DefaultController(1e-5, 1e-5)}
 				in.Init(p.Sys, 0, 100, p.X0, 1e-4)
 				if _, err := in.Run(); err != nil {
 					b.Fatal(err)

@@ -69,7 +69,7 @@ func main() {
 	x0 := sys.InitialState(bub)
 	dt := sys.MaxDt(x0, *cfl)
 
-	in := &ode.Integrator{Tab: tab, Ctrl: ode.DefaultController(*tol, *tol), MaxStep: dt}
+	in := &ode.Integrator{Tab: tab, Ctrl: control.DefaultController(*tol, *tol), MaxStep: dt}
 	if *detName != "" {
 		det, err := control.New(*detName, control.Spec{Tab: tab, Sys: sys})
 		if err != nil {

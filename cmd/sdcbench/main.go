@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/convergence"
 	"repro/internal/euler"
 	"repro/internal/grid"
@@ -394,7 +395,7 @@ func fig2(w *os.File, n int, outDir string) error {
 	sys := pde.NewEulerSystem(g, euler.DefaultGas(), weno.Weno5{})
 	x0 := sys.InitialState(euler.DefaultBubble())
 	dt := sys.MaxDt(x0, 0.5)
-	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(1e-4, 1e-4), MaxStep: dt}
+	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(1e-4, 1e-4), MaxStep: dt}
 	in.Init(sys, 0, 200, x0, dt/4)
 
 	t := &harness.Table{

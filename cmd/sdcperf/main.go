@@ -62,7 +62,7 @@ type Report struct {
 // first-order system (x1' = x2, x2' = -x1), a
 // smooth two-dimensional problem whose per-step cost is dominated by the
 // solver and detector machinery rather than the right-hand side.
-var oscillator = ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
+var oscillator = control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 	dst[0] = x[1]
 	dst[1] = -x[0]
 }}
@@ -71,7 +71,7 @@ var oscillator = ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 // keys in BENCH_0.json) to registry names.
 var benchDetectorNames = map[string]string{"lip": "lbdc", "bdf": "ibdc"}
 
-func newDetector(kind string, q int) ode.Validator {
+func newDetector(kind string, q int) control.Validator {
 	regName, ok := benchDetectorNames[kind]
 	if !ok {
 		return nil
@@ -86,13 +86,13 @@ func newDetector(kind string, q int) ode.Validator {
 
 // measure times steady-state steps of one matrix cell: a fresh integrator is
 // warmed for 200 steps (growing every workspace) before the timed loop.
-func measure(method string, tab *ode.Tableau, detector string, q int) Entry {
+func measure(method string, tab *control.Tableau, detector string, q int) Entry {
 	r := testing.Benchmark(func(b *testing.B) {
-		var v ode.Validator
+		var v control.Validator
 		if d := newDetector(detector, q); d != nil {
 			v = d
 		}
-		in := &ode.Integrator{Tab: tab, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: v, MinStep: 1e-12}
+		in := &ode.Integrator{Tab: tab, Ctrl: control.DefaultController(1e-6, 1e-6), Validator: v, MinStep: 1e-12}
 		in.Init(oscillator, 0, 1e15, la.Vec{1, 0}, 0.001)
 		for i := 0; i < 200; i++ {
 			if err := in.Step(); err != nil {
@@ -117,7 +117,7 @@ func measure(method string, tab *ode.Tableau, detector string, q int) Entry {
 
 var matrixMethods = []struct {
 	name string
-	tab  *ode.Tableau
+	tab  *control.Tableau
 }{
 	{"heun-euler", ode.HeunEuler()},
 	{"bogacki-shampine", ode.BogackiShampine()},

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/euler"
 	"repro/internal/grid"
@@ -48,7 +49,7 @@ func main() {
 
 	in := &ode.Integrator{
 		Tab:       ode.BogackiShampine(),
-		Ctrl:      ode.DefaultController(1e-4, 1e-4),
+		Ctrl:      control.DefaultController(1e-4, 1e-4),
 		Validator: det,
 		Hook:      plan.Hook,
 		MaxStep:   dt,

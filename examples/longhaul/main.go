@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 	"repro/internal/problems"
@@ -39,7 +40,7 @@ func main() {
 
 	in := &ode.Integrator{
 		Tab:       ode.HeunEuler(),
-		Ctrl:      ode.DefaultController(p.TolA, p.TolR),
+		Ctrl:      control.DefaultController(p.TolA, p.TolR),
 		StateHook: stateHook,
 		// Cap the step size: near the equilibrium the controller would
 		// otherwise take huge steps and the run would see almost no SDCs.

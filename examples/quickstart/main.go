@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/ode"
@@ -34,7 +35,7 @@ func integrate(guarded bool) {
 
 	in := &ode.Integrator{
 		Tab:       ode.HeunEuler(),
-		Ctrl:      ode.DefaultController(p.TolA, p.TolR),
+		Ctrl:      control.DefaultController(p.TolA, p.TolR),
 		StateHook: stateHook,
 		// Keep the two demo runs on bit-identical trajectories up to the
 		// corruption (the double-check's f(x_n) reuse would otherwise shift

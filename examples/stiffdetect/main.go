@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/ode"
 	"repro/internal/problems"
@@ -20,7 +21,7 @@ func run(det *core.DoubleCheck, label string) {
 	p := problems.VanDerPol(50)
 	in := &ode.Integrator{
 		Tab:       ode.BogackiShampine(),
-		Ctrl:      ode.DefaultController(p.TolA, p.TolR),
+		Ctrl:      control.DefaultController(p.TolA, p.TolR),
 		Validator: det,
 	}
 	in.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)

@@ -10,6 +10,7 @@ package batch
 import (
 	"fmt"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 )
@@ -17,8 +18,8 @@ import (
 // Config is the integrator configuration every lane shares. The fields and
 // their zero values mean what they mean on ode.Integrator.
 type Config struct {
-	Tab      *ode.Tableau
-	Ctrl     ode.Controller
+	Tab      *control.Tableau
+	Ctrl     control.Controller
 	MaxSteps int     // a lane retires after this many accepted steps (0 = 1<<20)
 	MinStep  float64 // below this a lane fails (0 = 1e-14 * lane span)
 	MaxStep  float64 // upper clamp on the step size (0 = none)
@@ -26,8 +27,8 @@ type Config struct {
 
 // LaneConfig is one lane's replicate: its system, validator and span.
 type LaneConfig struct {
-	Sys       ode.System
-	Validator ode.Validator
+	Sys       control.System
+	Validator control.Validator
 	T0, TEnd  float64
 	X0        la.Vec
 	H0        float64

@@ -10,7 +10,7 @@ import (
 
 // laneConfig wires one oscillator replicate under a fresh detector det,
 // ending at tEnd.
-func laneConfig(t *testing.T, det string, tab *ode.Tableau, tEnd float64) LaneConfig {
+func laneConfig(t *testing.T, det string, tab *control.Tableau, tEnd float64) LaneConfig {
 	t.Helper()
 	p := problems.Oscillator()
 	sys := p.SysInstance()
@@ -28,7 +28,7 @@ func laneConfig(t *testing.T, det string, tab *ode.Tableau, tEnd float64) LaneCo
 func TestRoundRetiresLanes(t *testing.T) {
 	tab := ode.HeunEuler()
 	const maxSteps = 5
-	bi := New(Config{Tab: tab, Ctrl: ode.DefaultController(1e-4, 1e-4), MaxSteps: maxSteps}, 2, 2)
+	bi := New(Config{Tab: tab, Ctrl: control.DefaultController(1e-4, 1e-4), MaxSteps: maxSteps}, 2, 2)
 	short := bi.AddLane(laneConfig(t, "lbdc", tab, problems.Oscillator().H0))
 	long := bi.AddLane(laneConfig(t, "lbdc", tab, 1e3))
 	want := []int{1, 1, 1, 1, 0}
@@ -50,7 +50,7 @@ func TestRoundRetiresLanes(t *testing.T) {
 // benchmark's per-lane-step replay times the lanes' steps and nothing else.
 func TestRoundAllocationFree(t *testing.T) {
 	tab := ode.HeunEuler()
-	bi := New(Config{Tab: tab, Ctrl: ode.DefaultController(1e-4, 1e-4), MaxSteps: 1 << 30, MinStep: 1e-12}, 4, 2)
+	bi := New(Config{Tab: tab, Ctrl: control.DefaultController(1e-4, 1e-4), MaxSteps: 1 << 30, MinStep: 1e-12}, 4, 2)
 	for i := 0; i < 4; i++ {
 		bi.AddLane(laneConfig(t, "ibdc", tab, 1e15))
 	}

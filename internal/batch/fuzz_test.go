@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/ode"
 	"repro/internal/telemetry"
 )
@@ -26,19 +27,19 @@ type scriptedValidator struct {
 	pos    int
 }
 
-func (v *scriptedValidator) Validate(*ode.CheckContext) ode.Verdict {
+func (v *scriptedValidator) Validate(*control.CheckContext) control.Verdict {
 	if v.pos >= len(v.script) {
-		return ode.VerdictAccept
+		return control.VerdictAccept
 	}
 	b := v.script[v.pos]
 	v.pos++
 	switch b % 4 {
 	case 1:
-		return ode.VerdictReject
+		return control.VerdictReject
 	case 2:
-		return ode.VerdictFPRescue
+		return control.VerdictFPRescue
 	}
-	return ode.VerdictAccept
+	return control.VerdictAccept
 }
 
 // fuzzLane is one lane's deterministic inputs decoded from the fuzz data.
@@ -111,7 +112,7 @@ func FuzzBatchCompaction(f *testing.F) {
 		const maxSteps, maxTrials = 1 << 12, 12
 
 		bi := New(Config{
-			Tab: tab, Ctrl: ode.DefaultController(p.TolA, p.TolR),
+			Tab: tab, Ctrl: control.DefaultController(p.TolA, p.TolR),
 			MaxSteps: maxSteps, MaxStep: p.MaxStep,
 		}, len(lanes), len(p.X0))
 		refs := make([]*Lane, len(lanes))
@@ -134,7 +135,7 @@ func FuzzBatchCompaction(f *testing.F) {
 			// The serial oracle for this lane, with a fresh script replay.
 			rec := telemetry.NewRecorder(1 << 14)
 			in := &ode.Integrator{
-				Tab: tab, Ctrl: ode.DefaultController(p.TolA, p.TolR),
+				Tab: tab, Ctrl: control.DefaultController(p.TolA, p.TolR),
 				Validator: &scriptedValidator{script: fl.script},
 				Tracer:    rec,
 				MaxSteps:  maxSteps, MaxTrials: maxTrials, MaxStep: p.MaxStep,

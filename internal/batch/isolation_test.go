@@ -29,7 +29,7 @@ func runIsolationBatch(tb testing.TB, width, faulty int, seed uint64) []laneResu
 	lanes := make([]*Lane, width)
 	wires := make([]wiring, width)
 	for i := range lanes {
-		w := wiring{sys: &ode.CountingSystem{Sys: p.SysInstance()}, rec: telemetry.NewRecorder(1 << 16)}
+		w := wiring{sys: &control.CountingSystem{Sys: p.SysInstance()}, rec: telemetry.NewRecorder(1 << 16)}
 		if i == faulty {
 			// A hot plan: every fifth trial-step evaluation corrupts hard,
 			// so the fault stream exercises accepts, classic rejects, and

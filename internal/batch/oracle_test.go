@@ -77,7 +77,7 @@ func testProblem() *problems.Problem {
 
 // wireCase is one replicate's shared wiring inputs.
 type wireCase struct {
-	tab       *ode.Tableau
+	tab       *control.Tableau
 	det       string
 	p         *problems.Problem
 	rng       laneRNG
@@ -97,9 +97,9 @@ func (wc *wireCase) tEndOr() float64 {
 // share. The driver's LaneConfig carries the system and validator; the
 // injection hooks and the recorder go onto the lane's own integrator.
 type wiring struct {
-	sys       *ode.CountingSystem
-	validator ode.Validator
-	hook      ode.StageHook
+	sys       *control.CountingSystem
+	validator control.Validator
+	hook      control.StageHook
 	stateHook func(float64, la.Vec) int
 	rec       *telemetry.Recorder
 }
@@ -108,7 +108,7 @@ type wiring struct {
 // detector instance) identically for the serial and the driven runs.
 func buildWiring(tb testing.TB, wc wireCase) wiring {
 	tb.Helper()
-	w := wiring{sys: &ode.CountingSystem{Sys: wc.p.SysInstance()}, rec: telemetry.NewRecorder(1 << 16)}
+	w := wiring{sys: &control.CountingSystem{Sys: wc.p.SysInstance()}, rec: telemetry.NewRecorder(1 << 16)}
 	plan := inject.NewPlan(wc.rng.plan, inject.Scaled{})
 	plan.Prob = wc.prob
 	w.hook = plan.Hook
@@ -142,10 +142,10 @@ func (w wiring) result(ln *Lane) laneResult {
 }
 
 // newBatch returns a driver configured like the serial oracle.
-func newBatch(p *problems.Problem, tab *ode.Tableau, width int) *Integrator {
+func newBatch(p *problems.Problem, tab *control.Tableau, width int) *Integrator {
 	return New(Config{
 		Tab:      tab,
-		Ctrl:     ode.DefaultController(p.TolA, p.TolR),
+		Ctrl:     control.DefaultController(p.TolA, p.TolR),
 		MaxSteps: 1 << 18,
 		MaxStep:  p.MaxStep,
 	}, width, len(p.X0))
@@ -157,7 +157,7 @@ func runSerialLane(tb testing.TB, wc wireCase) laneResult {
 	w := buildWiring(tb, wc)
 	in := &ode.Integrator{
 		Tab:       wc.tab,
-		Ctrl:      ode.DefaultController(wc.p.TolA, wc.p.TolR),
+		Ctrl:      control.DefaultController(wc.p.TolA, wc.p.TolR),
 		Validator: w.validator,
 		Hook:      w.hook,
 		StateHook: w.stateHook,
@@ -234,7 +234,7 @@ func compareLane(t *testing.T, lane int, want, got laneResult) {
 
 // runDifferential builds len==width replicates, runs them serially and as
 // lanes, and compares every lane.
-func runDifferential(t *testing.T, tab *ode.Tableau, det string, width int, seed uint64, prob, stateProb float64) {
+func runDifferential(t *testing.T, tab *control.Tableau, det string, width int, seed uint64, prob, stateProb float64) {
 	t.Helper()
 	p := testProblem()
 	// Two independent RNG pools over the same seed: each run consumes its
@@ -271,7 +271,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 // TestBatchMatchesSerialTableaux exercises the other pairs — including the
 // FSAL pairs, whose reused first stage carries across a lane's steps.
 func TestBatchMatchesSerialTableaux(t *testing.T) {
-	tabs := map[string]*ode.Tableau{
+	tabs := map[string]*control.Tableau{
 		"bs23":  ode.BogackiShampine(),
 		"dp54":  ode.DormandPrince(),
 		"ck45":  ode.CashKarp(),

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 	"repro/internal/weno"
@@ -47,14 +48,14 @@ func ObservedOrder(rows []Row) float64 {
 }
 
 // oscillator is the reference problem with the exact solution (cos, -sin).
-var oscillator = ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
+var oscillator = control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 	dst[0] = x[1]
 	dst[1] = -x[0]
 }}
 
 // RKError integrates the oscillator over [0, 2] with n fixed steps of the
 // pair's propagated solution and returns the final error.
-func RKError(tab *ode.Tableau, n int) float64 {
+func RKError(tab *control.Tableau, n int) float64 {
 	st := ode.NewStepper(tab, oscillator)
 	x := la.Vec{1, 0}
 	h := 2.0 / float64(n)
@@ -96,7 +97,7 @@ func WENODerivError(s weno.Scheme, n int) float64 {
 func EstimateError(kind string, q, n int) float64 {
 	h := 1.0 / float64(n)
 	depth := q + 2
-	hist := ode.NewHistory(depth, 1)
+	hist := control.NewHistory(depth, 1)
 	t := 0.0
 	for k := 0; k < depth; k++ {
 		hist.Push(t, h, la.Vec{math.Exp(-t)})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 )
@@ -13,7 +14,7 @@ import (
 // estimate — performs zero heap allocations, for every embedded pair, both
 // strategies, and every order the paper's Algorithm 1 can select.
 func TestSteadyStateStepAllocationFree(t *testing.T) {
-	tabs := []*ode.Tableau{ode.HeunEuler(), ode.BogackiShampine(), ode.DormandPrince()}
+	tabs := []*control.Tableau{ode.HeunEuler(), ode.BogackiShampine(), ode.DormandPrince()}
 	dets := map[string]func() *DoubleCheck{"lip": NewLBDC, "bdf": NewIBDC}
 	for _, tab := range tabs {
 		for dname, mk := range dets {
@@ -22,7 +23,7 @@ func TestSteadyStateStepAllocationFree(t *testing.T) {
 					d := mk()
 					d.NoAdapt = true
 					d.SetOrder(q)
-					in := &ode.Integrator{Tab: tab, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: d}
+					in := &ode.Integrator{Tab: tab, Ctrl: control.DefaultController(1e-6, 1e-6), Validator: d}
 					in.Init(oscillator, 0, 1e9, la.Vec{1, 0}, 0.001)
 					for i := 0; i < 200; i++ { // warm: grow every workspace once
 						if err := in.Step(); err != nil {
@@ -44,7 +45,7 @@ func TestSteadyStateStepAllocationFree(t *testing.T) {
 
 // The unprotected (classic-controller) step must be allocation-free too.
 func TestSteadyStateClassicStepAllocationFree(t *testing.T) {
-	in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: control.DefaultController(1e-6, 1e-6)}
 	in.Init(oscillator, 0, 1e9, la.Vec{1, 0}, 0.001)
 	for i := 0; i < 200; i++ {
 		if err := in.Step(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 )
@@ -17,22 +18,22 @@ import (
 // SDCs with no false positives: two clean executions are bit-identical, so
 // any mismatch proves corruption.
 type Replication struct {
-	Sys ode.System
+	Sys control.System
 
 	stepper *ode.Stepper
 	Stats   Stats
 }
 
 // NewReplication returns a replication validator for the given pair/system.
-func NewReplication(tab *ode.Tableau, sys ode.System) *Replication {
+func NewReplication(tab *control.Tableau, sys control.System) *Replication {
 	return &Replication{Sys: sys, stepper: ode.NewStepper(tab, sys)}
 }
 
-// Validate implements ode.Validator by recomputing the step cleanly and
+// Validate implements control.Validator by recomputing the step cleanly and
 // comparing both the solution and the error estimate bit-for-bit (a
 // corrupted FSAL stage can leave the solution untouched while poisoning
 // the estimate and the next step's reused first stage, so both must match).
-func (r *Replication) Validate(c *ode.CheckContext) ode.Verdict {
+func (r *Replication) Validate(c *control.CheckContext) control.Verdict {
 	r.Stats.Checks++
 	if r.stepper == nil {
 		r.stepper = ode.NewStepper(c.Tab, r.Sys)
@@ -41,15 +42,15 @@ func (r *Replication) Validate(c *ode.CheckContext) ode.Verdict {
 	for i := range res.XProp {
 		if !la.ExactEq(res.XProp[i], c.XProp[i]) || !la.ExactEq(res.ErrVec[i], c.ErrVec[i]) {
 			r.Stats.Rejections++
-			return ode.VerdictReject
+			return control.VerdictReject
 		}
 	}
-	return ode.VerdictAccept
+	return control.VerdictAccept
 }
 
 // ExtraVectors reports replication's memory cost: a full second copy of the
 // solver state, N_k+2 vectors (+100%).
-func (r *Replication) ExtraVectors(tab *ode.Tableau) int { return tab.Stages() + 2 }
+func (r *Replication) ExtraVectors(tab *control.Tableau) int { return tab.Stages() + 2 }
 
 // TMR is triple modular redundancy (§VII-A): the step is computed three
 // times and majority voting both detects and corrects a corrupted result,
@@ -57,7 +58,7 @@ func (r *Replication) ExtraVectors(tab *ode.Tableau) int { return tab.Stages() +
 // replicas, TMR overwrites the proposed solution with the replica value
 // and accepts.
 type TMR struct {
-	Sys ode.System
+	Sys control.System
 
 	stepper *ode.Stepper
 	buf     la.Vec
@@ -67,16 +68,16 @@ type TMR struct {
 }
 
 // NewTMR returns a TMR validator.
-func NewTMR(tab *ode.Tableau, sys ode.System) *TMR {
+func NewTMR(tab *control.Tableau, sys control.System) *TMR {
 	return &TMR{Sys: sys, stepper: ode.NewStepper(tab, sys)}
 }
 
-// Validate implements ode.Validator with majority voting across the primary
-// and two clean replicas. (Two clean replicas always agree, so the majority
-// always exists; the structure mirrors real TMR, where replicas fail
+// Validate implements control.Validator with majority voting across the
+// primary and two clean replicas. (Two clean replicas always agree, so the
+// majority always exists; the structure mirrors real TMR, where replicas fail
 // independently.) Both replicas come from one stepper, whose record the
 // second Trial overwrites, so the first replica's proposal is copied out.
-func (t *TMR) Validate(c *ode.CheckContext) ode.Verdict {
+func (t *TMR) Validate(c *control.CheckContext) control.Verdict {
 	t.Stats.Checks++
 	if t.stepper == nil {
 		t.stepper = ode.NewStepper(c.Tab, t.Sys)
@@ -96,7 +97,7 @@ func (t *TMR) Validate(c *ode.CheckContext) ode.Verdict {
 		}
 	}
 	if primaryOK {
-		return ode.VerdictAccept
+		return control.VerdictAccept
 	}
 	// Replicas agree with each other (clean); correct the primary in place.
 	replicasAgree := true
@@ -110,14 +111,14 @@ func (t *TMR) Validate(c *ode.CheckContext) ode.Verdict {
 		c.XProp.CopyFrom(t.buf)
 		t.Corrections++
 		t.Stats.Rejections++ // counted as a detection even though corrected
-		return ode.VerdictAccept
+		return control.VerdictAccept
 	}
 	t.Stats.Rejections++
-	return ode.VerdictReject
+	return control.VerdictReject
 }
 
 // ExtraVectors reports TMR's +200% memory cost.
-func (t *TMR) ExtraVectors(tab *ode.Tableau) int { return 2 * (tab.Stages() + 2) }
+func (t *TMR) ExtraVectors(tab *control.Tableau) int { return 2 * (tab.Stages() + 2) }
 
 // AID's settings, the original detector's defaults.
 const (
@@ -176,7 +177,7 @@ func (a *AID) record(m int, diff float64) {
 // NewAID returns an AID detector with the original defaults.
 func NewAID() *AID { return &AID{} }
 
-func (a *AID) extrapolate(dst la.Vec, hist *ode.History, method int, t float64) bool {
+func (a *AID) extrapolate(dst la.Vec, hist *control.History, method int, t float64) bool {
 	if hist.Len() < method+1 {
 		return false
 	}
@@ -184,18 +185,18 @@ func (a *AID) extrapolate(dst la.Vec, hist *ode.History, method int, t float64) 
 	return true
 }
 
-// Validate implements ode.Validator. Following Di & Cappello's
+// Validate implements control.Validator. Following Di & Cappello's
 // per-data-point formulation, every component is predicted individually and
 // the step is rejected as soon as any point's deviation exceeds the
 // impact-driven threshold (1+eta)(eps + θ*r); eps is the recent maximum
 // per-point prediction error and r the global value range. A proposal with
 // a NaN or infinite component is rejected outright: the ordered deviation
 // test skips NaN components, and a NaN value range makes the threshold NaN.
-func (a *AID) Validate(c *ode.CheckContext) ode.Verdict {
+func (a *AID) Validate(c *control.CheckContext) control.Verdict {
 	a.Stats.Checks++
 	if c.XProp.HasNaNOrInf() {
 		a.Stats.Rejections++
-		return ode.VerdictReject
+		return control.VerdictReject
 	}
 	a.step++
 	if a.est == nil {
@@ -207,7 +208,7 @@ func (a *AID) Validate(c *ode.CheckContext) ode.Verdict {
 	}
 	if !a.extrapolate(a.est, c.Hist, a.method, c.T+c.H) {
 		a.Stats.Skipped++
-		return ode.VerdictAccept
+		return control.VerdictAccept
 	}
 	// Per-point maximum deviation |x_i - x~_i| and the point attaining it.
 	diff := 0.0
@@ -228,19 +229,19 @@ func (a *AID) Validate(c *ode.CheckContext) ode.Verdict {
 	}
 	eps := a.epsFor(a.method)
 	thr := (1 + a.eta) * (eps + aidTheta*r)
-	verdict := ode.VerdictAccept
+	verdict := control.VerdictAccept
 	if eps > 0 && diff > thr {
 		// A recomputation reproducing the same surrogate marks a false
 		// positive; relax the threshold.
 		if a.haveLast && c.Recomputation && la.ExactEq(diff, a.lastDiff) {
 			a.eta += 0.5
 			a.Stats.FPRescues++
-			verdict = ode.VerdictFPRescue
+			verdict = control.VerdictFPRescue
 		} else {
 			a.lastDiff = diff
 			a.haveLast = true
 			a.Stats.Rejections++
-			return ode.VerdictReject
+			return control.VerdictReject
 		}
 	}
 	// Learn the normal extrapolation error and rescore the methods.
@@ -253,7 +254,7 @@ func (a *AID) Validate(c *ode.CheckContext) ode.Verdict {
 }
 
 // bestFit picks the extrapolation method with the smallest current error.
-func (a *AID) bestFit(c *ode.CheckContext) {
+func (a *AID) bestFit(c *control.CheckContext) {
 	best, bestErr := a.method, math.Inf(1)
 	for m := 0; m <= 2; m++ {
 		if !a.extrapolate(a.est, c.Hist, m, c.T+c.H) {
@@ -301,18 +302,18 @@ func (h *HotRode) threshold() float64 {
 // NewHotRode returns a Hot Rode detector with default calibration.
 func NewHotRode() *HotRode { return &HotRode{} }
 
-// Validate implements ode.Validator. A proposal with a NaN or infinite
+// Validate implements control.Validator. A proposal with a NaN or infinite
 // component is rejected outright, since the infinity norm of the surrogate
 // skips NaN components.
-func (h *HotRode) Validate(c *ode.CheckContext) ode.Verdict {
+func (h *HotRode) Validate(c *control.CheckContext) control.Verdict {
 	h.Stats.Checks++
 	if c.XProp.HasNaNOrInf() {
 		h.Stats.Rejections++
-		return ode.VerdictReject
+		return control.VerdictReject
 	}
 	if c.Hist.Len() < 2 {
 		h.Stats.Skipped++
-		return ode.VerdictAccept
+		return control.VerdictAccept
 	}
 	if h.est == nil {
 		//lint:allow allocfree -- grow-once surrogate buffers: sized on the first check, reused forever after
@@ -335,7 +336,7 @@ func (h *HotRode) Validate(c *ode.CheckContext) ode.Verdict {
 		if s > h.calMax {
 			h.calMax = s
 		}
-		return ode.VerdictAccept
+		return control.VerdictAccept
 	}
 	if s > h.threshold() {
 		if h.haveLast && c.Recomputation && la.ExactEq(s, h.lastS) {
@@ -344,15 +345,15 @@ func (h *HotRode) Validate(c *ode.CheckContext) ode.Verdict {
 			h.fpCount++
 			h.haveLast = false
 			h.Stats.FPRescues++
-			return ode.VerdictFPRescue
+			return control.VerdictFPRescue
 		}
 		h.lastS = s
 		h.haveLast = true
 		h.Stats.Rejections++
-		return ode.VerdictReject
+		return control.VerdictReject
 	}
 	h.haveLast = false
-	return ode.VerdictAccept
+	return control.VerdictAccept
 }
 
 // richardsonFactor is Richardson's acceptance multiple of the tolerance.
@@ -364,7 +365,7 @@ const richardsonFactor = 2
 // richardsonFactor of the tolerance. It costs roughly +100% computation
 // but needs no history.
 type Richardson struct {
-	Sys ode.System
+	Sys control.System
 
 	stepper *ode.Stepper
 	mid     la.Vec
@@ -372,15 +373,15 @@ type Richardson struct {
 }
 
 // NewRichardson returns a Richardson-extrapolation validator.
-func NewRichardson(tab *ode.Tableau, sys ode.System) *Richardson {
+func NewRichardson(tab *control.Tableau, sys control.System) *Richardson {
 	return &Richardson{Sys: sys, stepper: ode.NewStepper(tab, sys)}
 }
 
-// Validate implements ode.Validator: the two half-steps recompute the step
-// from the stored solution, and their scaled difference from the proposal
-// is judged against the acceptance factor. A NaN difference rejects, as in
+// Validate implements control.Validator: the two half-steps recompute the
+// step from the stored solution, and their scaled difference from the
+// proposal is judged against the acceptance factor. A NaN difference rejects, as in
 // control.DetectorReject.
-func (r *Richardson) Validate(c *ode.CheckContext) ode.Verdict {
+func (r *Richardson) Validate(c *control.CheckContext) control.Verdict {
 	r.Stats.Checks++
 	if r.stepper == nil {
 		r.stepper = ode.NewStepper(c.Tab, r.Sys)
@@ -399,7 +400,7 @@ func (r *Richardson) Validate(c *ode.CheckContext) ode.Verdict {
 	c.ReportCheck(sErr2, -1, -1)
 	if math.IsNaN(sErr2) || sErr2 > richardsonFactor {
 		r.Stats.Rejections++
-		return ode.VerdictReject
+		return control.VerdictReject
 	}
-	return ode.VerdictAccept
+	return control.VerdictAccept
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 )
@@ -11,12 +12,12 @@ import (
 // benchIntegrator returns a warm protected integrator: the first 200 steps
 // grow every workspace, so the timed loop measures the steady state. Run
 // with -benchmem: every sub-benchmark must report 0 B/op.
-func benchIntegrator(b *testing.B, tab *ode.Tableau, d *DoubleCheck) *ode.Integrator {
-	var v ode.Validator
+func benchIntegrator(b *testing.B, tab *control.Tableau, d *DoubleCheck) *ode.Integrator {
+	var v control.Validator
 	if d != nil {
 		v = d
 	}
-	in := &ode.Integrator{Tab: tab, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: v, MinStep: 1e-12}
+	in := &ode.Integrator{Tab: tab, Ctrl: control.DefaultController(1e-6, 1e-6), Validator: v, MinStep: 1e-12}
 	in.Init(oscillator, 0, 1e15, la.Vec{1, 0}, 0.001)
 	for i := 0; i < 200; i++ {
 		if err := in.Step(); err != nil {
@@ -31,7 +32,7 @@ func benchIntegrator(b *testing.B, tab *ode.Tableau, d *DoubleCheck) *ode.Integr
 // alone and with LBDC/IBDC pinned at q = 1..3 (cmd/sdcperf runs the same
 // matrix for the regression gate).
 func BenchmarkProtectedStep(b *testing.B) {
-	for _, tab := range []*ode.Tableau{ode.HeunEuler(), ode.BogackiShampine(), ode.DormandPrince()} {
+	for _, tab := range []*control.Tableau{ode.HeunEuler(), ode.BogackiShampine(), ode.DormandPrince()} {
 		b.Run(tab.Name+"/classic", func(b *testing.B) {
 			in := benchIntegrator(b, tab, nil)
 			b.ReportAllocs()

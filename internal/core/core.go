@@ -42,9 +42,9 @@ type Strategy interface {
 	OrderRange() (qMin, qMax int)
 	// EffectiveOrder clamps q to what the current history supports; a
 	// negative result means no estimate is possible yet.
-	EffectiveOrder(c *ode.CheckContext, q int) int
+	EffectiveOrder(c *control.CheckContext, q int) int
 	// Estimate fills dst with x~ at time c.T+c.H using order q.
-	Estimate(dst la.Vec, c *ode.CheckContext, q int)
+	Estimate(dst la.Vec, c *control.CheckContext, q int)
 	// ExtraVectors reports how many persistent solution-sized vectors the
 	// strategy requires at order q beyond the classic controller's storage
 	// (x_{n-1} is already held by the solver).
@@ -73,12 +73,12 @@ func (LIP) Name() string { return "lip" }
 func (LIP) OrderRange() (int, int) { return 0, qMax }
 
 // EffectiveOrder implements Strategy.
-func (LIP) EffectiveOrder(c *ode.CheckContext, q int) int {
+func (LIP) EffectiveOrder(c *control.CheckContext, q int) int {
 	return ode.MaxLIPOrder(c.Hist, min(q, qMax))
 }
 
 // Estimate implements Strategy.
-func (s *LIP) Estimate(dst la.Vec, c *ode.CheckContext, q int) {
+func (s *LIP) Estimate(dst la.Vec, c *control.CheckContext, q int) {
 	s.est.Estimate(dst, c.Hist, q, c.T+c.H)
 }
 
@@ -101,7 +101,7 @@ func (BDF) Name() string { return "bdf" }
 func (BDF) OrderRange() (int, int) { return 1, qMax }
 
 // EffectiveOrder implements Strategy.
-func (BDF) EffectiveOrder(c *ode.CheckContext, q int) int {
+func (BDF) EffectiveOrder(c *control.CheckContext, q int) int {
 	eff := ode.MaxBDFOrder(c.Hist, min(q, qMax))
 	if eff < 1 {
 		return -1
@@ -110,7 +110,7 @@ func (BDF) EffectiveOrder(c *ode.CheckContext, q int) int {
 }
 
 // Estimate implements Strategy.
-func (s *BDF) Estimate(dst la.Vec, c *ode.CheckContext, q int) {
+func (s *BDF) Estimate(dst la.Vec, c *control.CheckContext, q int) {
 	s.est.Estimate(dst, c.Hist, q, c.T+c.H, c.FProp())
 }
 
@@ -190,10 +190,10 @@ func (d *DoubleCheck) SetOrder(q int) {
 	d.Policy.SetOrder(q)
 }
 
-// Validate implements ode.Validator with Algorithm 1. The accept/reject
+// Validate implements control.Validator with Algorithm 1. The accept/reject
 // arithmetic and the order bookkeeping live in internal/control; this method
 // wires them to the Strategy's second estimate and keeps the statistics.
-func (d *DoubleCheck) Validate(c *ode.CheckContext) ode.Verdict {
+func (d *DoubleCheck) Validate(c *control.CheckContext) control.Verdict {
 	d.init()
 	d.Stats.Checks++
 
@@ -210,13 +210,13 @@ func (d *DoubleCheck) Validate(c *ode.CheckContext) ode.Verdict {
 		}
 		d.Stats.FPRescues++
 		c.ReportCheck(-1, d.Policy.Order(), d.Policy.Window())
-		return ode.VerdictFPRescue
+		return control.VerdictFPRescue
 	}
 
 	q := d.Strat.EffectiveOrder(c, d.Policy.Order())
 	if q < 0 {
 		d.Stats.Skipped++
-		return ode.VerdictAccept // not enough history yet
+		return control.VerdictAccept // not enough history yet
 	}
 	d.Stats.OrderSum += q
 
@@ -230,10 +230,10 @@ func (d *DoubleCheck) Validate(c *ode.CheckContext) ode.Verdict {
 	if control.DetectorReject(sErr2) {
 		d.Policy.NoteReject(c.SErr1)
 		d.Stats.Rejections++
-		return ode.VerdictReject
+		return control.VerdictReject
 	}
 	d.Policy.NoteAccept()
-	return ode.VerdictAccept
+	return control.VerdictAccept
 }
 
 // ExtraVectors reports the persistent memory cost (in solution-sized

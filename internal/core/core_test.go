@@ -4,22 +4,23 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/inject"
 	"repro/internal/la"
 	"repro/internal/ode"
 	"repro/internal/xrand"
 )
 
-var decay = ode.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
+var decay = control.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
 
-var oscillator = ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
+var oscillator = control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 	dst[0] = x[1]
 	dst[1] = -x[0]
 }}
 
-func runGuarded(t *testing.T, tab *ode.Tableau, v ode.Validator, hook ode.StageHook, tEnd float64) *ode.Integrator {
+func runGuarded(t *testing.T, tab *control.Tableau, v control.Validator, hook control.StageHook, tEnd float64) *ode.Integrator {
 	t.Helper()
-	in := &ode.Integrator{Tab: tab, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: v, Hook: hook}
+	in := &ode.Integrator{Tab: tab, Ctrl: control.DefaultController(1e-6, 1e-6), Validator: v, Hook: hook}
 	in.Init(oscillator, 0, tEnd, la.Vec{1, 0}, 0.001)
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("run failed: %v", err)
@@ -38,7 +39,7 @@ func TestStrategyOrderRanges(t *testing.T) {
 
 func TestDoubleCheckDefaults(t *testing.T) {
 	d := NewLBDC()
-	c := &ode.CheckContext{ // minimal context with 1-entry history
+	c := &control.CheckContext{ // minimal context with 1-entry history
 		Hist: primedHistory(1), Ctrl: ctrl(), XProp: la.Vec{1}, Weights: la.Vec{1},
 	}
 	d.Validate(c)
@@ -60,16 +61,16 @@ func TestDoubleCheckDefaults(t *testing.T) {
 	}
 }
 
-func primedHistory(n int) *ode.History {
-	h := ode.NewHistory(8, 1)
+func primedHistory(n int) *control.History {
+	h := control.NewHistory(8, 1)
 	for i := 0; i < n; i++ {
 		h.Push(float64(i)*0.1, 0.1, la.Vec{1 - 0.1*float64(i)})
 	}
 	return h
 }
 
-func ctrl() *ode.Controller {
-	c := ode.DefaultController(1e-6, 1e-6)
+func ctrl() *control.Controller {
+	c := control.DefaultController(1e-6, 1e-6)
 	return &c
 }
 
@@ -123,7 +124,7 @@ func TestDoubleCheckDetectsUndetectedSignificantSDC(t *testing.T) {
 		}
 		// NoReuseFirstStage makes every trial evaluate K1 fresh so the hook
 		// can apply the coordinated shift to both stages.
-		in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-8, 1e-8), Validator: d, Hook: hook, NoReuseFirstStage: true}
+		in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-8, 1e-8), Validator: d, Hook: hook, NoReuseFirstStage: true}
 		in.Init(decay, 0, 2, la.Vec{1}, 0.001)
 		// Warm up 20 clean steps so the history is primed.
 		for i := 0; i < 20; i++ {
@@ -161,7 +162,7 @@ func TestSetOrderPanicsOutOfRange(t *testing.T) {
 // nanStrategy forces the second estimate to NaN regardless of the history.
 type nanStrategy struct{ LIP }
 
-func (nanStrategy) Estimate(dst la.Vec, c *ode.CheckContext, q int) {
+func (nanStrategy) Estimate(dst la.Vec, c *control.CheckContext, q int) {
 	dst.Fill(math.NaN())
 }
 
@@ -171,10 +172,10 @@ func TestDoubleCheckRejectsNaNSecondEstimate(t *testing.T) {
 	// acceptance — the exact silent fall-through the shared
 	// control.DetectorReject rule exists to forbid.
 	d := NewDoubleCheck(&nanStrategy{})
-	v := d.Validate(&ode.CheckContext{
+	v := d.Validate(&control.CheckContext{
 		Hist: primedHistory(4), Ctrl: ctrl(), XProp: la.Vec{1}, Weights: la.Vec{1},
 	})
-	if v != ode.VerdictReject {
+	if v != control.VerdictReject {
 		t.Fatalf("NaN second estimate returned verdict %v, want VerdictReject", v)
 	}
 	if d.Stats.Rejections != 1 {
@@ -214,7 +215,7 @@ func TestReplicationCatchesInjections(t *testing.T) {
 	plan := inject.NewPlan(xrand.New(99), inject.Scaled{})
 	plan.Prob = 0.05
 	rep := NewReplication(ode.HeunEuler(), oscillator)
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: rep, Hook: plan.Hook}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-6, 1e-6), Validator: rep, Hook: plan.Hook}
 	in.Init(oscillator, 0, 5, la.Vec{1, 0}, 0.001)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestTMRCorrectsInPlace(t *testing.T) {
 	plan := inject.NewPlan(xrand.New(5), inject.Scaled{})
 	plan.Prob = 0.05
 	tmr := NewTMR(ode.HeunEuler(), oscillator)
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: tmr, Hook: plan.Hook}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-6, 1e-6), Validator: tmr, Hook: plan.Hook}
 	in.Init(oscillator, 0, 5, la.Vec{1, 0}, 0.001)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -292,7 +293,7 @@ func TestRichardsonCatchesLargeSDC(t *testing.T) {
 		}
 		return 0
 	}
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-8, 1e-8), Validator: rich, Hook: hook}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-8, 1e-8), Validator: rich, Hook: hook}
 	in.Init(decay, 0, 1, la.Vec{1}, 0.001)
 	for i := 0; i < 10; i++ {
 		if err := in.Step(); err != nil {
@@ -314,7 +315,7 @@ func TestRichardsonCatchesLargeSDC(t *testing.T) {
 // from t = 0 with h = 0.05 clean but poisons the two-half-step
 // recomputation, so SErr_2 is NaN. The check must reject that step.
 func TestRichardsonRejectsNaNSecondEstimate(t *testing.T) {
-	sys := ode.Func{N: 2, F: func(tt float64, x, dst la.Vec) {
+	sys := control.Func{N: 2, F: func(tt float64, x, dst la.Vec) {
 		oscillator.F(tt, x, dst)
 		if la.ExactEq(tt, 0.025) {
 			dst[0] = math.NaN()
@@ -326,17 +327,17 @@ func TestRichardsonRejectsNaNSecondEstimate(t *testing.T) {
 	if res.XProp.HasNaNOrInf() {
 		t.Fatalf("full step poisoned: %v", res.XProp)
 	}
-	ctrl := ode.DefaultController(1e-6, 1e-6)
+	ctrl := control.DefaultController(1e-6, 1e-6)
 	w := la.NewVec(2)
 	ctrl.Weights(w, res.XProp)
-	c := &ode.CheckContext{T: 0, H: 0.05, XStart: x0, XStored: x0, XProp: res.XProp, ErrVec: res.ErrVec,
+	c := &control.CheckContext{T: 0, H: 0.05, XStart: x0, XStored: x0, XProp: res.XProp, ErrVec: res.ErrVec,
 		Weights: w, Ctrl: &ctrl, Tab: tab}
 	rich := NewRichardson(tab, sys)
 	v := rich.Validate(c)
 	if sErr2, _, _, _ := c.CheckReport(); !math.IsNaN(sErr2) {
 		t.Fatalf("SErr_2 = %g, want NaN from the poisoned half step", sErr2)
 	}
-	if v != ode.VerdictReject || rich.Stats.Rejections != 1 {
+	if v != control.VerdictReject || rich.Stats.Rejections != 1 {
 		t.Fatalf("verdict %v with %d rejections, want a rejection of SErr_2 = NaN", v, rich.Stats.Rejections)
 	}
 }
@@ -346,7 +347,7 @@ func TestRichardsonRejectsNaNSecondEstimate(t *testing.T) {
 // trial has NaN written into stage 1. No classic test runs on the
 // fixed-step path, so the detector alone stands between the NaN and the
 // stored solution.
-func runNaNStage(t *testing.T, v ode.Validator) {
+func runNaNStage(t *testing.T, v control.Validator) {
 	t.Helper()
 	armed := false
 	hook := func(stage int, _ float64, k la.Vec) int {
@@ -440,17 +441,17 @@ func TestHotRodeFixedStepDetection(t *testing.T) {
 func TestIBDCUsesFPropWithoutExtraEvalsOnFSAL(t *testing.T) {
 	// On a FSAL pair, IBDC must not add any function evaluations on
 	// accepted steps.
-	cs := &ode.CountingSystem{Sys: oscillator}
+	cs := &control.CountingSystem{Sys: oscillator}
 	d := NewIBDC()
-	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: d}
+	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(1e-6, 1e-6), Validator: d}
 	in.Init(cs, 0, 1, la.Vec{1, 0}, 0.01)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
 	evalsGuarded := cs.Evals
 
-	cs2 := &ode.CountingSystem{Sys: oscillator}
-	in2 := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	cs2 := &control.CountingSystem{Sys: oscillator}
+	in2 := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(1e-6, 1e-6)}
 	in2.Init(cs2, 0, 1, la.Vec{1, 0}, 0.01)
 	if _, err := in2.Run(); err != nil {
 		t.Fatal(err)
@@ -498,7 +499,7 @@ func TestEnsembleCatchesWhatEitherMemberCatches(t *testing.T) {
 		}
 		return 0
 	}
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-8, 1e-8), Validator: e, Hook: hook, NoReuseFirstStage: true}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-8, 1e-8), Validator: e, Hook: hook, NoReuseFirstStage: true}
 	in.Init(decay, 0, 2, la.Vec{1}, 0.001)
 	for i := 0; i < 20; i++ {
 		if err := in.Step(); err != nil {
@@ -516,7 +517,7 @@ func TestEnsembleCatchesWhatEitherMemberCatches(t *testing.T) {
 }
 
 func TestRunToSamplesExactly(t *testing.T) {
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: NewIBDC()}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-6, 1e-6), Validator: NewIBDC()}
 	in.Init(decay, 0, 2, la.Vec{1}, 0.01)
 	for _, ts := range []float64{0.5, 1.0, 1.7} {
 		if err := in.RunTo(ts); err != nil {

@@ -1,6 +1,6 @@
 package core
 
-import "repro/internal/ode"
+import "repro/internal/control"
 
 // Ensemble combines several validators: a step is accepted only when every
 // member accepts it. Combining LBDC and IBDC trades extra false positives
@@ -14,33 +14,33 @@ import "repro/internal/ode"
 //   - FPRescue if no member rejects and at least one rescued;
 //   - Accept otherwise.
 type Ensemble struct {
-	Members []ode.Validator
+	Members []control.Validator
 	Stats   Stats
 }
 
 // NewEnsemble returns an ensemble over the given members.
-func NewEnsemble(members ...ode.Validator) *Ensemble {
+func NewEnsemble(members ...control.Validator) *Ensemble {
 	return &Ensemble{Members: members}
 }
 
-// Validate implements ode.Validator.
-func (e *Ensemble) Validate(c *ode.CheckContext) ode.Verdict {
+// Validate implements control.Validator.
+func (e *Ensemble) Validate(c *control.CheckContext) control.Verdict {
 	e.Stats.Checks++
-	verdict := ode.VerdictAccept
+	verdict := control.VerdictAccept
 	for _, m := range e.Members {
 		switch m.Validate(c) {
-		case ode.VerdictReject:
-			verdict = ode.VerdictReject
-		case ode.VerdictFPRescue:
-			if verdict == ode.VerdictAccept {
-				verdict = ode.VerdictFPRescue
+		case control.VerdictReject:
+			verdict = control.VerdictReject
+		case control.VerdictFPRescue:
+			if verdict == control.VerdictAccept {
+				verdict = control.VerdictFPRescue
 			}
 		}
 	}
 	switch verdict {
-	case ode.VerdictReject:
+	case control.VerdictReject:
 		e.Stats.Rejections++
-	case ode.VerdictFPRescue:
+	case control.VerdictFPRescue:
 		e.Stats.FPRescues++
 	}
 	return verdict

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/ode"
@@ -11,10 +12,10 @@ import (
 // Example shows the one-line integration of the paper's detector into an
 // adaptive solve: set the Validator field and run.
 func Example() {
-	decay := ode.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
+	decay := control.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
 	in := &ode.Integrator{
 		Tab:       ode.BogackiShampine(),
-		Ctrl:      ode.DefaultController(1e-8, 1e-8),
+		Ctrl:      control.DefaultController(1e-8, 1e-8),
 		Validator: core.NewIBDC(),
 	}
 	in.Init(decay, 0, 1, la.Vec{1}, 0.01)
@@ -41,13 +42,13 @@ func ExampleDoubleCheck_Order() {
 // ExampleNewEnsemble combines both double-checking strategies; a step must
 // satisfy each one.
 func ExampleNewEnsemble() {
-	osc := ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
+	osc := control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 		dst[0] = x[1]
 		dst[1] = -x[0]
 	}}
 	in := &ode.Integrator{
 		Tab:       ode.HeunEuler(),
-		Ctrl:      ode.DefaultController(1e-6, 1e-6),
+		Ctrl:      control.DefaultController(1e-6, 1e-6),
 		Validator: core.NewEnsemble(core.NewLBDC(), core.NewIBDC()),
 	}
 	in.Init(osc, 0, 1, la.Vec{1, 0}, 0.001)

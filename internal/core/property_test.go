@@ -20,13 +20,13 @@ const cMax = 10
 // configurations in a unit test.
 var propertyProblems = []struct {
 	name string
-	sys  ode.System
+	sys  control.System
 	x0   la.Vec
 	tEnd float64
 }{
 	{"oscillator", oscillator, la.Vec{1, 0}, 3},
 	{"decay", decay, la.Vec{1}, 3},
-	{"vanderpol", ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
+	{"vanderpol", control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 		dst[0] = x[1]
 		dst[1] = 2*(1-x[0]*x[0])*x[1] - x[0]
 	}}, la.Vec{2, 0}, 3},
@@ -60,7 +60,7 @@ func TestPropertyCleanRunsSelfRecoverEveryFalsePositive(t *testing.T) {
 		rec := telemetry.NewRecorder(1 << 18)
 		in := &ode.Integrator{
 			Tab:       tab,
-			Ctrl:      ode.DefaultController(tol, tol),
+			Ctrl:      control.DefaultController(tol, tol),
 			Validator: det,
 			Tracer:    rec,
 		}
@@ -146,8 +146,8 @@ func TestPropertyOrderAdaptationBounds(t *testing.T) {
 		}
 		qMin, qMax := det.Strat.OrderRange()
 
-		hist := ode.NewHistory(8, 1)
-		c := ode.DefaultController(1e-6, 1e-6)
+		hist := control.NewHistory(8, 1)
+		c := control.DefaultController(1e-6, 1e-6)
 		eng := control.Engine{Validator: det}
 		eng.Reset(1)
 		w := la.NewVec(1)

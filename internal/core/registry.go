@@ -83,7 +83,7 @@ func init() {
 
 // stagePlusTwo reports the memory cost of n full replicas of the solver
 // state, N_k+2 vectors each (0 when the pair is unknown at build time).
-func stagePlusTwo(tab *ode.Tableau, n int) func() float64 {
+func stagePlusTwo(tab *control.Tableau, n int) func() float64 {
 	return func() float64 {
 		if tab == nil {
 			return 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/mpi"
@@ -132,7 +133,7 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 		}
 		// The rank's block of the global right-hand side: a collective call
 		// that every rank makes in lockstep.
-		rhs := ode.Func{N: nl, F: func(_ float64, src, dst la.Vec) {
+		rhs := control.Func{N: nl, F: func(_ float64, src, dst la.Vec) {
 			alpha := globalMaxAbs(src)
 			fillPad(src)
 			rhsLocal(pad, fP, fM, fhatP, fhatM, dst, alpha, dx)
@@ -141,7 +142,7 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 
 		in := &ode.Integrator{
 			Tab:     ode.HeunEuler(),
-			Ctrl:    ode.DefaultController(adaptiveTol, adaptiveTol),
+			Ctrl:    control.DefaultController(adaptiveTol, adaptiveTol),
 			MaxStep: maxStep,
 		}
 		in.Ctrl.Ranks = comm{c}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/inject"
 	"repro/internal/la"
 	"repro/internal/ode"
@@ -24,7 +25,7 @@ func TestHeunEulerEstimateDominatesImpact(t *testing.T) {
 	p := problems.Burgers1D(64, "weno5")
 	p.TEnd = 0.25
 	tab := ode.HeunEuler()
-	ctrl := ode.DefaultController(p.TolA, p.TolR)
+	ctrl := control.DefaultController(p.TolA, p.TolR)
 	minRatio := math.Inf(1)
 	impactful := 0
 	root := xrand.New(99)

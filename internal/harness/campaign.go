@@ -75,7 +75,7 @@ func AllDetectors() []DetectorKind {
 // injector, and a detector.
 type Config struct {
 	Problem    *problems.Problem
-	Tab        *ode.Tableau
+	Tab        *control.Tableau
 	Injector   inject.Injector
 	InjectProb float64 // per function evaluation; 0 means the paper's 1/100
 	Detector   DetectorKind
@@ -211,7 +211,7 @@ func (r *Result) Canonical() Result {
 // registry (the detectors in internal/core register themselves; "classic"
 // and "oracle" resolve to nil validators — the oracle's clean-shadow
 // validator is constructed by runReplicate, which owns that machinery).
-func makeDetector(kind DetectorKind, tab *ode.Tableau, sys ode.System, cfg *Config) (control.Detector, error) {
+func makeDetector(kind DetectorKind, tab *control.Tableau, sys control.System, cfg *Config) (control.Detector, error) {
 	det, err := control.New(string(kind), control.Spec{
 		Tab:        tab,
 		Sys:        sys,
@@ -326,11 +326,11 @@ type repOutcome struct {
 // wireReplicate and plugged into the worker's integrator by
 // startReplicate.
 type repWiring struct {
-	sys       *ode.CountingSystem
+	sys       *control.CountingSystem
 	det       control.Detector
-	ctrl      ode.Controller
-	validator ode.Validator
-	hook      ode.StageHook
+	ctrl      control.Controller
+	validator control.Validator
+	hook      control.StageHook
 	stateHook func(t float64, x la.Vec) int
 	onTrial   func(*ode.Trial)
 	tracer    telemetry.Tracer
@@ -353,15 +353,15 @@ func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome)
 		statePlan.Prob = cfg.StateProb
 	}
 
-	counting := &ode.CountingSystem{Sys: sys}
+	counting := &control.CountingSystem{Sys: sys}
 	det, err := makeDetector(cfg.Detector, cfg.Tab, counting, cfg)
 	if err != nil {
 		return repWiring{}, err
 	}
 
-	ctrl := ode.DefaultController(p.TolA, p.TolR)
+	ctrl := control.DefaultController(p.TolA, p.TolR)
 	ctrl.MaxNorm = cfg.MaxNorm
-	hook := ode.StageHook(plan.Hook)
+	hook := control.StageHook(plan.Hook)
 	if cfg.Field != nil {
 		sel := *cfg.Field
 		sel.Inner = cfg.Injector
@@ -390,7 +390,7 @@ func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome)
 		oxt := vecFor(&scr.oxt, sys.Dim())
 		ocw := vecFor(&scr.ocw, sys.Dim())
 		oshadow := stepperFor(&scr.oshadow, cfg.Tab, sys)
-		w.validator = oracleValidator(func(c *ode.CheckContext) bool {
+		w.validator = oracleValidator(func(c *control.CheckContext) bool {
 			restore := plan.Pause()
 			clean := oshadow.Trial(c.T, c.H, c.XStored, nil, nil)
 			restore()
@@ -567,22 +567,22 @@ func startReplicate(in *ode.Integrator, cfg *Config, w repWiring, halt func() bo
 	in.Init(w.sys, p.T0, p.TEnd, p.X0, p.H0)
 }
 
-// oracleValidator adapts a significance predicate to ode.Validator.
-type oracleValidator func(*ode.CheckContext) bool
+// oracleValidator adapts a significance predicate to control.Validator.
+type oracleValidator func(*control.CheckContext) bool
 
-// Validate implements ode.Validator.
-func (f oracleValidator) Validate(c *ode.CheckContext) ode.Verdict {
+// Validate implements control.Validator.
+func (f oracleValidator) Validate(c *control.CheckContext) control.Verdict {
 	if f(c) {
-		return ode.VerdictReject
+		return control.VerdictReject
 	}
-	return ode.VerdictAccept
+	return control.VerdictAccept
 }
 
 // CleanRun integrates the problem once without injection and detection and
 // returns the evaluation count and wall time — the overhead baseline.
-func CleanRun(p *problems.Problem, tab *ode.Tableau) (evals int64, wall float64, err error) {
-	counting := &ode.CountingSystem{Sys: p.Sys}
-	in := &ode.Integrator{Tab: tab, Ctrl: ode.DefaultController(p.TolA, p.TolR), MaxSteps: 1 << 18, MaxStep: p.MaxStep}
+func CleanRun(p *problems.Problem, tab *control.Tableau) (evals int64, wall float64, err error) {
+	counting := &control.CountingSystem{Sys: p.Sys}
+	in := &ode.Integrator{Tab: tab, Ctrl: control.DefaultController(p.TolA, p.TolR), MaxSteps: 1 << 18, MaxStep: p.MaxStep}
 	in.Init(counting, p.T0, p.TEnd, p.X0, p.H0)
 	//lint:allow walltime -- the clean-run wall baseline of the §VI-B overhead ratio
 	start := time.Now()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/la"
@@ -265,7 +266,7 @@ func TestEndToEndBubbleProtection(t *testing.T) {
 	// continuous SDC injection with and without IBDC and compare both
 	// against the clean trajectory.
 	p := problems.Bubble2D(20, "weno5", 15)
-	clean := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(p.TolA, p.TolR), MaxStep: p.MaxStep}
+	clean := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(p.TolA, p.TolR), MaxStep: p.MaxStep}
 	clean.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)
 	if _, err := clean.Run(); err != nil {
 		t.Fatal(err)
@@ -275,7 +276,7 @@ func TestEndToEndBubbleProtection(t *testing.T) {
 	run := func(guard bool) (la.Vec, *ode.Stats) {
 		plan := inject.NewPlan(xrand.New(1234), inject.Scaled{})
 		plan.Prob = 0.01
-		in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(p.TolA, p.TolR),
+		in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(p.TolA, p.TolR),
 			MaxStep: p.MaxStep, Hook: plan.Hook}
 		if guard {
 			in.Validator = core.NewIBDC()

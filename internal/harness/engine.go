@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 	"repro/internal/xrand"
@@ -77,7 +78,7 @@ type workerScratch struct {
 // stepperFor fills slot with a stepper for (tab, sys), recycling the stage
 // storage when the tableau is unchanged (Retarget recycles it again when the
 // dimension also matches).
-func stepperFor(slot **ode.Stepper, tab *ode.Tableau, sys ode.System) *ode.Stepper {
+func stepperFor(slot **ode.Stepper, tab *control.Tableau, sys control.System) *ode.Stepper {
 	if *slot == nil || (*slot).Tab != tab {
 		*slot = ode.NewStepper(tab, sys)
 	} else {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/inject"
 	"repro/internal/ode"
 	"repro/internal/problems"
@@ -286,7 +287,7 @@ func TestCampaignExecutedWork(t *testing.T) {
 			p := fastProblem()
 			var executed atomic.Int64
 			sys := p.Sys
-			p.NewSys = func() ode.System {
+			p.NewSys = func() control.System {
 				executed.Add(1)
 				return sys
 			}

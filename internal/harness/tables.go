@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/control"
 	"repro/internal/inject"
 	"repro/internal/ode"
 	"repro/internal/problems"
@@ -60,7 +61,7 @@ type CellResult struct {
 
 // RunGrid runs a campaign for every (tableau, injector) pair with one
 // detector kind and returns the cells in order.
-func RunGrid(o Options, tabs []*ode.Tableau, injs []inject.Injector, det DetectorKind) ([]CellResult, error) {
+func RunGrid(o Options, tabs []*control.Tableau, injs []inject.Injector, det DetectorKind) ([]CellResult, error) {
 	var cells []CellResult
 	for _, tab := range tabs {
 		for _, inj := range injs {
@@ -169,7 +170,7 @@ func Table2(w io.Writer, o Options, cells []CellResult) ([]CellResult, error) {
 // scenario (where the classic estimate is provably blind), which is the main
 // source of Heun-Euler-visible significant false negatives in this
 // reproduction (see EXPERIMENTS.md).
-func Table3(w io.Writer, o Options, tab *ode.Tableau, stateProb float64) (map[DetectorKind]*Result, error) {
+func Table3(w io.Writer, o Options, tab *control.Tableau, stateProb float64) (map[DetectorKind]*Result, error) {
 	if tab == nil {
 		tab = ode.HeunEuler()
 	}
@@ -412,7 +413,7 @@ func FieldSweep(w io.Writer, o Options, p *problems.Problem, varNames []string) 
 // Table3X extends Table III across all three injectors for each detector
 // (the paper reports only scaled injections there): the significant-FNR
 // grid shows double-checking holding across corruption models.
-func Table3X(w io.Writer, o Options, tab *ode.Tableau) error {
+func Table3X(w io.Writer, o Options, tab *control.Tableau) error {
 	if tab == nil {
 		tab = ode.BogackiShampine()
 	}

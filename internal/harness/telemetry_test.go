@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/ode"
@@ -178,7 +179,7 @@ func TestTraceMatchesCampaignAccounting(t *testing.T) {
 // guarantee: steady-state stepping with a nil Tracer must not allocate.
 func TestDisabledTracerAddsNoAllocations(t *testing.T) {
 	p := fastProblem()
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(p.TolA, p.TolR)}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(p.TolA, p.TolR)}
 	in.Init(p.Sys, 0, 1e9, p.X0.Clone(), p.H0)
 	// Warm up: the first steps grow History's storage to steady state.
 	for i := 0; i < 200; i++ {
@@ -204,7 +205,7 @@ func TestTracerAddsNoAllocationsOnGuardedPath(t *testing.T) {
 	measure := func(tr telemetry.Tracer) float64 {
 		in := &ode.Integrator{
 			Tab:       ode.HeunEuler(),
-			Ctrl:      ode.DefaultController(p.TolA, p.TolR),
+			Ctrl:      control.DefaultController(p.TolA, p.TolR),
 			Validator: core.NewIBDC(),
 			OnTrial:   func(*ode.Trial) {},
 			Tracer:    tr,

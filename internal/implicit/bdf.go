@@ -3,6 +3,7 @@ package implicit
 import (
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/krylov"
 	"repro/internal/la"
 	"repro/internal/ode"
@@ -25,7 +26,7 @@ type BDF2 struct {
 	NoDirect bool
 
 	newton
-	hist                *ode.History
+	hist                *control.History
 	xProp, pred, rhs    la.Vec
 	resid, ftmp, errVec la.Vec
 	nodes, dw, dscratch [3]float64 // order + 1 <= 3 entries
@@ -33,7 +34,7 @@ type BDF2 struct {
 }
 
 // Start implements ode.Method.
-func (b *BDF2) Start(sys ode.System, ctrl *ode.Controller, hist *ode.History) {
+func (b *BDF2) Start(sys control.System, ctrl *control.Controller, hist *control.History) {
 	b.start(sys, ctrl, b.NewtonTol, b.NoDirect, b.KrylovOpts)
 	b.hist = hist
 	m := sys.Dim()
@@ -46,7 +47,7 @@ func (b *BDF2) Start(sys ode.System, ctrl *ode.Controller, hist *ode.History) {
 // 2 afterwards, with x as x_{n-1} and the older solutions from the history.
 // It exposes no stage evaluation to the hook and ignores the carried k1;
 // the double-check evaluates f(t+h, XProp) itself.
-func (b *BDF2) Trial(t, h float64, x, _ la.Vec, _ ode.StageHook) *ode.TrialResult {
+func (b *BDF2) Trial(t, h float64, x, _ la.Vec, _ control.StageHook) *control.TrialResult {
 	b.evals = 0
 	tn := t + h
 	order := 2

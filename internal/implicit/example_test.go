@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/implicit"
 	"repro/internal/la"
@@ -15,12 +16,12 @@ import (
 // integration-based double-checking validates every accepted step.
 func Example() {
 	// x' = -1000 (x - cos t) - sin t, exact x = cos t.
-	stiff := ode.Func{N: 1, F: func(t float64, x, dst la.Vec) {
+	stiff := control.Func{N: 1, F: func(t float64, x, dst la.Vec) {
 		dst[0] = -1000*(x[0]-math.Cos(t)) - math.Sin(t)
 	}}
 	in := &ode.Integrator{
 		Method:    &implicit.SDIRK2{},
-		Ctrl:      ode.DefaultController(1e-6, 1e-6),
+		Ctrl:      control.DefaultController(1e-6, 1e-6),
 		Validator: core.NewIBDC(),
 	}
 	in.Init(stiff, 0, 1, la.Vec{1}, 1e-3)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/ode"
@@ -35,7 +36,7 @@ type trajectoryCase struct {
 // whose stage equation has no real root, so it pins the failed-Newton retry.
 func trajectoryCases() []trajectoryCase {
 	relax := &problems.Problem{Sys: stiffRelax(100), X0: la.Vec{1}}
-	blowup := &problems.Problem{Sys: ode.Func{N: 1, F: func(_ float64, x, dst la.Vec) {
+	blowup := &problems.Problem{Sys: control.Func{N: 1, F: func(_ float64, x, dst la.Vec) {
 		dst[0] = x[0] * x[0]
 	}}, X0: la.Vec{1}}
 	return []trajectoryCase{
@@ -65,9 +66,9 @@ type trajectoryRecord struct {
 // when ibdc is set.
 func runTrajectory(t *testing.T, method string, ibdc bool, c trajectoryCase) trajectoryRecord {
 	t.Helper()
-	in := &ode.Integrator{Ctrl: ode.DefaultController(c.tol, c.tol)}
+	in := &ode.Integrator{Ctrl: control.DefaultController(c.tol, c.tol)}
 	if c.useProblemTols {
-		in.Ctrl = ode.DefaultController(c.p.TolA, c.p.TolR)
+		in.Ctrl = control.DefaultController(c.p.TolA, c.p.TolR)
 	}
 	if ibdc {
 		in.Validator = core.NewIBDC()

@@ -14,9 +14,9 @@ package implicit
 import (
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/krylov"
 	"repro/internal/la"
-	"repro/internal/ode"
 )
 
 // Gamma is the SDIRK2 diagonal coefficient 1 - 1/sqrt(2); with it the
@@ -47,7 +47,7 @@ type SDIRK2 struct {
 }
 
 // Start implements ode.Method.
-func (s *SDIRK2) Start(sys ode.System, ctrl *ode.Controller, _ *ode.History) {
+func (s *SDIRK2) Start(sys control.System, ctrl *control.Controller, _ *control.History) {
 	s.start(sys, ctrl, s.NewtonTol, s.NoDirect, s.KrylovOpts)
 	m := sys.Dim()
 	for _, v := range []*la.Vec{&s.k1, &s.k2, &s.base, &s.stage, &s.resid, &s.ftmp, &s.xProp, &s.errVec} {
@@ -59,7 +59,7 @@ func (s *SDIRK2) Start(sys ode.System, ctrl *ode.Controller, _ *ode.History) {
 // f(t, x) and ignores the carried k1; the hook sees each converged stage
 // (indices 0 and 1). K2 = f(t+h, XProp) by stiff accuracy, so it is the
 // free FProp.
-func (s *SDIRK2) Trial(t, h float64, x, _ la.Vec, hook ode.StageHook) *ode.TrialResult {
+func (s *SDIRK2) Trial(t, h float64, x, _ la.Vec, hook control.StageHook) *control.TrialResult {
 	s.evals = 0
 	// The 2(1) pair's step law uses p^ + 1 = 2.
 	res := s.res.Begin(s.xProp, s.errVec, s.k2, 2)
@@ -128,8 +128,8 @@ func (s *SDIRK2) solveStage(ts, h float64, base, K la.Vec) bool {
 // controller, the settings as of Start, the linear solve of one iteration,
 // the evaluation and work counters, and the record Trial returns.
 type newton struct {
-	sys      ode.System
-	ctrl     *ode.Controller
+	sys      control.System
+	ctrl     *control.Controller
 	tol      float64
 	noDirect bool
 	opts     krylov.Options
@@ -142,11 +142,11 @@ type newton struct {
 	newtonIters int64
 	krylovIters int64
 
-	res ode.TrialResult
+	res control.TrialResult
 }
 
 // start binds the solver to one integration and resets its counters.
-func (n *newton) start(sys ode.System, ctrl *ode.Controller, tol float64, noDirect bool, opts krylov.Options) {
+func (n *newton) start(sys control.System, ctrl *control.Controller, tol float64, noDirect bool, opts krylov.Options) {
 	if tol == 0 {
 		tol = 1e-3
 	}
@@ -165,7 +165,7 @@ func (n *newton) Iterations() (newtonIters, krylovIters int64) {
 }
 
 // abort marks res as a trial that produced no proposal.
-func (n *newton) abort(res *ode.TrialResult) *ode.TrialResult {
+func (n *newton) abort(res *control.TrialResult) *control.TrialResult {
 	res.Evals, res.Aborted = n.evals, true
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/krylov"
 	"repro/internal/la"
@@ -13,8 +14,8 @@ import (
 
 // stiffRelax is x' = -lambda (x - cos t) - sin t, exact x = cos t for
 // x(0) = 1, with stiffness lambda.
-func stiffRelax(lambda float64) ode.System {
-	return ode.Func{N: 1, F: func(t float64, x, dst la.Vec) {
+func stiffRelax(lambda float64) control.System {
+	return control.Func{N: 1, F: func(t float64, x, dst la.Vec) {
 		dst[0] = -lambda*(x[0]-math.Cos(t)) - math.Sin(t)
 	}}
 }
@@ -27,7 +28,7 @@ func TestGammaValue(t *testing.T) {
 
 func TestStiffAccuracy(t *testing.T) {
 	// lambda = 1e4: an explicit method would need h ~ 2e-4; SDIRK2 cruises.
-	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: control.DefaultController(1e-6, 1e-6)}
 	in.Init(stiffRelax(1e4), 0, 2, la.Vec{1}, 1e-4)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -43,11 +44,11 @@ func TestStiffAccuracy(t *testing.T) {
 }
 
 func TestNonstiffAccuracy(t *testing.T) {
-	osc := ode.Func{N: 2, F: func(tt float64, x, dst la.Vec) {
+	osc := control.Func{N: 2, F: func(tt float64, x, dst la.Vec) {
 		dst[0] = x[1]
 		dst[1] = -x[0]
 	}}
-	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-8, 1e-8)}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: control.DefaultController(1e-8, 1e-8)}
 	in.Init(osc, 0, 3, la.Vec{1, 0}, 0.01)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestSecondOrderConvergence(t *testing.T) {
 		// Loose controller tolerances pin h at the cap; the Newton and
 		// Krylov tolerances are tightened explicitly so the stage solves
 		// do not pollute the truncation-error measurement.
-		in := &ode.Integrator{Ctrl: ode.DefaultController(1, 1), MaxStep: cap, MinStep: 1e-18,
+		in := &ode.Integrator{Ctrl: control.DefaultController(1, 1), MaxStep: cap, MinStep: 1e-18,
 			Method: &SDIRK2{NewtonTol: 1e-10, KrylovOpts: krylov.Options{Tol: 1e-12}}}
 		in.Init(stiffRelax(2), 0, 1, la.Vec{1}, cap)
 		if _, err := in.Run(); err != nil {
@@ -83,7 +84,7 @@ func TestSecondOrderConvergence(t *testing.T) {
 func TestVanDerPolVeryStiff(t *testing.T) {
 	p := problems.VanDerPol(1000)
 	m := &SDIRK2{}
-	in := &ode.Integrator{Method: m, Ctrl: ode.DefaultController(1e-5, 1e-5)}
+	in := &ode.Integrator{Method: m, Ctrl: control.DefaultController(1e-5, 1e-5)}
 	in.Init(p.Sys, 0, 200, p.X0, 1e-4)
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("stiff Van der Pol failed: %v (steps=%d)", err, in.Stats.Steps)
@@ -96,7 +97,7 @@ func TestVanDerPolVeryStiff(t *testing.T) {
 }
 
 func TestHistoryMaintained(t *testing.T) {
-	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: control.DefaultController(1e-6, 1e-6)}
 	in.Init(stiffRelax(10), 0, 1, la.Vec{1}, 0.01)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestDoubleCheckGuardsImplicitSolver(t *testing.T) {
 	// The paper's future-work scenario: IBDC validating an implicit solver.
 	// Clean run first: FP rescues must recover every double-check rejection.
 	d := core.NewIBDC()
-	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: d}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: control.DefaultController(1e-6, 1e-6), Validator: d}
 	in.Init(stiffRelax(100), 0, 2, la.Vec{1}, 1e-3)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -134,18 +135,18 @@ func TestDoubleCheckCatchesCorruptedImplicitStep(t *testing.T) {
 	d := core.NewIBDC()
 	var armed bool
 	var caught bool
-	wrapper := validatorFunc(func(c *ode.CheckContext) ode.Verdict {
+	wrapper := validatorFunc(func(c *control.CheckContext) control.Verdict {
 		if armed {
 			armed = false
 			c.XProp[0] += 0.25
 		}
 		v := d.Validate(c)
-		if v == ode.VerdictReject {
+		if v == control.VerdictReject {
 			caught = true
 		}
 		return v
 	})
-	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6), Validator: wrapper}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: control.DefaultController(1e-6, 1e-6), Validator: wrapper}
 	in.Init(stiffRelax(100), 0, 2, la.Vec{1}, 1e-3)
 	for i := 0; i < 20; i++ {
 		if err := in.Step(); err != nil {
@@ -167,16 +168,16 @@ func TestDoubleCheckCatchesCorruptedImplicitStep(t *testing.T) {
 	}
 }
 
-type validatorFunc func(*ode.CheckContext) ode.Verdict
+type validatorFunc func(*control.CheckContext) control.Verdict
 
-func (f validatorFunc) Validate(c *ode.CheckContext) ode.Verdict { return f(c) }
+func (f validatorFunc) Validate(c *control.CheckContext) control.Verdict { return f(c) }
 
 func TestBrusselatorMediumSystem(t *testing.T) {
 	// A 64-dimensional stiff method-of-lines system exercises the GMRES
 	// path (m > restart length); NoDirect pins the matrix-free route.
 	p := problems.Brusselator1D(32)
 	m := &SDIRK2{NoDirect: true}
-	in := &ode.Integrator{Method: m, Ctrl: ode.DefaultController(1e-4, 1e-4)}
+	in := &ode.Integrator{Method: m, Ctrl: control.DefaultController(1e-4, 1e-4)}
 	in.Init(p.Sys, 0, 1, p.X0, 1e-3)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -194,7 +195,7 @@ func TestBrusselatorMediumSystem(t *testing.T) {
 func TestDirectAndKrylovAgree(t *testing.T) {
 	// The two Newton linear-solver paths must land on the same trajectory.
 	run := func(noDirect bool) la.Vec {
-		in := &ode.Integrator{Method: &SDIRK2{NoDirect: noDirect}, Ctrl: ode.DefaultController(1e-8, 1e-8)}
+		in := &ode.Integrator{Method: &SDIRK2{NoDirect: noDirect}, Ctrl: control.DefaultController(1e-8, 1e-8)}
 		in.Init(stiffRelax(500), 0, 1, la.Vec{1}, 1e-4)
 		if _, err := in.Run(); err != nil {
 			t.Fatal(err)
@@ -212,8 +213,8 @@ func TestDirectAndKrylovAgree(t *testing.T) {
 }
 
 func TestStepSizeUnderflowOnBrokenRHS(t *testing.T) {
-	bad := ode.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.NaN() }}
-	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	bad := control.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.NaN() }}
+	in := &ode.Integrator{Method: &SDIRK2{}, Ctrl: control.DefaultController(1e-6, 1e-6)}
 	in.Init(bad, 0, 1, la.Vec{1}, 0.1)
 	if err := in.Step(); err == nil {
 		t.Fatal("expected failure on NaN right-hand side")

@@ -3,6 +3,7 @@ package implicit
 import (
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/ode"
@@ -30,12 +31,12 @@ func TestStatsEvalsMatchCountingSystem(t *testing.T) {
 	for _, m := range loopMethods {
 		for _, guard := range []string{"none", "ibdc"} {
 			t.Run(m.name+"/"+guard, func(t *testing.T) {
-				in := &ode.Integrator{Ctrl: ode.DefaultController(1e-6, 1e-6)}
+				in := &ode.Integrator{Ctrl: control.DefaultController(1e-6, 1e-6)}
 				m.set(in)
 				if guard == "ibdc" {
 					in.Validator = core.NewIBDC()
 				}
-				cs := &ode.CountingSystem{Sys: stiffRelax(10)}
+				cs := &control.CountingSystem{Sys: stiffRelax(10)}
 				in.Init(cs, 0, 2, la.Vec{1}, 1e-3)
 				if _, err := in.Run(); err != nil {
 					t.Fatal(err)
@@ -59,7 +60,7 @@ func TestImplicitMethodsUnderObservers(t *testing.T) {
 			hooked, stateReads, trials, halts := 0, 0, 0, 0
 			rec := telemetry.NewRecorder(1 << 16)
 			in := &ode.Integrator{
-				Ctrl:      ode.DefaultController(1e-6, 1e-6),
+				Ctrl:      control.DefaultController(1e-6, 1e-6),
 				Validator: core.NewIBDC(),
 				Hook:      func(int, float64, la.Vec) int { hooked++; return 0 },
 				StateHook: func(float64, la.Vec) int { stateReads++; return 0 },

@@ -129,7 +129,7 @@ func NewPlan(r *xrand.RNG, inj Injector) *Plan {
 	return &Plan{R: r, Inj: inj, Prob: 0.01, Enabled: true}
 }
 
-// Hook implements ode.StageHook: it corrupts k in place and returns the
+// Hook implements control.StageHook: it corrupts k in place and returns the
 // number of corruptions applied (0 or 1).
 func (p *Plan) Hook(stage int, t float64, k la.Vec) int {
 	if !p.Enabled || len(k) == 0 || !p.R.Bernoulli(p.Prob) {

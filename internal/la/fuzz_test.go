@@ -9,7 +9,8 @@ import (
 // algorithms are numerically meaningful: finite values of moderate
 // magnitude with non-pathological gaps. Outside it the kernels may
 // legitimately overflow to ±Inf (the ode estimators detect and reject such
-// weights), so only the no-panic and Into-equivalence invariants apply.
+// weights), so only the no-panic invariant and the first-derivative
+// kernel's agreement with FornbergWeights apply.
 func sane(vals []float64, minGap float64) bool {
 	for i, v := range vals {
 		if math.IsNaN(v) || math.Abs(v) > 1e6 {
@@ -46,8 +47,7 @@ func finiteVals(vals []float64) bool {
 
 // FuzzLagrangeWeights drives the Lagrange interpolation weights with
 // arbitrary node geometries. For any finite pairwise-distinct nodes the
-// kernel must not panic and the Into form must agree bit for bit with the
-// allocating form; for well-conditioned geometries the weights must be
+// kernel must not panic; for well-conditioned geometries the weights must be
 // finite and sum to 1 (the constant polynomial is reproduced exactly).
 func FuzzLagrangeWeights(f *testing.F) {
 	f.Add(0.0, 0.5, 1.0, 1.8, 2.2, byte(3))
@@ -63,17 +63,11 @@ func FuzzLagrangeWeights(f *testing.F) {
 		}
 		dst := make([]float64, len(nodes))
 		LagrangeWeightsInto(dst, nodes, target)
-		want := LagrangeWeights(nodes, target)
-		for i := range want {
-			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("Into weight[%d] = %x, allocating form %x", i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
-			}
-		}
 		if !sane(nodes, 1e-6) || math.Abs(target) > 1e6 {
 			return
 		}
 		if !finiteVals(dst) {
-			t.Fatalf("LagrangeWeights(%v, %g) = %v not finite for well-conditioned nodes", nodes, target, dst)
+			t.Fatalf("LagrangeWeightsInto(%v, %g) = %v not finite for well-conditioned nodes", nodes, target, dst)
 		}
 		var sum, mag float64
 		for _, w := range dst {
@@ -81,7 +75,7 @@ func FuzzLagrangeWeights(f *testing.F) {
 			mag += math.Abs(w)
 		}
 		if math.Abs(sum-1) > 1e-9*math.Max(1, mag) {
-			t.Fatalf("LagrangeWeights(%v, %g) sum to %g, want 1 (condition %g)", nodes, target, sum, mag)
+			t.Fatalf("LagrangeWeightsInto(%v, %g) sum to %g, want 1 (condition %g)", nodes, target, sum, mag)
 		}
 	})
 }
@@ -117,7 +111,7 @@ func FuzzFirstDerivativeWeights(f *testing.F) {
 			return
 		}
 		if !finiteVals(dst) {
-			t.Fatalf("FirstDerivativeWeights(%g, %v) = %v not finite for well-conditioned nodes", z, nodes, dst)
+			t.Fatalf("FirstDerivativeWeightsInto(%g, %v) = %v not finite for well-conditioned nodes", z, nodes, dst)
 		}
 		var sum, mag float64
 		for _, d := range dst {
@@ -125,7 +119,7 @@ func FuzzFirstDerivativeWeights(f *testing.F) {
 			mag += math.Abs(d)
 		}
 		if math.Abs(sum) > 1e-9*math.Max(1, mag) {
-			t.Fatalf("FirstDerivativeWeights(%g, %v) sum to %g, want 0 (condition %g)", z, nodes, sum, mag)
+			t.Fatalf("FirstDerivativeWeightsInto(%g, %v) sum to %g, want 0 (condition %g)", z, nodes, sum, mag)
 		}
 	})
 }

@@ -2,7 +2,8 @@ package la
 
 import "fmt"
 
-// LagrangeWeights returns the Lagrange interpolation weights l_k such that
+// LagrangeWeightsInto fills dst (len(dst) == len(nodes)) with the Lagrange
+// interpolation weights l_k such that
 //
 //	p(t) = sum_k l_k * y_k
 //
@@ -10,17 +11,9 @@ import "fmt"
 // evaluated at t. Used by the LIP-based double-checking (LBDC) to
 // extrapolate the solution at t_n from previous accepted solutions at
 // variable step sizes; the paper's order-0/1/2 formulas (§V-A) are the
-// q+1 = 1, 2, 3 node instances of this.
-func LagrangeWeights(nodes []float64, t float64) []float64 {
-	w := make([]float64, len(nodes))
-	LagrangeWeightsInto(w, nodes, t)
-	return w
-}
-
-// LagrangeWeightsInto is the allocation-free form of LagrangeWeights: it
-// fills dst (len(dst) == len(nodes)) with the interpolation weights at t.
-// Steady-state double-checking calls this through a reused workspace
-// (ode.LIPEstimator) so accepted steps allocate nothing.
+// q+1 = 1, 2, 3 node instances of this. Steady-state double-checking calls
+// it through a reused workspace (ode.LIPEstimator) so accepted steps
+// allocate nothing.
 func LagrangeWeightsInto(dst, nodes []float64, t float64) {
 	n := len(nodes)
 	if len(dst) != n {
@@ -101,19 +94,13 @@ func FornbergWeights(z float64, nodes []float64, maxDeriv int) [][]float64 {
 	return c
 }
 
-// FirstDerivativeWeights is a convenience wrapper returning only the
-// first-derivative row of FornbergWeights.
-func FirstDerivativeWeights(z float64, nodes []float64) []float64 {
-	return FornbergWeights(z, nodes, 1)[1]
-}
-
-// FirstDerivativeWeightsInto is the allocation-free form of
-// FirstDerivativeWeights: it fills dst with the first-derivative weights at
-// z and uses scratch for the value-interpolation (zeroth-derivative) row of
-// Fornberg's recurrence. Both dst and scratch must have len(nodes). The
-// computed weights are bit-identical to FirstDerivativeWeights: the
-// floating-point operations are the maxDeriv = 1 instance of
-// FornbergWeights in the same order.
+// FirstDerivativeWeightsInto fills dst with the first-derivative row of
+// FornbergWeights at z and uses scratch for the value-interpolation
+// (zeroth-derivative) row of Fornberg's recurrence, allocating nothing. Both
+// dst and scratch must have len(nodes). The computed weights are
+// bit-identical to FornbergWeights(z, nodes, 1)[1]: the floating-point
+// operations are the maxDeriv = 1 instance of FornbergWeights in the same
+// order.
 func FirstDerivativeWeightsInto(dst, scratch []float64, z float64, nodes []float64) {
 	n := len(nodes)
 	if n < 2 {

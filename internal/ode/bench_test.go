@@ -3,6 +3,7 @@ package ode
 import (
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/telemetry"
 )
@@ -18,7 +19,7 @@ func BenchmarkTrialDormandPrince(b *testing.B) {
 func BenchmarkAdaptiveStepHeunEuler(b *testing.B) {
 	// MinStep is set explicitly: the default heuristic scales with the
 	// (deliberately huge) time span.
-	in := &Integrator{Tab: HeunEuler(), Ctrl: DefaultController(1e-8, 1e-8), MinStep: 1e-12}
+	in := &Integrator{Tab: HeunEuler(), Ctrl: control.DefaultController(1e-8, 1e-8), MinStep: 1e-12}
 	in.Init(oscillator, 0, 1e15, la.Vec{1, 0}, 0.001)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,7 +35,7 @@ func BenchmarkAdaptiveStepHeunEuler(b *testing.B) {
 // traced path must report 0 B/op like the baseline.
 func BenchmarkAdaptiveStepTraced(b *testing.B) {
 	in := &Integrator{
-		Tab: HeunEuler(), Ctrl: DefaultController(1e-8, 1e-8), MinStep: 1e-12,
+		Tab: HeunEuler(), Ctrl: control.DefaultController(1e-8, 1e-8), MinStep: 1e-12,
 		Tracer: telemetry.NewRecorder(64),
 	}
 	in.Init(oscillator, 0, 1e15, la.Vec{1, 0}, 0.001)

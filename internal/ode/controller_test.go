@@ -4,11 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
 func TestDefaultControllerSettings(t *testing.T) {
-	c := DefaultController(1e-4, 1e-5)
+	c := control.DefaultController(1e-4, 1e-5)
 	// The law's constants alpha = 0.9, alphaMin = 0.1, alphaMax = 10.
 	if a, lo, hi := c.NewStepSize(1, 1, 1), c.NewStepSize(1, 1e12, 1), c.NewStepSize(1, 1e-12, 1); a != 0.9 || lo != 0.1 || hi != 10 {
 		t.Fatalf("step factors %g, %g, %g, want 0.9, 0.1, 10", a, lo, hi)
@@ -19,7 +20,7 @@ func TestDefaultControllerSettings(t *testing.T) {
 }
 
 func TestWeightsFormula(t *testing.T) {
-	c := DefaultController(1e-3, 1e-2)
+	c := control.DefaultController(1e-3, 1e-2)
 	w := la.NewVec(2)
 	c.Weights(w, la.Vec{-5, 0})
 	if math.Abs(w[0]-(1e-3+1e-2*5)) > 1e-16 || w[1] != 1e-3 {
@@ -28,7 +29,7 @@ func TestWeightsFormula(t *testing.T) {
 }
 
 func TestScaledErrorNormChoice(t *testing.T) {
-	c := DefaultController(1, 0)
+	c := control.DefaultController(1, 0)
 	e := la.Vec{3, 4}
 	w := la.Vec{1, 1}
 	if got := c.ScaledError(e, w); math.Abs(got-math.Sqrt(12.5)) > 1e-14 {
@@ -41,7 +42,7 @@ func TestScaledErrorNormChoice(t *testing.T) {
 }
 
 func TestScaledDiff(t *testing.T) {
-	c := DefaultController(1, 0)
+	c := control.DefaultController(1, 0)
 	a, b := la.Vec{2, 2}, la.Vec{1, 1}
 	w := la.Vec{1, 1}
 	if got := c.ScaledDiff(a, b, w); math.Abs(got-1) > 1e-14 {
@@ -50,7 +51,7 @@ func TestScaledDiff(t *testing.T) {
 }
 
 func TestNewStepSizeLaw(t *testing.T) {
-	c := DefaultController(1e-6, 1e-6)
+	c := control.DefaultController(1e-6, 1e-6)
 	// SErr = 1: factor = 0.9.
 	if got := c.NewStepSize(1, 1, 2); math.Abs(got-0.9) > 1e-14 {
 		t.Fatalf("h_new(SErr=1) = %g, want 0.9", got)
@@ -70,7 +71,7 @@ func TestNewStepSizeLaw(t *testing.T) {
 }
 
 func TestNewStepSizeMonotonicInSErr(t *testing.T) {
-	c := DefaultController(1e-6, 1e-6)
+	c := control.DefaultController(1e-6, 1e-6)
 	prev := math.Inf(1)
 	for _, s := range []float64{1e-6, 1e-3, 0.1, 0.5, 1, 2, 10, 1e3} {
 		got := c.NewStepSize(1, s, 3)
@@ -83,7 +84,7 @@ func TestNewStepSizeMonotonicInSErr(t *testing.T) {
 
 func TestNewStepSizeControlOrderEffect(t *testing.T) {
 	// Higher control order reacts less aggressively to the same error.
-	c := DefaultController(1e-6, 1e-6)
+	c := control.DefaultController(1e-6, 1e-6)
 	low := c.NewStepSize(1, 4, 2)  // factor 0.9*(1/4)^(1/2) = 0.45
 	high := c.NewStepSize(1, 4, 5) // factor 0.9*(1/4)^(1/5) ~ 0.68
 	if !(high > low) {
@@ -95,8 +96,8 @@ func TestNewStepSizeControlOrderEffect(t *testing.T) {
 }
 
 func TestInitialStepReasonable(t *testing.T) {
-	c := DefaultController(1e-6, 1e-6)
-	osc := Func{N: 2, F: func(tt float64, x, dst la.Vec) {
+	c := control.DefaultController(1e-6, 1e-6)
+	osc := control.Func{N: 2, F: func(tt float64, x, dst la.Vec) {
 		dst[0] = x[1]
 		dst[1] = -x[0]
 	}}
@@ -117,8 +118,8 @@ func TestInitialStepReasonable(t *testing.T) {
 }
 
 func TestInitialStepStiffProblemSmall(t *testing.T) {
-	c := DefaultController(1e-6, 1e-6)
-	stiff := Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = -1e6 * x[0] }}
+	c := control.DefaultController(1e-6, 1e-6)
+	stiff := control.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = -1e6 * x[0] }}
 	h := c.InitialStep(stiff, 0, la.Vec{1}, 2, 10)
 	if h > 1e-3 {
 		t.Fatalf("stiff initial step %g too large", h)
@@ -126,8 +127,8 @@ func TestInitialStepStiffProblemSmall(t *testing.T) {
 }
 
 func TestInitialStepZeroRHS(t *testing.T) {
-	c := DefaultController(1e-6, 1e-6)
-	still := Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = 0 }}
+	c := control.DefaultController(1e-6, 1e-6)
+	still := control.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = 0 }}
 	h := c.InitialStep(still, 0, la.Vec{1}, 2, 5)
 	if h <= 0 || math.IsNaN(h) || math.IsInf(h, 0) {
 		t.Fatalf("degenerate initial step %g", h)

@@ -4,21 +4,22 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
 // decay is x' = -x with exact solution exp(-t).
-var decay = Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
+var decay = control.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
 
 // oscillator is x” = -x as a first-order system; exact (cos t, -sin t).
-var oscillator = Func{N: 2, F: func(t float64, x, dst la.Vec) {
+var oscillator = control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 	dst[0] = x[1]
 	dst[1] = -x[0]
 }}
 
 // fixedStepError integrates the oscillator over [0, 2] with n fixed steps
 // using the propagated weights and returns the final error.
-func fixedStepError(tab *Tableau, n int) float64 {
+func fixedStepError(tab *control.Tableau, n int) float64 {
 	st := NewStepper(tab, oscillator)
 	x := la.Vec{1, 0}
 	h := 2.0 / float64(n)
@@ -32,8 +33,8 @@ func fixedStepError(tab *Tableau, n int) float64 {
 }
 
 // embeddedStepError is fixedStepError for the embedded (BHat) solution.
-func embeddedStepError(tab *Tableau, n int) float64 {
-	emb := &Tableau{
+func embeddedStepError(tab *control.Tableau, n int) float64 {
+	emb := &control.Tableau{
 		Name: tab.Name + "-embedded",
 		A:    tab.A, B: tab.BHat, BHat: tab.B, C: tab.C,
 		Order: tab.EmbeddedOrder, EmbeddedOrder: tab.Order,
@@ -89,7 +90,7 @@ func TestErrorEstimateOrder(t *testing.T) {
 }
 
 func TestFSALStageIsFProp(t *testing.T) {
-	for _, tab := range []*Tableau{BogackiShampine(), DormandPrince()} {
+	for _, tab := range []*control.Tableau{BogackiShampine(), DormandPrince()} {
 		st := NewStepper(tab, oscillator)
 		x := la.Vec{0.3, -0.8}
 		res := st.Trial(0.5, 0.05, x, nil, nil)
@@ -112,7 +113,7 @@ func TestTrialReusesK1(t *testing.T) {
 	x := la.Vec{2}
 	k1 := la.Vec{-2} // f(0, 2)
 	evals := 0
-	counting := Func{N: 1, F: func(t float64, x, dst la.Vec) { evals++; dst[0] = -x[0] }}
+	counting := control.Func{N: 1, F: func(t float64, x, dst la.Vec) { evals++; dst[0] = -x[0] }}
 	st2 := NewStepper(tab, counting)
 	res := st2.Trial(0, 0.1, x, k1, nil)
 	if evals != 1 {
@@ -173,7 +174,7 @@ func TestQuadratureExactness(t *testing.T) {
 	for _, tab := range AllTableaus() {
 		for k := 0; k < tab.Order && k < 4; k++ {
 			kk := k
-			sys := Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.Pow(tt, float64(kk)) }}
+			sys := control.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.Pow(tt, float64(kk)) }}
 			st := NewStepper(tab, sys)
 			x := la.Vec{0}
 			// One big step from t=0.5 with h=0.7.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
@@ -31,7 +32,7 @@ func TestHermiteZeroWidthInterval(t *testing.T) {
 }
 
 func TestDenseRunSamplesAccurately(t *testing.T) {
-	in := &Integrator{Tab: BogackiShampine(), Ctrl: DefaultController(1e-8, 1e-8)}
+	in := &Integrator{Tab: BogackiShampine(), Ctrl: control.DefaultController(1e-8, 1e-8)}
 	in.Init(oscillator, 0, 5, la.Vec{1, 0}, 0.01)
 	times := []float64{0, 0.7, 1.3, 2.9, 4.999}
 	var got []float64
@@ -52,7 +53,7 @@ func TestDenseRunSamplesAccurately(t *testing.T) {
 }
 
 func TestDenseRunRejectsBadTimes(t *testing.T) {
-	in := &Integrator{Tab: HeunEuler(), Ctrl: DefaultController(1e-6, 1e-6)}
+	in := &Integrator{Tab: HeunEuler(), Ctrl: control.DefaultController(1e-6, 1e-6)}
 	in.Init(decay, 0, 1, la.Vec{1}, 0.01)
 	if err := in.DenseRun([]float64{0.5, 0.2}, func(float64, la.Vec) {}); err == nil {
 		t.Fatal("unsorted times accepted")
@@ -66,8 +67,8 @@ func TestDenseRunThirdOrderAccuracy(t *testing.T) {
 	// With a large forced step, the interpolation error at mid-step decays
 	// like h^4 (cubic Hermite); just check it is far below the step scale.
 	sample := func(maxStep float64) float64 {
-		in := &Integrator{Tab: DormandPrince(), Ctrl: DefaultController(1e-13, 1e-13), MaxStep: maxStep}
-		in.Ctrl = DefaultController(1e-2, 1e-2) // loose: h pinned at cap
+		in := &Integrator{Tab: DormandPrince(), Ctrl: control.DefaultController(1e-13, 1e-13), MaxStep: maxStep}
+		in.Ctrl = control.DefaultController(1e-2, 1e-2) // loose: h pinned at cap
 		in.Init(oscillator, 0, 1, la.Vec{1, 0}, maxStep)
 		var worst float64
 		err := in.DenseRun([]float64{0.33, 0.55, 0.77}, func(tt float64, x la.Vec) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
@@ -29,7 +30,7 @@ type LIPEstimator struct {
 // fall back to the largest order whose node set is pairwise distinct and
 // produces finite weights, down to order 0 (the last value), so a poisoned
 // ±Inf/NaN second estimate can never masquerade as a detector verdict.
-func (e *LIPEstimator) Estimate(dst la.Vec, hist *History, q int, t float64) int {
+func (e *LIPEstimator) Estimate(dst la.Vec, hist *control.History, q int, t float64) int {
 	if q < 0 {
 		panic("ode: LIP estimate negative order")
 	}
@@ -87,7 +88,7 @@ type BDFEstimator struct {
 // distinct nodes, finite weights, and a nonzero leading weight d_0; when not
 // even order 1 is sound, the estimate degrades to the last accepted value
 // and 0 is returned.
-func (e *BDFEstimator) Estimate(dst la.Vec, hist *History, q int, t float64, f la.Vec) int {
+func (e *BDFEstimator) Estimate(dst la.Vec, hist *control.History, q int, t float64, f la.Vec) int {
 	if q < 1 {
 		panic("ode: BDF estimate order must be >= 1")
 	}
@@ -155,7 +156,7 @@ func finiteAll(w []float64) bool {
 
 // MaxLIPOrder returns the largest LIP order supported by the current history
 // depth, capped at qMax; -1 when the history is empty.
-func MaxLIPOrder(hist *History, qMax int) int {
+func MaxLIPOrder(hist *control.History, qMax int) int {
 	q := hist.Len() - 1
 	if q > qMax {
 		q = qMax
@@ -165,7 +166,7 @@ func MaxLIPOrder(hist *History, qMax int) int {
 
 // MaxBDFOrder returns the largest BDF order supported by the current history
 // depth, capped at qMax; 0 when the history is empty.
-func MaxBDFOrder(hist *History, qMax int) int {
+func MaxBDFOrder(hist *control.History, qMax int) int {
 	q := hist.Len()
 	if q > qMax {
 		q = qMax

@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
 // fillHistoryPoly pushes solutions of a polynomial trajectory x(t) = p(t)
 // (componentwise distinct) at irregular times onto a fresh history.
-func fillHistoryPoly(depth int, times []float64, p func(float64) la.Vec) *History {
-	h := NewHistory(depth, len(p(0)))
+func fillHistoryPoly(depth int, times []float64, p func(float64) la.Vec) *control.History {
+	h := control.NewHistory(depth, len(p(0)))
 	for i, tt := range times {
 		var hs float64
 		if i > 0 {
@@ -22,7 +23,7 @@ func fillHistoryPoly(depth int, times []float64, p func(float64) la.Vec) *Histor
 }
 
 func TestLIPEstimateOrder0IsLastValue(t *testing.T) {
-	h := NewHistory(4, 2)
+	h := control.NewHistory(4, 2)
 	h.Push(0, 0, la.Vec{1, 2})
 	h.Push(1, 1, la.Vec{3, 4})
 	dst := la.NewVec(2)
@@ -48,7 +49,7 @@ func TestLIPEstimateExactOnPolynomials(t *testing.T) {
 }
 
 func TestLIPEstimatePanicsWithoutHistory(t *testing.T) {
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(0, 0, la.Vec{1})
 	defer func() {
 		if recover() == nil {
@@ -60,7 +61,7 @@ func TestLIPEstimatePanicsWithoutHistory(t *testing.T) {
 
 func TestBDFEstimateBackwardEuler(t *testing.T) {
 	// Order 1: x~ = x_{n-1} + h f. With x_{n-1} = 2, h = 0.5, f = -4: x~ = 0.
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(1.0, 0.2, la.Vec{2})
 	dst := la.NewVec(1)
 	new(BDFEstimator).Estimate(dst, h, 1, 1.5, la.Vec{-4})
@@ -90,7 +91,7 @@ func TestBDFEstimateMatchesPaperVariableStepBDF2(t *testing.T) {
 	tn := 2.0
 	x1, x2 := 1.7, -0.4 // x_{n-1}, x_{n-2}
 	f := 0.9
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(tn-hn-hn1, 0, la.Vec{x2})
 	h.Push(tn-hn, hn1, la.Vec{x1})
 	dst := la.NewVec(1)
@@ -102,7 +103,7 @@ func TestBDFEstimateMatchesPaperVariableStepBDF2(t *testing.T) {
 }
 
 func TestBDFEstimatePanics(t *testing.T) {
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(0, 0, la.Vec{1})
 	for name, fn := range map[string]func(){
 		"order 0":            func() { new(BDFEstimator).Estimate(la.NewVec(1), h, 0, 1, la.Vec{0}) },
@@ -120,7 +121,7 @@ func TestBDFEstimatePanics(t *testing.T) {
 }
 
 func TestMaxOrders(t *testing.T) {
-	h := NewHistory(8, 1)
+	h := control.NewHistory(8, 1)
 	if MaxLIPOrder(h, 3) != -1 || MaxBDFOrder(h, 3) != 0 {
 		t.Fatal("empty history max orders wrong")
 	}
@@ -145,7 +146,7 @@ func TestMaxOrders(t *testing.T) {
 func TestBDFEstimateAccuracyImprovesWithOrder(t *testing.T) {
 	exact := func(tt float64) float64 { return math.Exp(-tt) }
 	times := []float64{0, 0.05, 0.11, 0.18}
-	h := NewHistory(5, 1)
+	h := control.NewHistory(5, 1)
 	for i, tt := range times {
 		var hs float64
 		if i > 0 {

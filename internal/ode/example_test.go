@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 )
@@ -11,11 +12,11 @@ import (
 // Example integrates the harmonic oscillator with the Dormand-Prince 5(4)
 // pair under the paper's default controller settings.
 func Example() {
-	osc := ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
+	osc := control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 		dst[0] = x[1]
 		dst[1] = -x[0]
 	}}
-	in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: ode.DefaultController(1e-10, 1e-10)}
+	in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: control.DefaultController(1e-10, 1e-10)}
 	in.Init(osc, 0, math.Pi, la.Vec{1, 0}, 0.01)
 	if _, err := in.Run(); err != nil {
 		fmt.Println("failed:", err)
@@ -28,8 +29,8 @@ func Example() {
 // ExampleIntegrator_DenseRun samples the solution at arbitrary times with
 // cubic Hermite dense output.
 func ExampleIntegrator_DenseRun() {
-	decay := ode.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
-	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(1e-9, 1e-9)}
+	decay := control.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
+	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(1e-9, 1e-9)}
 	in.Init(decay, 0, 2, la.Vec{1}, 0.01)
 	err := in.DenseRun([]float64{0.5, 1.5}, func(t float64, x la.Vec) {
 		fmt.Printf("x(%.1f) = %.5f\n", t, x[0])

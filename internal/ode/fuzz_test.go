@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
@@ -21,7 +22,7 @@ func FuzzScaledError(f *testing.F) {
 	f.Add(1e308, 1e308, 5e-324, 1e-6, byte(0))
 	f.Add(1.0, 1.0, 0.0, 0.0, byte(0)) // zero weights: 0/0 may be NaN, must not panic
 	f.Fuzz(func(t *testing.T, e0, e1, w0, w1 float64, norm byte) {
-		c := DefaultController(1e-6, 1e-6)
+		c := control.DefaultController(1e-6, 1e-6)
 		c.MaxNorm = norm&1 == 1
 
 		e := la.Vec{e0, e1}
@@ -83,7 +84,7 @@ func FuzzNewStepSize(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, h, sErr float64, order byte) {
 		controlOrder := int(order%8) + 1
-		c := DefaultController(1e-6, 1e-6)
+		c := control.DefaultController(1e-6, 1e-6)
 
 		got := c.NewStepSize(h, sErr, controlOrder)
 		if math.IsNaN(got) {

@@ -3,11 +3,12 @@ package ode
 import (
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
 func TestHistoryPushAndIndex(t *testing.T) {
-	h := NewHistory(3, 1)
+	h := control.NewHistory(3, 1)
 	h.Push(0, 0, la.Vec{10})
 	h.Push(1, 1, la.Vec{11})
 	if h.Len() != 2 {
@@ -22,7 +23,7 @@ func TestHistoryPushAndIndex(t *testing.T) {
 }
 
 func TestHistoryWrapAround(t *testing.T) {
-	h := NewHistory(3, 1)
+	h := control.NewHistory(3, 1)
 	for i := 0; i < 10; i++ {
 		h.Push(float64(i), 1, la.Vec{float64(100 + i)})
 	}
@@ -38,7 +39,7 @@ func TestHistoryWrapAround(t *testing.T) {
 }
 
 func TestHistoryCopiesInput(t *testing.T) {
-	h := NewHistory(2, 1)
+	h := control.NewHistory(2, 1)
 	v := la.Vec{5}
 	h.Push(0, 0, v)
 	v[0] = 99
@@ -48,7 +49,7 @@ func TestHistoryCopiesInput(t *testing.T) {
 }
 
 func TestHistoryStepSizes(t *testing.T) {
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(0, 0, la.Vec{0})
 	h.Push(0.5, 0.5, la.Vec{0})
 	h.Push(1.25, 0.75, la.Vec{0})
@@ -58,7 +59,7 @@ func TestHistoryStepSizes(t *testing.T) {
 }
 
 func TestHistoryOutOfRangePanics(t *testing.T) {
-	h := NewHistory(2, 1)
+	h := control.NewHistory(2, 1)
 	h.Push(0, 0, la.Vec{1})
 	defer func() {
 		if recover() == nil {
@@ -69,7 +70,7 @@ func TestHistoryOutOfRangePanics(t *testing.T) {
 }
 
 func TestHistoryReset(t *testing.T) {
-	h := NewHistory(2, 1)
+	h := control.NewHistory(2, 1)
 	h.Push(0, 0, la.Vec{1})
 	h.Reset()
 	if h.Len() != 0 {
@@ -78,7 +79,7 @@ func TestHistoryReset(t *testing.T) {
 }
 
 func TestHistoryTimes(t *testing.T) {
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(1, 1, la.Vec{0})
 	h.Push(2, 1, la.Vec{0})
 	ts := h.Times(nil, 2)
@@ -92,9 +93,9 @@ func TestHistoryTimes(t *testing.T) {
 // with a clear message.
 func TestNewHistoryValidatesArguments(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero depth":     func() { NewHistory(0, 1) },
-		"negative depth": func() { NewHistory(-2, 1) },
-		"negative dim":   func() { NewHistory(2, -1) },
+		"zero depth":     func() { control.NewHistory(0, 1) },
+		"negative depth": func() { control.NewHistory(-2, 1) },
+		"negative dim":   func() { control.NewHistory(2, -1) },
 	} {
 		func() {
 			defer func() {
@@ -106,7 +107,7 @@ func TestNewHistoryValidatesArguments(t *testing.T) {
 		}()
 	}
 	// Dimension 0 is legal (a history of empty vectors) and must not crash.
-	h := NewHistory(1, 0)
+	h := control.NewHistory(1, 0)
 	h.Push(0, 0, la.Vec{})
 	if h.Len() != 1 {
 		t.Fatal("depth-1 dim-0 history rejected a push")
@@ -114,7 +115,7 @@ func TestNewHistoryValidatesArguments(t *testing.T) {
 }
 
 func TestHistoryDim(t *testing.T) {
-	if d := NewHistory(3, 5).Dim(); d != 5 {
+	if d := control.NewHistory(3, 5).Dim(); d != 5 {
 		t.Fatalf("Dim = %d, want 5", d)
 	}
 }

@@ -105,14 +105,14 @@ type Method interface {
 	// Start binds the method to one integration before its first trial:
 	// the system, and the integrator's controller and accepted-solution
 	// history, which stay live (and owned by the integrator) for the run.
-	Start(sys System, ctrl *Controller, hist *History)
+	Start(sys control.System, ctrl *control.Controller, hist *control.History)
 	// Trial computes one trial step from (t, x) with step size h. k1, when
 	// non-nil, is f(t, x) carried over from the previous step (a method may
 	// ignore it); hook, when non-nil, may corrupt every stage evaluation the
 	// method exposes. The result sets the step law's ControlOrder, and
 	// Aborted when the trial produced no proposal. It is the method's own
 	// record, valid until its next Trial.
-	Trial(t, h float64, x, k1 la.Vec, hook StageHook) *TrialResult
+	Trial(t, h float64, x, k1 la.Vec, hook control.StageHook) *control.TrialResult
 }
 
 // Integrator is the protected-step loop of every solver in the tree: it
@@ -121,15 +121,15 @@ type Method interface {
 // optionally guarded by a Validator. Configure the exported fields, then
 // call Init and Run (or Step).
 type Integrator struct {
-	Tab *Tableau
+	Tab *control.Tableau
 	// Method, when non-nil, computes the trials instead of an explicit
 	// stepper for Tab (which must then be nil): the implicit SDIRK2(1) and
 	// BDF2 methods. An aborted trial is retried at half the step size.
 	Method    Method
-	Ctrl      Controller
-	Validator Validator
-	Hook      StageHook    // injection/observer hook for stage evaluations
-	OnTrial   func(*Trial) // harness observer, called for every trial
+	Ctrl      control.Controller
+	Validator control.Validator
+	Hook      control.StageHook // injection/observer hook for stage evaluations
+	OnTrial   func(*Trial)      // harness observer, called for every trial
 	// Tracer, when non-nil, receives one telemetry.StepEvent per trial,
 	// after OnTrial has run (so observers can attach ground truth to the
 	// Trial first). Recording is purely observational — it consumes no
@@ -166,10 +166,10 @@ type Integrator struct {
 	// computed.
 	FixedStep bool
 
-	sys     System
+	sys     control.System
 	stepper *Stepper // the explicit method for Tab, kept across Init calls
 	method  Method   // the method in use: Method, or stepper
-	hist    *History
+	hist    *control.History
 	t       float64
 	x       la.Vec
 	h       float64
@@ -205,15 +205,15 @@ var ErrHalted = errors.New("ode: run halted")
 
 // Init prepares the integrator to advance sys from x0 at t0 to tEnd with
 // initial step h0. x0 is copied.
-func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) {
+func (in *Integrator) Init(sys control.System, t0, tEnd float64, x0 la.Vec, h0 float64) {
 	switch {
 	case in.Method != nil && in.Tab != nil:
 		panic("ode: Integrator.Tab and Method are exclusive")
 	case in.Method == nil && in.Tab == nil:
 		in.Tab = HeunEuler()
 	}
-	if in.Ctrl == (Controller{}) {
-		in.Ctrl = DefaultController(1e-4, 1e-4)
+	if in.Ctrl == (control.Controller{}) {
+		in.Ctrl = control.DefaultController(1e-4, 1e-4)
 	}
 	if in.MaxSteps == 0 {
 		in.MaxSteps = 1 << 20
@@ -241,7 +241,7 @@ func (in *Integrator) Init(sys System, t0, tEnd float64, x0 la.Vec, h0 float64) 
 	if in.hist != nil && in.hist.Dim() == m {
 		in.hist.Reset()
 	} else {
-		in.hist = NewHistory(historyDepth, m)
+		in.hist = control.NewHistory(historyDepth, m)
 	}
 	in.t, in.tEnd = t0, tEnd
 	if len(in.x) == m {
@@ -274,7 +274,7 @@ func (in *Integrator) X() la.Vec { return in.x }
 func (in *Integrator) StepSize() float64 { return in.h }
 
 // History returns the accepted-solution ring.
-func (in *Integrator) History() *History { return in.hist }
+func (in *Integrator) History() *control.History { return in.hist }
 
 // Done reports whether the integration reached tEnd.
 func (in *Integrator) Done() bool { return in.t >= in.tEnd-1e-14*math.Abs(in.tEnd) }
@@ -347,8 +347,8 @@ func (in *Integrator) Step() error {
 		trial.EstimateInjections = chk.EstimateInjections
 		trial.StateInjections = stateInj
 		trial.ClassicReject = chk.ClassicReject
-		trial.ValidatorReject = chk.Verdict == VerdictReject
-		trial.FPRescue = chk.Verdict == VerdictFPRescue
+		trial.ValidatorReject = chk.Verdict == control.VerdictReject
+		trial.FPRescue = chk.Verdict == control.VerdictFPRescue
 		trial.Accepted = accepted
 		trial.SErr2, trial.DetOrder, trial.DetWindow = chk.SErr2, chk.DetOrder, chk.DetWindow
 		trial.Significance = telemetry.SigUnknown

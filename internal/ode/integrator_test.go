@@ -4,11 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
-func newTestIntegrator(tab *Tableau, tolA, tolR float64) *Integrator {
-	return &Integrator{Tab: tab, Ctrl: DefaultController(tolA, tolR)}
+func newTestIntegrator(tab *control.Tableau, tolA, tolR float64) *Integrator {
+	return &Integrator{Tab: tab, Ctrl: control.DefaultController(tolA, tolR)}
 }
 
 func TestIntegratorDecayAccuracy(t *testing.T) {
@@ -80,7 +81,7 @@ func TestIntegratorHonorsTEnd(t *testing.T) {
 }
 
 func TestIntegratorStatsEvals(t *testing.T) {
-	cs := &CountingSystem{Sys: decay}
+	cs := &control.CountingSystem{Sys: decay}
 	in := newTestIntegrator(HeunEuler(), 1e-6, 1e-6)
 	in.Init(cs, 0, 1, la.Vec{1}, 0.01)
 	if _, err := in.Run(); err != nil {
@@ -97,7 +98,7 @@ func TestIntegratorStatsEvals(t *testing.T) {
 func TestIntegratorFSALReducesEvals(t *testing.T) {
 	// Bogacki-Shampine has 4 stages but FSAL: steady accepted stepping costs
 	// ~3 fresh evals per step.
-	cs := &CountingSystem{Sys: decay}
+	cs := &control.CountingSystem{Sys: decay}
 	in := newTestIntegrator(BogackiShampine(), 1e-6, 1e-6)
 	in.Init(cs, 0, 2, la.Vec{1}, 0.01)
 	if _, err := in.Run(); err != nil {
@@ -113,7 +114,7 @@ func TestIntegratorFSALReducesEvals(t *testing.T) {
 
 func TestIntegratorStepSizeUnderflow(t *testing.T) {
 	// A right-hand side that always returns NaN forces endless halving.
-	bad := Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.NaN() }}
+	bad := control.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.NaN() }}
 	in := newTestIntegrator(HeunEuler(), 1e-6, 1e-6)
 	in.Init(bad, 0, 1, la.Vec{1}, 0.1)
 	if err := in.Step(); err != ErrStepSizeUnderflow {
@@ -144,16 +145,16 @@ type alwaysRejectOnce struct {
 	sErrSeen  []float64
 }
 
-func (v *alwaysRejectOnce) Validate(c *CheckContext) Verdict {
+func (v *alwaysRejectOnce) Validate(c *control.CheckContext) control.Verdict {
 	v.sErrSeen = append(v.sErrSeen, c.SErr1)
 	if !v.rejected {
 		v.rejected = true
-		return VerdictReject
+		return control.VerdictReject
 	}
 	if c.Recomputation {
 		v.sawRecomp = true
 	}
-	return VerdictAccept
+	return control.VerdictAccept
 }
 
 func TestValidatorRejectionRecomputesSameH(t *testing.T) {
@@ -187,15 +188,15 @@ type fpRescueValidator struct {
 	rescues  int
 }
 
-func (v *fpRescueValidator) Validate(c *CheckContext) Verdict {
+func (v *fpRescueValidator) Validate(c *control.CheckContext) control.Verdict {
 	if v.haveLast && c.SErr1 == v.lastSErr {
 		v.haveLast = false
 		v.rescues++
-		return VerdictFPRescue
+		return control.VerdictFPRescue
 	}
 	v.lastSErr = c.SErr1
 	v.haveLast = true
-	return VerdictReject
+	return control.VerdictReject
 }
 
 func TestFPRescueCountsInStats(t *testing.T) {
@@ -216,13 +217,13 @@ type fpropValidator struct {
 	got la.Vec
 }
 
-func (v *fpropValidator) Validate(c *CheckContext) Verdict {
+func (v *fpropValidator) Validate(c *control.CheckContext) control.Verdict {
 	v.got = c.FProp().Clone()
-	return VerdictAccept
+	return control.VerdictAccept
 }
 
 func TestFPropMatchesRHS(t *testing.T) {
-	for _, tab := range []*Tableau{HeunEuler(), DormandPrince()} {
+	for _, tab := range []*control.Tableau{HeunEuler(), DormandPrince()} {
 		v := &fpropValidator{}
 		in := newTestIntegrator(tab, 1e-6, 1e-6)
 		in.Validator = v
@@ -243,7 +244,7 @@ func TestFPropMatchesRHS(t *testing.T) {
 func TestFPropReusedAsNextK1(t *testing.T) {
 	// With a validator that calls FProp, Heun-Euler should cost only one
 	// fresh eval per subsequent accepted step (K1 reused from FProp).
-	cs := &CountingSystem{Sys: decay}
+	cs := &control.CountingSystem{Sys: decay}
 	in := newTestIntegrator(HeunEuler(), 1e-6, 1e-6)
 	in.Validator = &fpropValidator{}
 	in.Init(cs, 0, 0.1, la.Vec{1}, 0.001)
@@ -350,12 +351,12 @@ func TestFixedStepMatchesExact(t *testing.T) {
 // fixedRejectOnce rejects the first trial once.
 type fixedRejectOnce struct{ done bool }
 
-func (v *fixedRejectOnce) Validate(*CheckContext) Verdict {
+func (v *fixedRejectOnce) Validate(*control.CheckContext) control.Verdict {
 	if !v.done {
 		v.done = true
-		return VerdictReject
+		return control.VerdictReject
 	}
-	return VerdictAccept
+	return control.VerdictAccept
 }
 
 func TestFixedStepValidatorRetry(t *testing.T) {

@@ -3,6 +3,7 @@ package ode
 import (
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
@@ -15,7 +16,7 @@ import (
 
 // triDecay is a 3-dimensional system, giving the retarget table a third
 // distinct dimension beyond the shared decay (1) and oscillator (2).
-var triDecay = Func{N: 3, F: func(t float64, x, dst la.Vec) {
+var triDecay = control.Func{N: 3, F: func(t float64, x, dst la.Vec) {
 	dst[0] = -x[0]
 	dst[1] = -2 * x[1]
 	dst[2] = 0.5*x[0] - 3*x[2]
@@ -32,28 +33,28 @@ type histValidator struct {
 	xhat la.Vec
 }
 
-func (v *histValidator) Validate(c *CheckContext) Verdict {
+func (v *histValidator) Validate(c *control.CheckContext) control.Verdict {
 	q := c.Hist.Len() - 1
 	if q > 2 {
 		q = 2
 	}
 	if c.Recomputation || q < 1 {
-		return VerdictAccept
+		return control.VerdictAccept
 	}
 	if len(v.xhat) != c.Hist.Dim() {
 		v.xhat = la.NewVec(c.Hist.Dim())
 	}
 	v.est.Estimate(v.xhat, c.Hist, q, c.T+c.H)
 	if c.Ctrl.ScaledDiff(c.XProp, v.xhat, c.Weights) > 100 {
-		return VerdictReject
+		return control.VerdictReject
 	}
-	return VerdictAccept
+	return control.VerdictAccept
 }
 
 // retargetCase is one row of the recycle table.
 type retargetCase struct {
 	name string
-	sys  System
+	sys  control.System
 	x0   la.Vec
 	tEnd float64
 }
@@ -116,7 +117,7 @@ func TestStepperRetargetDimSequence(t *testing.T) {
 	tab := CashKarp()
 	s := NewStepper(tab, oscillator)
 	seq := []struct {
-		sys System
+		sys control.System
 		x   la.Vec
 	}{
 		{oscillator, la.Vec{1, 0}},

@@ -1,6 +1,9 @@
 package ode
 
-import "repro/internal/la"
+import (
+	"repro/internal/control"
+	"repro/internal/la"
+)
 
 // Stepper computes trial steps of one embedded Runge-Kutta pair; it is the
 // Integrator's Method for a tableau. It owns the stage storage and the
@@ -8,19 +11,19 @@ import "repro/internal/la"
 // not safe for concurrent use; distributed ranks each own one. The
 // redundancy validators replay trials on clean shadow steppers of their own.
 type Stepper struct {
-	Tab *Tableau
-	sys System
+	Tab *control.Tableau
+	sys control.System
 
 	K     []la.Vec // stage derivatives K_i
 	xtmp  la.Vec   // stage state buffer
 	xProp la.Vec   // proposed solution x_{n+1}
 	errV  la.Vec   // embedded error estimate x - x~
 	db    []float64
-	res   TrialResult // the record Trial returns
+	res   control.TrialResult // the record Trial returns
 }
 
 // NewStepper returns a stepper for the pair tab applied to sys.
-func NewStepper(tab *Tableau, sys System) *Stepper {
+func NewStepper(tab *control.Tableau, sys control.System) *Stepper {
 	if err := tab.Validate(); err != nil {
 		panic(err)
 	}
@@ -51,7 +54,7 @@ func NewStepper(tab *Tableau, sys System) *Stepper {
 // The result is the stepper's own record: it and its vectors are valid
 // until the next Trial, so a caller holding two results of one stepper
 // copies what it keeps from the first before the second call.
-func (s *Stepper) Trial(t, h float64, x la.Vec, k1 la.Vec, hook StageHook) *TrialResult {
+func (s *Stepper) Trial(t, h float64, x la.Vec, k1 la.Vec, hook control.StageHook) *control.TrialResult {
 	tab := s.Tab
 	res := s.res.Begin(s.xProp, s.errV, nil, tab.ControlOrder())
 	for i := 0; i < tab.Stages(); i++ {
@@ -105,12 +108,14 @@ func (s *Stepper) Trial(t, h float64, x la.Vec, k1 la.Vec, hook StageHook) *Tria
 func (s *Stepper) Dim() int { return s.sys.Dim() }
 
 // Start implements Method: an explicit pair needs only the system.
-func (s *Stepper) Start(sys System, _ *Controller, _ *History) { s.Retarget(sys) }
+func (s *Stepper) Start(sys control.System, _ *control.Controller, _ *control.History) {
+	s.Retarget(sys)
+}
 
 // Retarget re-points the stepper at sys, reusing the stage storage when the
 // dimension is unchanged. It lets a campaign worker recycle one stepper
 // across replicates instead of reallocating Stages()+3 vectors per run.
-func (s *Stepper) Retarget(sys System) {
+func (s *Stepper) Retarget(sys control.System) {
 	if sys.Dim() == len(s.xProp) {
 		s.sys = sys
 		return

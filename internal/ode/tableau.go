@@ -1,14 +1,18 @@
 package ode
 
-import "fmt"
+import (
+	"fmt"
 
-// The Tableau type and its structural methods live in internal/control (see
-// aliases.go); this file contributes the named pairs of the study.
+	"repro/internal/control"
+)
+
+// The control.Tableau type and its structural methods live in
+// internal/control; this file contributes the named pairs of the study.
 
 // HeunEuler returns the Heun-Euler 2(1) pair: the paper's cheapest method
 // (N_k = 2) and the one used for Tables III-IV.
-func HeunEuler() *Tableau {
-	return &Tableau{
+func HeunEuler() *control.Tableau {
+	return &control.Tableau{
 		Name: "heun-euler",
 		A: [][]float64{
 			{},
@@ -24,8 +28,8 @@ func HeunEuler() *Tableau {
 
 // BogackiShampine returns the Bogacki-Shampine 3(2) pair (N_k = 4, FSAL),
 // PETSc's TSRK3BS.
-func BogackiShampine() *Tableau {
-	return &Tableau{
+func BogackiShampine() *control.Tableau {
+	return &control.Tableau{
 		Name: "bogacki-shampine",
 		A: [][]float64{
 			{},
@@ -44,8 +48,8 @@ func BogackiShampine() *Tableau {
 
 // DormandPrince returns the Dormand-Prince 5(4) pair (N_k = 7, FSAL),
 // PETSc's TSRK5DP and MATLAB's ode45.
-func DormandPrince() *Tableau {
-	return &Tableau{
+func DormandPrince() *control.Tableau {
+	return &control.Tableau{
 		Name: "dormand-prince",
 		A: [][]float64{
 			{},
@@ -68,8 +72,8 @@ func DormandPrince() *Tableau {
 // Fehlberg returns the classic RKF4(5) pair (N_k = 6), propagating the
 // fourth-order solution as Fehlberg specified. Included as an extension
 // beyond the paper's three methods.
-func Fehlberg() *Tableau {
-	return &Tableau{
+func Fehlberg() *control.Tableau {
+	return &control.Tableau{
 		Name: "fehlberg",
 		A: [][]float64{
 			{},
@@ -89,8 +93,8 @@ func Fehlberg() *Tableau {
 
 // CashKarp returns the Cash-Karp 5(4) pair (N_k = 6). Included as an
 // extension beyond the paper's three methods.
-func CashKarp() *Tableau {
-	return &Tableau{
+func CashKarp() *control.Tableau {
+	return &control.Tableau{
 		Name: "cash-karp",
 		A: [][]float64{
 			{},
@@ -110,19 +114,19 @@ func CashKarp() *Tableau {
 
 // Tableaus returns the three embedded pairs evaluated throughout the paper,
 // in increasing order of accuracy and cost.
-func Tableaus() []*Tableau {
-	return []*Tableau{HeunEuler(), BogackiShampine(), DormandPrince()}
+func Tableaus() []*control.Tableau {
+	return []*control.Tableau{HeunEuler(), BogackiShampine(), DormandPrince()}
 }
 
 // AllTableaus returns every pair shipped by the package, including the
 // extensions beyond the paper's three.
-func AllTableaus() []*Tableau {
-	return []*Tableau{HeunEuler(), BogackiShampine(), DormandPrince(), Fehlberg(), CashKarp(), SSPRK3()}
+func AllTableaus() []*control.Tableau {
+	return []*control.Tableau{HeunEuler(), BogackiShampine(), DormandPrince(), Fehlberg(), CashKarp(), SSPRK3()}
 }
 
 // TableauByName resolves a tableau from its Name field; it returns an error
 // for unknown names. Used by the command-line drivers.
-func TableauByName(name string) (*Tableau, error) {
+func TableauByName(name string) (*control.Tableau, error) {
 	for _, t := range AllTableaus() {
 		if t.Name == name {
 			return t, nil
@@ -136,8 +140,8 @@ func TableauByName(name string) (*Tableau, error) {
 // It has no embedded pair (BHat = B), so it suits a fixed-step integration
 // (Integrator.FixedStep); the adaptive controller would see a zero error
 // estimate.
-func SSPRK3() *Tableau {
-	return &Tableau{
+func SSPRK3() *control.Tableau {
+	return &control.Tableau{
 		Name: "ssprk3",
 		A: [][]float64{
 			{},

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
@@ -18,7 +19,7 @@ func TestTableausValidate(t *testing.T) {
 func TestTableauStageCountsMatchPaper(t *testing.T) {
 	// §IV: N_k = 2 (Heun-Euler), 4 (Bogacki-Shampine), 7 (Dormand-Prince).
 	for _, tc := range []struct {
-		tab  *Tableau
+		tab  *control.Tableau
 		want int
 	}{
 		{HeunEuler(), 2},
@@ -33,7 +34,7 @@ func TestTableauStageCountsMatchPaper(t *testing.T) {
 
 func TestControlOrder(t *testing.T) {
 	for _, tc := range []struct {
-		tab  *Tableau
+		tab  *control.Tableau
 		want int
 	}{
 		{HeunEuler(), 2},       // p^ = 1
@@ -50,7 +51,7 @@ func TestControlOrder(t *testing.T) {
 
 // orderConditions checks the classic rooted-tree order conditions up to
 // order 3 for a weight vector b over the tableau structure.
-func orderConditions(tab *Tableau, b []float64, order int) []float64 {
+func orderConditions(tab *control.Tableau, b []float64, order int) []float64 {
 	s := tab.Stages()
 	var res []float64
 	// Order 1: sum b = 1.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 )
 
@@ -13,7 +14,7 @@ import (
 // silently accepts — the estimator must instead fall back to the largest
 // non-degenerate order.
 func TestLIPEstimateDegenerateNodesFallsBack(t *testing.T) {
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(0.5, 0, la.Vec{1})
 	h.Push(0.5, 0, la.Vec{1}) // duplicated node time (h underflow)
 	h.Push(1.0, 0.5, la.Vec{2})
@@ -32,7 +33,7 @@ func TestLIPEstimateDegenerateNodesFallsBack(t *testing.T) {
 }
 
 func TestLIPEstimateAllNodesCoincidentUsesLastValue(t *testing.T) {
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(0.5, 0, la.Vec{7})
 	h.Push(0.5, 0, la.Vec{9})
 	var e LIPEstimator
@@ -46,7 +47,7 @@ func TestBDFEstimateDegenerateNodesFallsBack(t *testing.T) {
 	// The proposed time t_n + h collapsing onto t_n makes even order 1
 	// degenerate: the estimate must degrade to the last accepted value
 	// instead of dividing by zero.
-	h := NewHistory(4, 1)
+	h := control.NewHistory(4, 1)
 	h.Push(1.0, 0.5, la.Vec{3})
 	var e BDFEstimator
 	dst := la.NewVec(1)
@@ -56,7 +57,7 @@ func TestBDFEstimateDegenerateNodesFallsBack(t *testing.T) {
 }
 
 func TestBDFEstimateDuplicateDeepHistoryFallsBack(t *testing.T) {
-	h := NewHistory(5, 1)
+	h := control.NewHistory(5, 1)
 	h.Push(0.5, 0, la.Vec{1})
 	h.Push(0.5, 0, la.Vec{1}) // duplicated node time deep in the history
 	h.Push(1.0, 0.5, la.Vec{2})

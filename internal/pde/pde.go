@@ -2,8 +2,8 @@
 // HyPar use case: conservative finite differences of the perturbation-form
 // Euler fluxes, reconstructed dimension-by-dimension with WENO5 or CRWENO5
 // and Rusanov (local Lax-Friedrichs) splitting, plus the gravitational
-// source. The result implements ode.System, so the adaptive integrators and
-// SDC detectors run on it unchanged.
+// source. The result implements control.System, so the adaptive integrators
+// and SDC detectors run on it unchanged.
 package pde
 
 import (
@@ -31,7 +31,7 @@ const (
 )
 
 // EulerSystem is the rising-bubble right-hand side on a Cartesian grid.
-// Construct with NewEulerSystem, then use as an ode.System.
+// Construct with NewEulerSystem, then use as a control.System.
 type EulerSystem struct {
 	Grid   *grid.Grid
 	Gas    euler.Gas
@@ -148,7 +148,7 @@ func NewEulerSystem(g *grid.Grid, gas euler.Gas, scheme weno.Scheme) *EulerSyste
 	return s
 }
 
-// Dim implements ode.System: nvar values per grid point, variable-major.
+// Dim implements control.System: nvar values per grid point, variable-major.
 func (s *EulerSystem) Dim() int { return s.nvar * s.np }
 
 // VarSlice returns the sub-slice of x holding variable v.
@@ -187,7 +187,7 @@ func ghostIndex(i, n int, bc BC) (int, float64) {
 	}
 }
 
-// Eval implements ode.System. Pass 1 reads every grid point once, keeps
+// Eval implements control.System. Pass 1 reads every grid point once, keeps
 // in the scratch what the later passes need from it and accumulates the
 // Rusanov speeds and the gravity source; pass 2 fills each line's padded
 // split fluxes one variable at a time from those values and differences

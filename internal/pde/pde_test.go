@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/euler"
 	"repro/internal/grid"
 	"repro/internal/la"
@@ -11,7 +12,7 @@ import (
 	"repro/internal/weno"
 )
 
-var _ ode.System = (*EulerSystem)(nil)
+var _ control.System = (*EulerSystem)(nil)
 
 func newBubbleSystem(n int, scheme weno.Scheme) (*EulerSystem, la.Vec) {
 	g := grid.New2D(n, n, 1000, 1000)
@@ -69,7 +70,7 @@ func TestBubbleRises(t *testing.T) {
 	// adjustment, the buoyant-anomaly centroid moves upward.
 	s, x0 := newBubbleSystem(20, weno.Weno5{})
 	dt := s.MaxDt(x0, 0.5)
-	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(1e-4, 1e-4), MaxStep: dt}
+	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(1e-4, 1e-4), MaxStep: dt}
 	in.Init(s, 0, 120, x0, dt/4)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -300,7 +301,7 @@ func TestIntegralsConservedOverTime(t *testing.T) {
 	s, x0 := newBubbleSystem(16, weno.Weno5{})
 	before := s.Integrals(x0)
 	dt := s.MaxDt(x0, 0.5)
-	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(1e-4, 1e-4), MaxStep: dt}
+	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(1e-4, 1e-4), MaxStep: dt}
 	in.Init(s, 0, 10, x0, dt/4)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -345,7 +346,7 @@ func TestSodShockTube(t *testing.T) {
 		}
 	}
 	dt := s.MaxDt(x0, 0.4)
-	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(1e-4, 1e-4), MaxStep: dt}
+	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(1e-4, 1e-4), MaxStep: dt}
 	in.Init(s, 0, 0.2, x0, dt/4)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)

@@ -9,10 +9,10 @@ package problems
 import (
 	"math"
 
+	"repro/internal/control"
 	"repro/internal/euler"
 	"repro/internal/grid"
 	"repro/internal/la"
-	"repro/internal/ode"
 	"repro/internal/pde"
 	"repro/internal/weno"
 )
@@ -21,7 +21,7 @@ import (
 // needs to run it.
 type Problem struct {
 	Name string
-	Sys  ode.System
+	Sys  control.System
 	T0   float64
 	TEnd float64
 	X0   la.Vec
@@ -38,13 +38,13 @@ type Problem struct {
 	// right-hand side. PDE systems carry per-instance scratch buffers, so
 	// concurrent campaign replicates must not share Sys; pure-function
 	// systems leave NewSys nil and share Sys freely.
-	NewSys func() ode.System
+	NewSys func() control.System
 }
 
 // SysInstance returns a right-hand side safe for exclusive use by one
 // goroutine: a fresh instance when the system carries mutable scratch
 // (NewSys non-nil), the shared Sys otherwise.
-func (p *Problem) SysInstance() ode.System {
+func (p *Problem) SysInstance() control.System {
 	if p.NewSys != nil {
 		return p.NewSys()
 	}
@@ -57,7 +57,7 @@ func (p *Problem) SysInstance() ode.System {
 func Unstable() *Problem {
 	return &Problem{
 		Name: "unstable",
-		Sys: ode.Func{N: 1, F: func(t float64, x, dst la.Vec) {
+		Sys: control.Func{N: 1, F: func(t float64, x, dst la.Vec) {
 			d := x[0] - 1
 			dst[0] = d * d
 		}},
@@ -71,7 +71,7 @@ func Unstable() *Problem {
 func Decay() *Problem {
 	return &Problem{
 		Name: "decay",
-		Sys:  ode.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }},
+		Sys:  control.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }},
 		T0:   0, TEnd: 5, X0: la.Vec{1}, H0: 0.01,
 		TolA: 1e-6, TolR: 1e-6,
 		Exact: func(t float64) la.Vec { return la.Vec{math.Exp(-t)} },
@@ -82,7 +82,7 @@ func Decay() *Problem {
 func Oscillator() *Problem {
 	return &Problem{
 		Name: "oscillator",
-		Sys: ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
+		Sys: control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 			dst[0] = x[1]
 			dst[1] = -x[0]
 		}},
@@ -102,7 +102,7 @@ func VanDerPol(mu float64) *Problem {
 	}
 	return &Problem{
 		Name: "vanderpol",
-		Sys: ode.Func{N: 2, F: func(t float64, x, dst la.Vec) {
+		Sys: control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
 			dst[0] = x[1]
 			dst[1] = mu*(1-x[0]*x[0])*x[1] - x[0]
 		}},
@@ -116,7 +116,7 @@ func Lorenz() *Problem {
 	const sigma, rho, beta = 10.0, 28.0, 8.0 / 3.0
 	return &Problem{
 		Name: "lorenz",
-		Sys: ode.Func{N: 3, F: func(t float64, x, dst la.Vec) {
+		Sys: control.Func{N: 3, F: func(t float64, x, dst la.Vec) {
 			dst[0] = sigma * (x[1] - x[0])
 			dst[1] = x[0]*(rho-x[2]) - x[1]
 			dst[2] = x[0]*x[1] - beta*x[2]
@@ -139,7 +139,7 @@ func Brusselator1D(n int) *Problem {
 		x0[2*i] = 1 + math.Sin(2*math.Pi*xi) // u
 		x0[2*i+1] = 3                        // v
 	}
-	sys := ode.Func{N: 2 * n, F: func(t float64, x, dst la.Vec) {
+	sys := control.Func{N: 2 * n, F: func(t float64, x, dst la.Vec) {
 		for i := 0; i < n; i++ {
 			u := x[2*i]
 			v := x[2*i+1]
@@ -176,7 +176,7 @@ func Advection1D(n int) *Problem {
 	for i := range x0 {
 		x0[i] = profile(float64(i) * dx)
 	}
-	sys := ode.Func{N: n, F: func(t float64, u, dst la.Vec) {
+	sys := control.Func{N: n, F: func(t float64, u, dst la.Vec) {
 		for i := 0; i < n; i++ {
 			im := i - 1
 			if im < 0 {
@@ -202,7 +202,7 @@ func Heat1D(n int) *Problem {
 	for i := range x0 {
 		x0[i] = math.Sin(math.Pi * float64(i+1) * dx)
 	}
-	sys := ode.Func{N: n, F: func(t float64, u, dst la.Vec) {
+	sys := control.Func{N: n, F: func(t float64, u, dst la.Vec) {
 		for i := 0; i < n; i++ {
 			var uL, uR float64
 			if i > 0 {
@@ -241,7 +241,7 @@ func Arenstorf() *Problem {
 	const mup = 1 - mu
 	return &Problem{
 		Name: "arenstorf",
-		Sys: ode.Func{N: 4, F: func(t float64, x, dst la.Vec) {
+		Sys: control.Func{N: 4, F: func(t float64, x, dst la.Vec) {
 			y1, y2, y3, y4 := x[0], x[1], x[2], x[3]
 			d1 := math.Pow((y1+mu)*(y1+mu)+y2*y2, 1.5)
 			d2 := math.Pow((y1-mup)*(y1-mup)+y2*y2, 1.5)
@@ -280,14 +280,14 @@ func Burgers1D(n int, schemeName string) *Problem {
 	}
 	// Each instance owns its scheme (CRWENO5 keeps tridiagonal scratch) and
 	// padded flux buffers, so instances never share mutable state.
-	makeSys := func() ode.System {
+	makeSys := func() control.System {
 		s, _ := weno.ByName(schemeName)
 		g := weno.Ghost
 		padP := make([]float64, n+2*g) // padded split flux f+
 		padM := make([]float64, n+2*g) // padded reversed split flux f-
 		fhatP := make([]float64, n+1)
 		fhatM := make([]float64, n+1)
-		return ode.Func{N: n, F: func(t float64, u, dst la.Vec) {
+		return control.Func{N: n, F: func(t float64, u, dst la.Vec) {
 			// Rusanov splitting f±(u) = (u^2/2 ± alpha*u)/2.
 			alpha := 0.0
 			for _, v := range u {
@@ -338,7 +338,7 @@ func Bubble2D(n int, schemeName string, tEnd float64) *Problem {
 	// The grid is immutable after construction and shared; the Euler system
 	// and its scheme carry per-instance scratch, so each instance is fresh.
 	g := grid.New2D(n, n, 1000, 1000)
-	makeSys := func() ode.System {
+	makeSys := func() control.System {
 		s, _ := weno.ByName(schemeName)
 		return pde.NewEulerSystem(g, euler.DefaultGas(), s)
 	}
@@ -360,7 +360,7 @@ func Bubble2D(n int, schemeName string, tEnd float64) *Problem {
 func Robertson() *Problem {
 	return &Problem{
 		Name: "robertson",
-		Sys: ode.Func{N: 3, F: func(t float64, x, dst la.Vec) {
+		Sys: control.Func{N: 3, F: func(t float64, x, dst la.Vec) {
 			dst[0] = -0.04*x[0] + 1e4*x[1]*x[2]
 			dst[1] = 0.04*x[0] - 1e4*x[1]*x[2] - 3e7*x[1]*x[1]
 			dst[2] = 3e7 * x[1] * x[1]

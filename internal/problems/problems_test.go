@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 )
@@ -13,7 +14,7 @@ import (
 // at its suggested tolerances.
 func integrate(t *testing.T, p *Problem) *ode.Integrator {
 	t.Helper()
-	in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: ode.DefaultController(p.TolA, p.TolR)}
+	in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: control.DefaultController(p.TolA, p.TolR)}
 	in.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
@@ -41,7 +42,7 @@ func TestProblemsWithExactSolutions(t *testing.T) {
 func TestUnstableDivergesAbove1(t *testing.T) {
 	// The paper's example: initial point above 1 diverges.
 	p := Unstable()
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-6, 1e-6), MaxSteps: 20000}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-6, 1e-6), MaxSteps: 20000}
 	in.Init(p.Sys, 0, 10, la.Vec{1.5}, 0.01)
 	_, err := in.Run()
 	// Divergence manifests as step-size underflow, NaN, or MaxSteps; it
@@ -220,7 +221,7 @@ func TestBurgersRHSConservative(t *testing.T) {
 
 func TestBurgersShockStaysBounded(t *testing.T) {
 	p := Burgers1D(64, "weno5")
-	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: ode.DefaultController(p.TolA, p.TolR)}
+	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(p.TolA, p.TolR)}
 	in.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -249,7 +250,7 @@ func TestBurgersCRWENOMatchesWENOBeforeShock(t *testing.T) {
 	run := func(scheme string) la.Vec {
 		p := Burgers1D(64, scheme)
 		p.TEnd = 0.1
-		in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: ode.DefaultController(1e-8, 1e-8)}
+		in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: control.DefaultController(1e-8, 1e-8)}
 		in.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)
 		if _, err := in.Run(); err != nil {
 			t.Fatal(err)
@@ -290,7 +291,7 @@ func TestBurgersMatchesCharacteristics(t *testing.T) {
 	n := 256
 	p := Burgers1D(n, "weno5")
 	p.TEnd = 0.2
-	in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: ode.DefaultController(1e-9, 1e-9), MaxStep: p.MaxStep}
+	in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: control.DefaultController(1e-9, 1e-9), MaxStep: p.MaxStep}
 	in.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
@@ -313,7 +314,7 @@ func TestBurgersSpatialConvergence(t *testing.T) {
 	solve := func(n int) float64 {
 		p := Burgers1D(n, "weno5")
 		p.TEnd = 0.1
-		in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: ode.DefaultController(1e-10, 1e-10), MaxStep: p.MaxStep}
+		in := &ode.Integrator{Tab: ode.DormandPrince(), Ctrl: control.DefaultController(1e-10, 1e-10), MaxStep: p.MaxStep}
 		in.Init(p.Sys, p.T0, p.TEnd, p.X0, p.H0)
 		if _, err := in.Run(); err != nil {
 			t.Fatal(err)

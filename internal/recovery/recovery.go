@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 )
@@ -100,7 +101,7 @@ var ErrUnrecoverable = errors.New("recovery: restart budget exhausted")
 //
 // The integrator must already be configured (tableau, controller, hooks,
 // validator); Init is called here. It returns the number of restarts used.
-func RunWithRecovery(in *ode.Integrator, sys ode.System, t0, tEnd float64, x0 la.Vec, h0 float64, m *Manager, maxRestarts int) (int, error) {
+func RunWithRecovery(in *ode.Integrator, sys control.System, t0, tEnd float64, x0 la.Vec, h0 float64, m *Manager, maxRestarts int) (int, error) {
 	if m == nil {
 		m = NewManager(0, 0)
 	}

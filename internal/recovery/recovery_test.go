@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/la"
 	"repro/internal/ode"
 	"repro/internal/problems"
@@ -56,7 +57,7 @@ func TestManagerDrop(t *testing.T) {
 
 func TestRunWithRecoveryCleanRun(t *testing.T) {
 	p := problems.Decay()
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-6, 1e-6)}
 	restarts, err := RunWithRecovery(in, p.Sys, p.T0, p.TEnd, p.X0, p.H0, NewManager(10, 2), 3)
 	if err != nil || restarts != 0 {
 		t.Fatalf("clean run: restarts=%d err=%v", restarts, err)
@@ -74,7 +75,7 @@ func TestRunWithRecoveryAfterDivergence(t *testing.T) {
 	injected := false
 	in := &ode.Integrator{
 		Tab:  ode.HeunEuler(),
-		Ctrl: ode.DefaultController(p.TolA, p.TolR),
+		Ctrl: control.DefaultController(p.TolA, p.TolR),
 		StateHook: func(tt float64, x la.Vec) int {
 			if !injected && tt > 2 {
 				injected = true
@@ -99,8 +100,8 @@ func TestRunWithRecoveryAfterDivergence(t *testing.T) {
 
 func TestRunWithRecoveryBudgetExhausted(t *testing.T) {
 	// A permanently broken RHS cannot be recovered.
-	bad := ode.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.NaN() }}
-	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: ode.DefaultController(1e-6, 1e-6)}
+	bad := control.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = math.NaN() }}
+	in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-6, 1e-6)}
 	_, err := RunWithRecovery(in, bad, 0, 1, la.Vec{1}, 0.1, NewManager(1, 2), 2)
 	if err == nil {
 		t.Fatal("expected ErrUnrecoverable")
