@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/weno"
@@ -18,29 +19,44 @@ const DefaultGrid = 128
 // goroutine.
 const maxBubbleGrid = 2 * DefaultGrid
 
-// builders maps the workload names accepted by ByName to their
-// constructors. n is the grid resolution; scalar/ODE workloads ignore it.
-var builders = map[string]func(n int) *Problem{
-	"burgers": func(n int) *Problem {
+// max1DGrid bounds the 1-D grids so that no state outgrows the largest
+// bubble's, which holds four variables per point: 4·256² = 262,144 values.
+const max1DGrid = 4 * maxBubbleGrid * maxBubbleGrid
+
+// workload is a ByName entry: its constructor and the grid range
+// [min, max] it accepts. Scalar and ODE workloads ignore n and accept any.
+type workload struct {
+	build    func(n int) *Problem
+	min, max int
+}
+
+// builders maps the workload names accepted by ByName to their entries.
+// The bubble's wall boundaries mirror weno.Ghost cells into each side of an
+// axis, so its grid is at least that wide. The Brusselator places n/2
+// interior cells, so n = 1 would be a system of dimension 0, on which a
+// campaign runs its replicates without a single injection. The other 1-D
+// grids run from n = 1.
+var builders = map[string]workload{
+	"burgers": {func(n int) *Problem {
 		p := Burgers1D(n, "weno5")
 		p.TEnd = 0.25
 		return p
-	},
-	"burgers-crweno": func(n int) *Problem {
+	}, 1, max1DGrid},
+	"burgers-crweno": {func(n int) *Problem {
 		p := Burgers1D(n, "crweno5-periodic")
 		p.TEnd = 0.25
 		return p
-	},
-	"bubble":      func(n int) *Problem { return Bubble2D(n, "weno5", 30) },
-	"decay":       func(int) *Problem { return Decay() },
-	"oscillator":  func(int) *Problem { return Oscillator() },
-	"vanderpol":   func(int) *Problem { return VanDerPol(5) },
-	"lorenz":      func(int) *Problem { return Lorenz() },
-	"brusselator": func(n int) *Problem { return Brusselator1D(n / 2) },
-	"unstable":    func(int) *Problem { return Unstable() },
-	"arenstorf":   func(int) *Problem { return Arenstorf() },
-	"heat":        func(n int) *Problem { return Heat1D(n) },
-	"advection":   func(n int) *Problem { return Advection1D(n) },
+	}, 1, max1DGrid},
+	"bubble":      {func(n int) *Problem { return Bubble2D(n, "weno5", 30) }, weno.Ghost, maxBubbleGrid},
+	"decay":       {func(int) *Problem { return Decay() }, 1, math.MaxInt},
+	"oscillator":  {func(int) *Problem { return Oscillator() }, 1, math.MaxInt},
+	"vanderpol":   {func(int) *Problem { return VanDerPol(5) }, 1, math.MaxInt},
+	"lorenz":      {func(int) *Problem { return Lorenz() }, 1, math.MaxInt},
+	"brusselator": {func(n int) *Problem { return Brusselator1D(n / 2) }, 2, max1DGrid},
+	"unstable":    {func(int) *Problem { return Unstable() }, 1, math.MaxInt},
+	"arenstorf":   {func(int) *Problem { return Arenstorf() }, 1, math.MaxInt},
+	"heat":        {func(n int) *Problem { return Heat1D(n) }, 1, max1DGrid},
+	"advection":   {func(n int) *Problem { return Advection1D(n) }, 1, max1DGrid},
 }
 
 // ByName constructs the named campaign workload at grid resolution n
@@ -49,31 +65,23 @@ var builders = map[string]func(n int) *Problem{
 // without aliasing. It is the single name-to-workload mapping shared by
 // the CLIs and the campaign server.
 //
-// The bubble's wall boundaries mirror weno.Ghost cells into each side of
-// an axis, so a bubble grid narrower than that is an error. A bubble grid
-// wider than 256 (twice DefaultGrid) is an error as well, reported before
-// anything is built: at n = 2048 the problem alone takes 369 MB. The
-// Brusselator places n/2 interior cells, so n < 2 — a system of dimension
-// 0, on which a campaign would run its replicates without a single
-// injection — is an error too.
+// A grid outside the workload's range is an error, reported before
+// anything is built: the bubble runs from weno.Ghost to 256 (twice
+// DefaultGrid; at n = 2048 the problem alone would take 369 MB), the
+// Brusselator from 2, and the other 1-D grids from 1, all up to 262,144,
+// the largest bubble's state size.
 func ByName(name string, n int) (*Problem, error) {
-	b, ok := builders[name]
+	w, ok := builders[name]
 	if !ok {
 		return nil, fmt.Errorf("problems: unknown workload %q", name)
 	}
 	if n <= 0 {
 		n = DefaultGrid
 	}
-	if name == "bubble" && n < weno.Ghost {
-		return nil, fmt.Errorf("problems: bubble grid n=%d is narrower than the WENO ghost width %d", n, weno.Ghost)
+	if n < w.min || n > w.max {
+		return nil, fmt.Errorf("problems: %s grid n=%d is outside its range [%d, %d]", name, n, w.min, w.max)
 	}
-	if name == "bubble" && n > maxBubbleGrid {
-		return nil, fmt.Errorf("problems: bubble grid n=%d exceeds the largest grid %d", n, maxBubbleGrid)
-	}
-	if name == "brusselator" && n < 2 {
-		return nil, fmt.Errorf("problems: brusselator grid n=%d has no interior cell (n/2 cells; it needs n >= 2)", n)
-	}
-	return b(n), nil
+	return w.build(n), nil
 }
 
 // Names returns the workload names ByName accepts, sorted.

@@ -203,6 +203,25 @@ func TestByNameRejectsWideBubble(t *testing.T) {
 	}
 }
 
+// TestByNameRejectsWide1DGrid pins the 1-D grids' largest n: past the
+// largest bubble's state size ByName is an error, reported before the
+// problem is built. One range check serves every entry, so Burgers shows
+// its order: rejecting allocates less than building n = 3 does.
+func TestByNameRejectsWide1DGrid(t *testing.T) {
+	for _, name := range []string{"burgers", "burgers-crweno", "brusselator", "heat", "advection"} {
+		if _, err := ByName(name, max1DGrid+1); err == nil {
+			t.Errorf("%s at n=%d: no error", name, max1DGrid+1)
+		}
+		if _, err := ByName(name, max1DGrid); err != nil {
+			t.Errorf("%s at n=%d: %v", name, max1DGrid, err)
+		}
+	}
+	build := testing.AllocsPerRun(5, func() { ByName("burgers", 3) })
+	if reject := testing.AllocsPerRun(5, func() { ByName("burgers", 1<<20) }); reject >= build {
+		t.Errorf("rejecting n=2^20 allocates %v times, building n=3 %v: the grid is built before the check", reject, build)
+	}
+}
+
 func TestBurgersRHSConservative(t *testing.T) {
 	// Periodic conservative flux differencing: sum of the RHS is zero.
 	for _, scheme := range []string{"weno5", "crweno5-periodic"} {
@@ -340,8 +359,8 @@ func TestBurgersSpatialConvergence(t *testing.T) {
 // replicates without a single injection, so ByName rejects it; n = 2 is
 // one interior cell.
 func TestByNameRejectsEmptyBrusselator(t *testing.T) {
-	if _, err := ByName("brusselator", 1); err == nil || !strings.Contains(err.Error(), "interior cell") {
-		t.Errorf("brusselator at n=1: err = %v, want an interior-cell error", err)
+	if _, err := ByName("brusselator", 1); err == nil || !strings.Contains(err.Error(), "outside its range [2, ") {
+		t.Errorf("brusselator at n=1: err = %v, want a grid-range error", err)
 	}
 	for _, n := range []int{2, 0} {
 		p, err := ByName("brusselator", n)

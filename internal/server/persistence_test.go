@@ -246,14 +246,14 @@ func TestServerCancelledCampaignNotResumed(t *testing.T) {
 // WENO ghost width, which would panic in its first RHS evaluation, is
 // failed on restart instead of run.
 func TestServerNarrowBubbleNotResumed(t *testing.T) {
-	checkGridNotResumed(t, "bubble", 2, "ghost width")
+	checkGridNotResumed(t, "bubble", 2, "outside its range [3, 256]")
 }
 
 // TestServerEmptyBrusselatorNotResumed is the same check for a journaled
 // Brusselator submission on n = 1, a grid with no interior cell, whose
 // shards would otherwise run their replicates without a single injection.
 func TestServerEmptyBrusselatorNotResumed(t *testing.T) {
-	checkGridNotResumed(t, "brusselator", 1, "interior cell")
+	checkGridNotResumed(t, "brusselator", 1, "outside its range [2, 262144]")
 }
 
 // checkGridNotResumed journals a submission of problem on grid n by hand

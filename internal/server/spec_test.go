@@ -98,9 +98,10 @@ func TestSpecValidateErrors(t *testing.T) {
 		want   string
 	}{
 		{"problem", func(s *Spec) { s.Problem = "nonesuch" }, "unknown workload"},
-		{"bubble grid", func(s *Spec) { s.Problem, s.N = "bubble", 2 }, "ghost width"},
-		{"wide bubble grid", func(s *Spec) { s.Problem, s.N = "bubble", 4096 }, "largest grid"},
-		{"brusselator grid", func(s *Spec) { s.Problem, s.N = "brusselator", 1 }, "interior cell"},
+		{"bubble grid", func(s *Spec) { s.Problem, s.N = "bubble", 2 }, "outside its range [3, 256]"},
+		{"wide bubble grid", func(s *Spec) { s.Problem, s.N = "bubble", 4096 }, "outside its range [3, 256]"},
+		{"brusselator grid", func(s *Spec) { s.Problem, s.N = "brusselator", 1 }, "outside its range [2, 262144]"},
+		{"wide 1-D grid", func(s *Spec) { s.Problem, s.N = "burgers", 1<<20 }, "outside its range [1, 262144]"},
 		{"method", func(s *Spec) { s.Method = "rk9" }, "unknown tableau"},
 		{"injector", func(s *Spec) { s.Injector = "cosmic" }, "unknown injector"},
 		{"detector", func(s *Spec) { s.Detector = "psychic" }, "unknown detector"},
