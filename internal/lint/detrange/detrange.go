@@ -34,7 +34,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-var pkgs = "repro/internal/la,repro/internal/control,repro/internal/ode,repro/internal/harness,repro/internal/batch,repro/internal/telemetry,repro/internal/stats,repro/internal/server,repro/internal/server/store"
+var pkgs = lintutil.DeterministicPkgs
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs", pkgs,

@@ -2,6 +2,8 @@ package lint_test
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/lint/lintutil"
 )
 
 // The scoped analyzers aim concurrency and purity rules at specific
@@ -136,6 +139,50 @@ func TestScopedPackagesExist(t *testing.T) {
 			for _, p := range splitList(flagDefault(t, analyzer, fl)) {
 				if _, ok := pkgs[p]; !ok {
 					t.Errorf("-%s.%s names %s, which does not exist (renamed or deleted?)", analyzer, fl, p)
+				}
+			}
+		}
+	}
+}
+
+// TestDeterministicPkgsCoverClosure fails when a package that
+// internal/harness or internal/server imports, directly or not, is missing
+// from lintutil.DeterministicPkgs: a campaign's results depend on every
+// package of that closure, so each must stay replayable from seeds.
+func TestDeterministicPkgsCoverClosure(t *testing.T) {
+	root := moduleRoot(t)
+	_, modPath, err := lint.FindModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := packagesUnder(t, false)
+	listed := make(map[string]bool)
+	for _, p := range splitList(lintutil.DeterministicPkgs) {
+		listed[p] = true
+	}
+	seen := make(map[string]bool)
+	queue := []string{modPath + "/internal/harness", modPath + "/internal/server"}
+	for len(queue) > 0 {
+		ip := queue[0]
+		queue = queue[1:]
+		if seen[ip] {
+			continue
+		}
+		seen[ip] = true
+		if !listed[ip] {
+			t.Errorf("%s is in the import closure of harness and server but not in lintutil.DeterministicPkgs", ip)
+		}
+		for _, f := range pkgs[ip] {
+			if f == "" {
+				continue
+			}
+			file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range file.Imports {
+				if dep := strings.Trim(spec.Path.Value, `"`); strings.HasPrefix(dep, modPath+"/") {
+					queue = append(queue, dep)
 				}
 			}
 		}

@@ -39,7 +39,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var (
-	pkgs      = "repro/internal/la,repro/internal/control,repro/internal/ode,repro/internal/harness,repro/internal/batch,repro/internal/telemetry,repro/internal/stats,repro/internal/server"
+	pkgs      = lintutil.DeterministicPkgs
 	testFiles = false
 )
 
