@@ -24,9 +24,21 @@ type Replication struct {
 	Stats   Stats
 }
 
-// NewReplication returns a replication validator for the given pair/system.
+// NewReplication returns a replication validator for the pair tab applied
+// to sys. A nil tab defers the replica stepper to the first check, which
+// builds it from CheckContext.Tab.
 func NewReplication(tab *control.Tableau, sys control.System) *Replication {
-	return &Replication{Sys: sys, stepper: ode.NewStepper(tab, sys)}
+	return &Replication{Sys: sys, stepper: shadowStepper(tab, sys)}
+}
+
+// shadowStepper returns a redundancy detector's clean stepper for tab on
+// sys, or nil when tab is nil, so that the detector's first check builds
+// it from the integration's own pair.
+func shadowStepper(tab *control.Tableau, sys control.System) *ode.Stepper {
+	if tab == nil {
+		return nil
+	}
+	return ode.NewStepper(tab, sys)
 }
 
 // Validate implements control.Validator by recomputing the step cleanly and
@@ -48,10 +60,6 @@ func (r *Replication) Validate(c *control.CheckContext) control.Verdict {
 	return control.VerdictAccept
 }
 
-// ExtraVectors reports replication's memory cost: a full second copy of the
-// solver state, N_k+2 vectors (+100%).
-func (r *Replication) ExtraVectors(tab *control.Tableau) int { return tab.Stages() + 2 }
-
 // TMR is triple modular redundancy (§VII-A): the step is computed three
 // times and majority voting both detects and corrects a corrupted result,
 // at a cost of +200%. When the primary disagrees with two agreeing
@@ -67,9 +75,10 @@ type TMR struct {
 	Corrections int
 }
 
-// NewTMR returns a TMR validator.
+// NewTMR returns a TMR validator; a nil tab defers its stepper to the
+// first check, as for NewReplication.
 func NewTMR(tab *control.Tableau, sys control.System) *TMR {
-	return &TMR{Sys: sys, stepper: ode.NewStepper(tab, sys)}
+	return &TMR{Sys: sys, stepper: shadowStepper(tab, sys)}
 }
 
 // Validate implements control.Validator with majority voting across the
@@ -116,9 +125,6 @@ func (t *TMR) Validate(c *control.CheckContext) control.Verdict {
 	t.Stats.Rejections++
 	return control.VerdictReject
 }
-
-// ExtraVectors reports TMR's +200% memory cost.
-func (t *TMR) ExtraVectors(tab *control.Tableau) int { return 2 * (tab.Stages() + 2) }
 
 // AID's settings, the original detector's defaults.
 const (
@@ -372,9 +378,10 @@ type Richardson struct {
 	Stats   Stats
 }
 
-// NewRichardson returns a Richardson-extrapolation validator.
+// NewRichardson returns a Richardson-extrapolation validator; a nil tab
+// defers its stepper to the first check, as for NewReplication.
 func NewRichardson(tab *control.Tableau, sys control.System) *Richardson {
-	return &Richardson{Sys: sys, stepper: ode.NewStepper(tab, sys)}
+	return &Richardson{Sys: sys, stepper: shadowStepper(tab, sys)}
 }
 
 // Validate implements control.Validator: the two half-steps recompute the

@@ -244,9 +244,48 @@ func TestReplicationNoFalsePositivesClean(t *testing.T) {
 }
 
 func TestReplicationExtraVectors(t *testing.T) {
-	rep := NewReplication(ode.HeunEuler(), decay)
-	if got := rep.ExtraVectors(ode.HeunEuler()); got != 4 {
-		t.Fatalf("replication extra = %d, want N_k+2 = 4", got)
+	d, err := control.New("replication", control.Spec{Tab: ode.HeunEuler(), Sys: decay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.MemVectors(); got != 4 {
+		t.Fatalf("replication extra = %g, want N_k+2 = 4", got)
+	}
+}
+
+// TestRedundancyNilTableau pins the constructors' deferred stepper: built
+// with a nil tableau, each redundancy detector takes the pair from its
+// first check and guards an injected run exactly as one built with the
+// pair does.
+func TestRedundancyNilTableau(t *testing.T) {
+	run := func(v control.Validator) (ode.Stats, la.Vec) {
+		plan := inject.NewPlan(xrand.New(5), inject.Scaled{})
+		plan.Prob = 0.05
+		in := &ode.Integrator{Tab: ode.HeunEuler(), Ctrl: control.DefaultController(1e-6, 1e-6), Validator: v, Hook: plan.Hook}
+		in.Init(oscillator, 0, 5, la.Vec{1, 0}, 0.001)
+		if _, err := in.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return in.Stats, in.X()
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func(*control.Tableau) control.Validator
+	}{
+		{"replication", func(tab *control.Tableau) control.Validator { return NewReplication(tab, oscillator) }},
+		{"tmr", func(tab *control.Tableau) control.Validator { return NewTMR(tab, oscillator) }},
+		{"richardson", func(tab *control.Tableau) control.Validator { return NewRichardson(tab, oscillator) }},
+	} {
+		lazy, lazyX := run(tc.mk(nil))
+		eager, eagerX := run(tc.mk(ode.HeunEuler()))
+		if lazy != eager || lazy.Injections == 0 {
+			t.Errorf("%s: stats with a nil tableau %+v, with the pair %+v", tc.name, lazy, eager)
+		}
+		for i := range eagerX {
+			if math.Float64bits(lazyX[i]) != math.Float64bits(eagerX[i]) {
+				t.Errorf("%s: x[%d] = %v with a nil tableau, %v with the pair", tc.name, i, lazyX[i], eagerX[i])
+			}
+		}
 	}
 }
 
@@ -539,8 +578,11 @@ func TestStrategyNamesAndTMRAccounting(t *testing.T) {
 	if (LIP{}).Name() != "lip" || (BDF{}).Name() != "bdf" {
 		t.Fatal("strategy names wrong")
 	}
-	tmr := NewTMR(ode.HeunEuler(), decay)
-	if got := tmr.ExtraVectors(ode.HeunEuler()); got != 8 { // 2*(N_k+2)
-		t.Fatalf("TMR extra vectors = %d, want 8", got)
+	tmr, err := control.New("tmr", control.Spec{Tab: ode.HeunEuler(), Sys: decay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tmr.MemVectors(); got != 8 { // 2*(N_k+2)
+		t.Fatalf("TMR extra vectors = %g, want 8", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/control"
-	"repro/internal/ode"
 )
 
 // The package's detectors register themselves with the control registry, so
@@ -42,32 +41,20 @@ func init() {
 		}, nil
 	})
 	control.Register("replication", func(s control.Spec) (control.Detector, error) {
-		d := &Replication{Sys: s.Sys}
-		if s.Tab != nil {
-			d.stepper = ode.NewStepper(s.Tab, s.Sys)
-		}
 		return control.Detector{
-			Validator:  d,
+			Validator:  NewReplication(s.Tab, s.Sys),
 			MemVectors: stagePlusTwo(s.Tab, 1),
 		}, nil
 	})
 	control.Register("tmr", func(s control.Spec) (control.Detector, error) {
-		d := &TMR{Sys: s.Sys}
-		if s.Tab != nil {
-			d.stepper = ode.NewStepper(s.Tab, s.Sys)
-		}
 		return control.Detector{
-			Validator:  d,
+			Validator:  NewTMR(s.Tab, s.Sys),
 			MemVectors: stagePlusTwo(s.Tab, 2),
 		}, nil
 	})
 	control.Register("richardson", func(s control.Spec) (control.Detector, error) {
-		d := &Richardson{Sys: s.Sys}
-		if s.Tab != nil {
-			d.stepper = ode.NewStepper(s.Tab, s.Sys)
-		}
 		return control.Detector{
-			Validator:  d,
+			Validator:  NewRichardson(s.Tab, s.Sys),
 			MemVectors: func() float64 { return 2 }, // midpoint + replica proposal
 		}, nil
 	})
