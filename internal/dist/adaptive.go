@@ -1,15 +1,11 @@
 package dist
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/control"
 	"repro/internal/core"
-	"repro/internal/la"
 	"repro/internal/mpi"
 	"repro/internal/ode"
-	"repro/internal/weno"
+	"repro/internal/problems"
 )
 
 // AdaptiveConfig describes a distributed *adaptive* Burgers solve with
@@ -55,91 +51,26 @@ func (r *AdaptiveResult) Field() []float64 {
 	return out
 }
 
-// RunAdaptiveBurgers executes the distributed adaptive solve. Every rank
-// runs its own ode.Integrator — the serial protected-step loop — over its
-// block, with a right-hand side that exchanges halos and reduces the
-// splitting speed, and a controller whose norms are finished across ranks
+// RunAdaptiveBurgers executes the distributed adaptive solve from
+// problems.Burgers1D's initial state. Every rank runs its own
+// ode.Integrator — the serial protected-step loop — over its block, with a
+// right-hand side that exchanges halos and reduces the splitting speed,
+// and a controller whose norms are finished across ranks
 // (control.Controller.Ranks). Every rank therefore scores the same scaled
 // errors and takes the same accept/reject decisions.
 func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	if cfg.Ranks < 1 || cfg.N < cfg.Ranks*(weno.Ghost+1) {
-		return nil, fmt.Errorf("dist: need N >= Ranks*%d", weno.Ghost+1)
+	bounds, err := burgersBounds(cfg.Ranks, cfg.N)
+	if err != nil {
+		return nil, err
 	}
-	dx := 1.0 / float64(cfg.N)
-	maxStep := adaptiveCFL * dx
-	bounds := make([]int, cfg.Ranks+1)
-	for p := 0; p <= cfg.Ranks; p++ {
-		bounds[p] = p * cfg.N / cfg.Ranks
-	}
+	x0 := problems.Burgers1D(cfg.N, "weno5").X0
+	maxStep := adaptiveCFL * (1.0 / float64(cfg.N))
 	res := &AdaptiveResult{Blocks: make([][]float64, cfg.Ranks)}
 	var runErr error
 
 	comms := mpi.Run(cfg.Ranks, mpi.DefaultModel(), func(c *mpi.Comm) {
 		rank := c.Rank()
 		lo, hi := bounds[rank], bounds[rank+1]
-		nl := hi - lo
-		g := weno.Ghost
-		u := make(la.Vec, nl)
-		for i := range u {
-			u[i] = initialProfile(lo+i, cfg.N)
-		}
-		pad := make([]float64, nl+2*g)
-		fP := make([]float64, nl+2*g)
-		fM := make([]float64, nl+2*g)
-		fhatP := make([]float64, nl+1)
-		fhatM := make([]float64, nl+1)
-		left := (rank + cfg.Ranks - 1) % cfg.Ranks
-		right := (rank + 1) % cfg.Ranks
-		sendL := make([]float64, g)
-		sendR := make([]float64, g)
-		recvL := make([]float64, g)
-		recvR := make([]float64, g)
-
-		fillPad := func(src []float64) {
-			copy(pad[g:g+nl], src)
-			if cfg.Ranks == 1 {
-				for j := 0; j < g; j++ {
-					pad[j] = src[nl-g+j]
-					pad[g+nl+j] = src[j]
-				}
-				return
-			}
-			copy(sendL, src[:g])
-			copy(sendR, src[nl-g:])
-			if left == right {
-				c.Send(left, sendL)
-				c.Send(left, sendR)
-				c.Recv(left, recvR)
-				c.Recv(left, recvL)
-				copy(pad[g+nl:], recvR)
-				copy(pad[:g], recvL)
-				return
-			}
-			c.Send(left, sendL)
-			c.Send(right, sendR)
-			c.Recv(left, recvL)
-			c.Recv(right, recvR)
-			copy(pad[:g], recvL)
-			copy(pad[g+nl:], recvR)
-		}
-		globalMaxAbs := func(src []float64) float64 {
-			local := 0.0
-			for _, v := range src {
-				if a := math.Abs(v); a > local {
-					local = a
-				}
-			}
-			return c.AllreduceScalar(local, mpi.Max)
-		}
-		// The rank's block of the global right-hand side: a collective call
-		// that every rank makes in lockstep.
-		rhs := control.Func{N: nl, F: func(_ float64, src, dst la.Vec) {
-			alpha := globalMaxAbs(src)
-			fillPad(src)
-			rhsLocal(pad, fP, fM, fhatP, fhatM, dst, alpha, dx)
-			c.Compute(float64(nl) * 150)
-		}}
-
 		in := &ode.Integrator{
 			Tab:     ode.HeunEuler(),
 			Ctrl:    control.DefaultController(adaptiveTol, adaptiveTol),
@@ -161,7 +92,7 @@ func RunAdaptiveBurgers(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 				}
 			}
 		}
-		in.Init(rhs, 0, cfg.TEnd, u, maxStep/4)
+		in.Init(newBurgersRank(c, hi-lo, cfg.N), 0, cfg.TEnd, x0[lo:hi], maxStep/4)
 		_, err := in.Run()
 		res.Blocks[rank] = in.X()
 		if rank == 0 {

@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/la"
+	"repro/internal/mpi"
+	"repro/internal/problems"
 	"repro/internal/weno"
 )
 
@@ -26,6 +29,41 @@ func TestDistributedMatchesSerialBitwise(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("p=%d: fields differ at %d: %g vs %g", p, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// TestBurgersRankMatchesSerialEval pins the rank-local right-hand side to
+// the serial one: one collective evaluation at 1 to 4 ranks, gathered,
+// equals problems.Burgers1D's Sys.Eval bit for bit, at the initial state
+// and at a rough one, on a grid that splits evenly and on one that does
+// not.
+func TestBurgersRankMatchesSerialEval(t *testing.T) {
+	for _, n := range []int{96, 100} {
+		p := problems.Burgers1D(n, "weno5")
+		rough := p.X0.Clone()
+		for i := range rough {
+			rough[i] += 0.1 * math.Sin(7.3*float64(i*i))
+		}
+		for _, x := range []la.Vec{p.X0, rough} {
+			want := make(la.Vec, n)
+			p.Sys.Eval(0, x, want)
+			for ranks := 1; ranks <= 4; ranks++ {
+				bounds, err := burgersBounds(ranks, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make(la.Vec, n)
+				mpi.Run(ranks, mpi.DefaultModel(), func(c *mpi.Comm) {
+					lo, hi := bounds[c.Rank()], bounds[c.Rank()+1]
+					newBurgersRank(c, hi-lo, n).Eval(0, x[lo:hi], got[lo:hi])
+				})
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d ranks=%d: RHS[%d] = %v, serial %v", n, ranks, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
