@@ -266,6 +266,7 @@ func (s *EulerSystem) Eval(t float64, x la.Vec, dst la.Vec) {
 		ami := s.axisIndexOf(ax)
 		last := n + 2*weno.Ghost - 1 // padded index of the last cell
 		mA, uA := mom[ami], sc.vel[ami]
+		fhatP, fhatM := sc.fhatP[:n+1], sc.fhatM[:n+1]
 		for _, ln := range s.lines[ax] {
 			// Interior cells read their own point; only the ghost cells map
 			// through the axis BC. A slip-wall ghost mirrors its point's
@@ -333,13 +334,14 @@ func (s *EulerSystem) Eval(t float64, x la.Vec, dst la.Vec) {
 			// reversed line, so its interface k is the original n-k; the
 			// right interface flux of cell i is the left one of cell i+1.
 			for v := 0; v < s.nvar; v++ {
-				s.Scheme.ReconstructLeft(sc.fhatP[:n+1], sc.fP[v][:last+1])
-				s.Scheme.ReconstructLeft(sc.fhatM[:n+1], sc.fM[v][:last+1])
-				fl := sc.fhatP[0] + sc.fhatM[n]
-				flat := v*s.np + ln.Start
+				s.Scheme.ReconstructLeft(fhatP, sc.fP[v][:last+1])
+				s.Scheme.ReconstructLeft(fhatM, sc.fM[v][:last+1])
+				out := dst[v*np : (v+1)*np]
+				fl := fhatP[0] + fhatM[n]
+				flat := ln.Start
 				for i := 0; i < n; i++ {
-					fr := sc.fhatP[i+1] + sc.fhatM[n-1-i]
-					dst[flat] += -(fr - fl) * dxi
+					fr := fhatP[i+1] + fhatM[n-1-i]
+					out[flat] += -(fr - fl) * dxi
 					fl = fr
 					flat += ln.Stride
 				}
