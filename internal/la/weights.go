@@ -27,7 +27,7 @@ func LagrangeWeightsInto(dst, nodes []float64, t float64) {
 			}
 			den := nodes[k] - nodes[j]
 			if den == 0 {
-				panic(fmt.Sprintf("la: LagrangeWeights repeated node %g", nodes[k]))
+				panic(fmt.Sprintf("la: LagrangeWeightsInto repeated node %g", nodes[k]))
 			}
 			lk *= (t - nodes[j]) / den
 		}
