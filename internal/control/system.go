@@ -1,10 +1,12 @@
 // Package control is the single implementation of the paper's protected-step
-// protocol. Every solver in the tree — the explicit embedded-RK integrator in
-// internal/ode, the implicit SDIRK/BDF integrators in internal/implicit, and
-// the distributed method-of-lines solvers in internal/dist — drives its
-// accept/reject decisions through this package, so the classic acceptance
-// test, the second error estimate, and Algorithm 1's order adaptation exist
-// exactly once.
+// protocol. Every adaptive solver in the tree runs on ode.Integrator, whose
+// step loop takes each accept/reject decision through this package: the
+// explicit embedded-RK pairs, the implicit SDIRK2(1) and BDF2 methods of
+// internal/implicit, and the ranks of internal/dist's adaptive Burgers
+// solve. So the classic acceptance test, the second error estimate, and
+// Algorithm 1's order adaptation exist exactly once. The package also
+// defines the vocabulary those solvers are written in: System, Tableau,
+// Controller, History, TrialResult, Validator and CheckContext.
 //
 // The pipeline is built from three small pieces, applied to each candidate
 // step a solver proposes (a TrialResult, for ode.Stepper):

@@ -386,8 +386,8 @@ func NewRichardson(tab *control.Tableau, sys control.System) *Richardson {
 
 // Validate implements control.Validator: the two half-steps recompute the
 // step from the stored solution, and their scaled difference from the
-// proposal is judged against the acceptance factor. A NaN difference rejects, as in
-// control.DetectorReject.
+// proposal is judged against the acceptance factor. A NaN difference
+// rejects, as in control.DetectorReject.
 func (r *Richardson) Validate(c *control.CheckContext) control.Verdict {
 	r.Stats.Checks++
 	if r.stepper == nil {

@@ -66,10 +66,10 @@ var builders = map[string]workload{
 // the CLIs and the campaign server.
 //
 // A grid outside the workload's range is an error, reported before
-// anything is built: the bubble runs from weno.Ghost to 256 (twice
-// DefaultGrid; at n = 2048 the problem alone would take 369 MB), the
-// Brusselator from 2, and the other 1-D grids from 1, all up to 262,144,
-// the largest bubble's state size.
+// anything is built. The bubble runs from weno.Ghost to 256 (twice
+// DefaultGrid; at n = 2048 the problem alone would take 369 MB). The 1-D
+// grids run up to 262,144, the largest bubble's state size, from n = 2 for
+// the Brusselator and from n = 1 for the others.
 func ByName(name string, n int) (*Problem, error) {
 	w, ok := builders[name]
 	if !ok {
