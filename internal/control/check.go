@@ -79,9 +79,6 @@ func (c *CheckContext) CheckReport() (sErr2 float64, q, checksInWindow int, ok b
 	return c.checkSErr2, c.checkQ, c.checkC, c.checkReported
 }
 
-// FPropEvals reports how many fresh evaluations FProp performed (0 or 1).
-func (c *CheckContext) FPropEvals() int { return c.fPropEvals }
-
 // FProp returns f(T+H, XProp), the right-hand side at the proposed solution
 // needed by the integration-based double-checking. For FSAL pairs it is the
 // last stage and free; otherwise it is evaluated once, cached, exposed to

@@ -172,45 +172,3 @@ func (c *Controller) RejectStepSize(h, sErr float64, controlOrder int) float64 {
 	}
 	return c.NewStepSize(h, sErr, controlOrder)
 }
-
-// InitialStep implements the classic automatic starting-step heuristic
-// (Hairer, Nørsett & Wanner II.4): it combines the scaled sizes of x0 and
-// f(x0) with one explicit Euler probe to bound the second derivative, then
-// takes the smaller of the two candidate steps raised to the method order.
-// It costs two right-hand-side evaluations.
-func (c *Controller) InitialStep(sys System, t0 float64, x0 la.Vec, controlOrder int, span float64) float64 {
-	m := sys.Dim()
-	f0 := la.NewVec(m)
-	sys.Eval(t0, x0, f0)
-	w := la.NewVec(m)
-	c.Weights(w, x0)
-	d0 := la.WRMS(x0, w)
-	d1 := la.WRMS(f0, w)
-	var h0 float64
-	if d0 < 1e-5 || d1 < 1e-5 {
-		h0 = 1e-6
-	} else {
-		h0 = 0.01 * d0 / d1
-	}
-	if span > 0 && h0 > span {
-		h0 = span
-	}
-	// Explicit Euler probe to estimate the second derivative scale.
-	x1 := x0.Clone()
-	x1.AXPY(h0, f0)
-	f1 := la.NewVec(m)
-	sys.Eval(t0+h0, x1, f1)
-	f1.Sub(f0)
-	d2 := la.WRMS(f1, w) / h0
-	var h1 float64
-	if math.Max(d1, d2) <= 1e-15 {
-		h1 = math.Max(1e-6, h0*1e-3)
-	} else {
-		h1 = math.Pow(0.01/math.Max(d1, d2), 1/float64(controlOrder))
-	}
-	h := math.Min(100*h0, h1)
-	if span > 0 && h > span {
-		h = span
-	}
-	return h
-}

@@ -27,7 +27,7 @@ func TestEngineDecideAllocationFree(t *testing.T) {
 	ctrl := control.DefaultController(1e-6, 1e-6)
 	hist := control.NewHistory(6, 2)
 	for _, tt := range []float64{0, 0.1, 0.2, 0.3} {
-		hist.Push(tt, 0.1, la.Vec{math.Cos(tt), -math.Sin(tt)})
+		hist.Push(tt, la.Vec{math.Cos(tt), -math.Sin(tt)})
 	}
 
 	var eng control.Engine

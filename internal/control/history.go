@@ -7,7 +7,7 @@ import (
 )
 
 // History is a ring buffer of recently accepted solutions
-// (t_{n-k}, h_{n-k}, x_{n-k}), newest first. The double-checking estimates
+// (t_{n-k}, x_{n-k}), newest first. The double-checking estimates
 // (both LIP and BDF) read previous solutions from here; its depth bounds the
 // maximum usable estimate order.
 type History struct {
@@ -15,7 +15,6 @@ type History struct {
 	n     int // number of valid entries (<= depth)
 	head  int // index of newest entry
 	ts    []float64
-	hs    []float64
 	xs    []la.Vec
 }
 
@@ -32,7 +31,6 @@ func NewHistory(depth, m int) *History {
 	}
 	h := &History{depth: depth}
 	h.ts = make([]float64, depth)
-	h.hs = make([]float64, depth)
 	h.xs = make([]la.Vec, depth)
 	for i := range h.xs {
 		h.xs[i] = la.NewVec(m)
@@ -40,12 +38,10 @@ func NewHistory(depth, m int) *History {
 	return h
 }
 
-// Push records an accepted solution x at time t reached with step size h.
-// x is copied.
-func (h *History) Push(t, step float64, x la.Vec) {
+// Push records an accepted solution x at time t. x is copied.
+func (h *History) Push(t float64, x la.Vec) {
 	h.head = (h.head + 1) % h.depth
 	h.ts[h.head] = t
-	h.hs[h.head] = step
 	h.xs[h.head].CopyFrom(x)
 	if h.n < h.depth {
 		h.n++
@@ -60,9 +56,6 @@ func (h *History) Dim() int { return len(h.xs[0]) }
 
 // T returns the time of the k-th newest entry (k = 0 is the most recent).
 func (h *History) T(k int) float64 { return h.ts[h.idx(k)] }
-
-// H returns the step size that produced the k-th newest entry.
-func (h *History) H(k int) float64 { return h.hs[h.idx(k)] }
 
 // X returns the k-th newest solution. The returned vector is owned by the
 // ring: it is valid until that slot is overwritten and must not be mutated.
@@ -83,12 +76,4 @@ func (h *History) idx(k int) int {
 func (h *History) Reset() {
 	h.n = 0
 	h.head = 0
-}
-
-// Times returns the newest count entry times, newest first, appended to dst.
-func (h *History) Times(dst []float64, count int) []float64 {
-	for k := 0; k < count; k++ {
-		dst = append(dst, h.T(k))
-	}
-	return dst
 }

@@ -14,7 +14,6 @@ func TestOrderAdaptationRaisesOrderUnderFalsePositives(t *testing.T) {
 	p := bdfPolicy()
 	p.SetOrder(1)
 	// Simulate Algorithm 1's bookkeeping: a window with frequent FPs.
-	p.nChecks = 10
 	p.c, p.fpWin = 10, 5 // window FPR = 0.5 > Γ
 	if !p.updateOrder() {
 		t.Fatal("high FPR did not change the order")
@@ -39,7 +38,6 @@ func TestOrderAdaptationRaisesOrderUnderFalsePositives(t *testing.T) {
 func TestOrderAdaptationLowersOrderWhenQuiet(t *testing.T) {
 	p := bdfPolicy()
 	p.SetOrder(3)
-	p.nChecks = 100
 	p.c, p.fpWin = 100, 1 // window FPR = 0.01 < γ
 	p.updateOrder()
 	if p.Order() != 2 {
@@ -52,30 +50,11 @@ func TestOrderAdaptationLowersOrderWhenQuiet(t *testing.T) {
 	}
 }
 
-func TestOrderAdaptationCumulativeMode(t *testing.T) {
-	// The ablation mode follows Algorithm 1's literal FP_q/N_steps ratio.
-	p := bdfPolicy()
-	p.CumulativeFPR = true
-	p.SetOrder(1)
-	p.nChecks = 10
-	p.fp[1] = 5
-	p.updateOrder()
-	if p.Order() != 2 {
-		t.Fatalf("cumulative mode: order = %d, want 2", p.Order())
-	}
-	p.fp[2] = 0 // FPR at order 2 is 0 < γ: falls back down
-	p.updateOrder()
-	if p.Order() != 1 {
-		t.Fatalf("cumulative mode: order = %d, want 1", p.Order())
-	}
-}
-
 func TestNoAdaptDisablesOrderChanges(t *testing.T) {
 	p := bdfPolicy()
 	p.NoAdapt = true
 	p.SetOrder(2)
-	p.nChecks = 10
-	p.fp[2] = 9
+	p.c, p.fpWin = 10, 9
 	if p.updateOrder() {
 		t.Fatal("NoAdapt violated: updateOrder reported a change")
 	}

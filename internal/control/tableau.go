@@ -1,10 +1,6 @@
 package control
 
-import (
-	"fmt"
-
-	"repro/internal/la"
-)
+import "fmt"
 
 // Tableau is an explicit embedded Runge-Kutta pair in Butcher form. The
 // propagated solution uses weights B (order Order); the embedded comparison
@@ -26,18 +22,6 @@ type Tableau struct {
 // Stages returns the number of stages N_k (the paper's count of function
 // evaluations per step).
 func (t *Tableau) Stages() int { return len(t.B) }
-
-// HasErrorEstimate reports whether the embedded weights differ from the
-// propagated ones; pairs without an estimate (SSPRK3) only suit a
-// fixed-step integration (ode.Integrator.FixedStep).
-func (t *Tableau) HasErrorEstimate() bool {
-	for i := range t.B {
-		if !la.ExactEq(t.B[i], t.BHat[i]) {
-			return true
-		}
-	}
-	return false
-}
 
 // ControlOrder returns p̂+1, the exponent denominator of the step-size law
 // (Eq. 5): one plus the lower of the two orders, i.e. the order of the

@@ -100,7 +100,7 @@ func EstimateError(kind string, q, n int) float64 {
 	hist := control.NewHistory(depth, 1)
 	t := 0.0
 	for k := 0; k < depth; k++ {
-		hist.Push(t, h, la.Vec{math.Exp(-t)})
+		hist.Push(t, la.Vec{math.Exp(-t)})
 		t += h
 	}
 	target := t

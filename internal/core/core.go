@@ -36,8 +36,6 @@ import (
 
 // Strategy computes the second error estimate's prediction x~_n.
 type Strategy interface {
-	// Name identifies the strategy ("lip" or "bdf").
-	Name() string
 	// OrderRange returns the inclusive order bounds [qMin, qMax].
 	OrderRange() (qMin, qMax int)
 	// EffectiveOrder clamps q to what the current history supports; a
@@ -45,10 +43,6 @@ type Strategy interface {
 	EffectiveOrder(c *control.CheckContext, q int) int
 	// Estimate fills dst with x~ at time c.T+c.H using order q.
 	Estimate(dst la.Vec, c *control.CheckContext, q int)
-	// ExtraVectors reports how many persistent solution-sized vectors the
-	// strategy requires at order q beyond the classic controller's storage
-	// (x_{n-1} is already held by the solver).
-	ExtraVectors(q int) int
 }
 
 // qMax is Algorithm 1's order cap q_max = 3 (§V-C), shared by both
@@ -66,9 +60,6 @@ type LIP struct {
 	est ode.LIPEstimator
 }
 
-// Name implements Strategy.
-func (LIP) Name() string { return "lip" }
-
 // OrderRange implements Strategy.
 func (LIP) OrderRange() (int, int) { return 0, qMax }
 
@@ -82,10 +73,6 @@ func (s *LIP) Estimate(dst la.Vec, c *control.CheckContext, q int) {
 	s.est.Estimate(dst, c.Hist, q, c.T+c.H)
 }
 
-// ExtraVectors implements Strategy: order q interpolates q+1 previous
-// solutions, of which x_{n-1} is free.
-func (LIP) ExtraVectors(q int) int { return q }
-
 // BDF is the variable-step backward-differentiation-formula strategy
 // (orders 1..q_max). It consumes f(x_n), which FSAL pairs provide for free
 // and which other pairs reuse as the next step's first stage. Like LIP, it
@@ -93,9 +80,6 @@ func (LIP) ExtraVectors(q int) int { return q }
 type BDF struct {
 	est ode.BDFEstimator
 }
-
-// Name implements Strategy.
-func (BDF) Name() string { return "bdf" }
 
 // OrderRange implements Strategy.
 func (BDF) OrderRange() (int, int) { return 1, qMax }
@@ -113,10 +97,6 @@ func (BDF) EffectiveOrder(c *control.CheckContext, q int) int {
 func (s *BDF) Estimate(dst la.Vec, c *control.CheckContext, q int) {
 	s.est.Estimate(dst, c.Hist, q, c.T+c.H, c.FProp())
 }
-
-// ExtraVectors implements Strategy: order q uses q previous solutions
-// (x_{n-1} free); f(x_n) lives in the solver's next-first-stage slot.
-func (BDF) ExtraVectors(q int) int { return q - 1 }
 
 // Stats accumulates double-checking counters.
 type Stats struct {
@@ -141,7 +121,7 @@ func (s *Stats) MeanOrder() float64 {
 // controller-accepted step against a second scaled error estimate and
 // adapts the estimate's order through the embedded control.Policy (the one
 // implementation of the (q, c) state machine). The Policy's ablation
-// switches (NoAdapt, CumulativeFPR) promote to DoubleCheck fields.
+// switch NoAdapt promotes to a DoubleCheck field.
 type DoubleCheck struct {
 	Strat Strategy
 
@@ -234,12 +214,4 @@ func (d *DoubleCheck) Validate(c *control.CheckContext) control.Verdict {
 	}
 	d.Policy.NoteAccept()
 	return control.VerdictAccept
-}
-
-// ExtraVectors reports the persistent memory cost (in solution-sized
-// vectors) of the detector at its current order, including the estimate
-// scratch vector. Compare against the solver's N_k+2 baseline (§VI-B).
-func (d *DoubleCheck) ExtraVectors() int {
-	d.init()
-	return d.Strat.ExtraVectors(d.Policy.Order()) + 1
 }

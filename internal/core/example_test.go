@@ -38,24 +38,3 @@ func ExampleDoubleCheck_Order() {
 	// initial order: 1
 	// pinned order: 3
 }
-
-// ExampleNewEnsemble combines both double-checking strategies; a step must
-// satisfy each one.
-func ExampleNewEnsemble() {
-	osc := control.Func{N: 2, F: func(t float64, x, dst la.Vec) {
-		dst[0] = x[1]
-		dst[1] = -x[0]
-	}}
-	in := &ode.Integrator{
-		Tab:       ode.HeunEuler(),
-		Ctrl:      control.DefaultController(1e-6, 1e-6),
-		Validator: core.NewEnsemble(core.NewLBDC(), core.NewIBDC()),
-	}
-	in.Init(osc, 0, 1, la.Vec{1, 0}, 0.001)
-	if _, err := in.Run(); err != nil {
-		fmt.Println("failed:", err)
-		return
-	}
-	fmt.Printf("x(1) = %.4f\n", in.X()[0])
-	// Output: x(1) = 0.5403
-}

@@ -161,7 +161,7 @@ func TestPropertyOrderAdaptationBounds(t *testing.T) {
 			if rng.Bernoulli(0.1) {
 				x *= 1 + rng.Norm()
 			}
-			hist.Push(tPrev, h, la.Vec{xPrev})
+			hist.Push(tPrev, la.Vec{xPrev})
 			// An embedded estimate of half the error level scores SErr_1 =
 			// 0.5, so every trial passes the classic test and reaches the
 			// detector; BeginStep makes none of them a recomputation.

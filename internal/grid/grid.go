@@ -89,38 +89,6 @@ func (g *Grid) Lines(ax int, dst []Line) []Line {
 	return dst
 }
 
-// Gather copies the line's values from the flat field into dst (interior
-// only; callers add ghosts).
-func (l Line) Gather(field, dst []float64) {
-	if len(dst) < l.Len {
-		panic("grid: Gather dst too small")
-	}
-	idx := l.Start
-	for i := 0; i < l.Len; i++ {
-		dst[i] = field[idx]
-		idx += l.Stride
-	}
-}
-
-// Scatter writes dst's first Len values back to the flat field along the
-// line.
-func (l Line) Scatter(src, field []float64) {
-	idx := l.Start
-	for i := 0; i < l.Len; i++ {
-		field[idx] = src[i]
-		idx += l.Stride
-	}
-}
-
-// ScatterAdd accumulates src into the flat field along the line.
-func (l Line) ScatterAdd(src, field []float64) {
-	idx := l.Start
-	for i := 0; i < l.Len; i++ {
-		field[idx] += src[i]
-		idx += l.Stride
-	}
-}
-
 // Decompose splits n points into parts nearly equal blocks and returns the
 // start index of each block plus the total (a prefix array of length
 // parts+1).
@@ -133,20 +101,6 @@ func Decompose(n, parts int) []int {
 		bounds[p] = p * n / parts
 	}
 	return bounds
-}
-
-// BlockDecompose2D splits an nx-by-ny grid over px-by-py ranks and returns
-// each rank's (x0, x1, y0, y1) bounds, rank-major in x.
-func BlockDecompose2D(nx, ny, px, py int) [][4]int {
-	bx := Decompose(nx, px)
-	by := Decompose(ny, py)
-	out := make([][4]int, 0, px*py)
-	for j := 0; j < py; j++ {
-		for i := 0; i < px; i++ {
-			out = append(out, [4]int{bx[i], bx[i+1], by[j], by[j+1]})
-		}
-	}
-	return out
 }
 
 // New1D returns an n-point grid covering [0, L] with cell-centered points.

@@ -61,38 +61,6 @@ func TestLinesCoverGridExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
-	g := New2D(4, 3, 1, 1)
-	field := make([]float64, g.Points())
-	for i := range field {
-		field[i] = float64(i)
-	}
-	for _, ax := range []int{0, 1} {
-		for _, l := range g.Lines(ax, nil) {
-			buf := make([]float64, l.Len)
-			l.Gather(field, buf)
-			out := make([]float64, g.Points())
-			copy(out, field)
-			l.Scatter(buf, out)
-			for i := range field {
-				if out[i] != field[i] {
-					t.Fatalf("round trip changed field at %d", i)
-				}
-			}
-		}
-	}
-}
-
-func TestScatterAdd(t *testing.T) {
-	g := New2D(3, 1, 1, 1)
-	field := []float64{1, 2, 3}
-	l := g.Lines(0, nil)[0]
-	l.ScatterAdd([]float64{10, 20, 30}, field)
-	if field[0] != 11 || field[1] != 22 || field[2] != 33 {
-		t.Fatalf("ScatterAdd: %v", field)
-	}
-}
-
 func TestDecompose(t *testing.T) {
 	b := Decompose(10, 3)
 	if b[0] != 0 || b[3] != 10 {
@@ -108,20 +76,6 @@ func TestDecompose(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("total %d", total)
-	}
-}
-
-func TestBlockDecompose2D(t *testing.T) {
-	blocks := BlockDecompose2D(8, 8, 2, 2)
-	if len(blocks) != 4 {
-		t.Fatalf("blocks: %v", blocks)
-	}
-	area := 0
-	for _, b := range blocks {
-		area += (b[1] - b[0]) * (b[3] - b[2])
-	}
-	if area != 64 {
-		t.Fatalf("blocks don't tile the grid: %v", blocks)
 	}
 }
 

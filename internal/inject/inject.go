@@ -36,25 +36,16 @@ func (SingleBit) Corrupt(r *xrand.RNG, old float64) float64 {
 }
 
 // MultiBit flips several distinct uniformly chosen bits; the number of
-// flips is drawn uniformly from [2, MaxBits] (the paper draws the count
-// from a uniform distribution without stating its support).
-type MultiBit struct {
-	MaxBits int // default 16
-}
+// flips is drawn uniformly from [2, 16] (the paper draws the count from a
+// uniform distribution without stating its support).
+type MultiBit struct{}
 
 // Name implements Injector.
 func (MultiBit) Name() string { return "multibit" }
 
 // Corrupt implements Injector.
-func (m MultiBit) Corrupt(r *xrand.RNG, old float64) float64 {
-	maxb := m.MaxBits
-	if maxb < 2 {
-		maxb = 16
-	}
-	if maxb > 64 {
-		maxb = 64
-	}
-	n := 2 + r.IntN(maxb-1) // uniform in [2, maxb]
+func (MultiBit) Corrupt(r *xrand.RNG, old float64) float64 {
+	n := 2 + r.IntN(15) // uniform in [2, 16]
 	bits := math.Float64bits(old)
 	var flipped uint64
 	for k := 0; k < n; {
@@ -99,15 +90,6 @@ func All() []Injector {
 	return []Injector{MultiBit{}, SingleBit{}, Scaled{}}
 }
 
-// Record is the ground truth of one applied corruption.
-type Record struct {
-	Time  float64 // stage abscissa at injection
-	Stage int     // stage index (Tab.Stages() = the double-check evaluation)
-	Index int     // corrupted component
-	Old   float64
-	New   float64
-}
-
 // Plan drives injections into stage evaluations: each evaluation is
 // corrupted with probability Prob, at one uniformly chosen component. Wire
 // Hook into Integrator.Hook. Plans are not safe for concurrent use; give
@@ -117,11 +99,7 @@ type Plan struct {
 	Inj     Injector
 	Prob    float64 // per function evaluation; the paper uses 1/100
 	Enabled bool
-
-	// KeepRecords retains the full ground-truth log (costly in long runs).
-	KeepRecords bool
-	Records     []Record
-	Count       int64 // total corruptions applied
+	Count   int64 // total corruptions applied
 }
 
 // NewPlan returns an enabled plan with the paper's default probability.
@@ -136,12 +114,8 @@ func (p *Plan) Hook(stage int, t float64, k la.Vec) int {
 		return 0
 	}
 	i := p.R.IntN(len(k))
-	old := k[i]
-	k[i] = p.Inj.Corrupt(p.R, old)
+	k[i] = p.Inj.Corrupt(p.R, k[i])
 	p.Count++
-	if p.KeepRecords {
-		p.Records = append(p.Records, Record{Time: t, Stage: stage, Index: i, Old: old, New: k[i]})
-	}
 	return 1
 }
 
@@ -162,12 +136,8 @@ func (p *Plan) StateHook(t float64, x la.Vec) int {
 		return 0
 	}
 	i := p.R.IntN(len(x))
-	old := x[i]
-	x[i] = p.Inj.Corrupt(p.R, old)
+	x[i] = p.Inj.Corrupt(p.R, x[i])
 	p.Count++
-	if p.KeepRecords {
-		p.Records = append(p.Records, Record{Time: t, Stage: -1, Index: i, Old: old, New: x[i]})
-	}
 	return 1
 }
 
@@ -191,7 +161,7 @@ func (f FieldSelective) Corrupt(r *xrand.RNG, old float64) float64 {
 }
 
 // HookFor returns a stage hook that corrupts only within the selected
-// range, with the plan's probability and bookkeeping.
+// range, with the plan's probability and count.
 func (p *Plan) HookFor(sel FieldSelective) func(stage int, t float64, k la.Vec) int {
 	return func(stage int, t float64, k la.Vec) int {
 		if !p.Enabled || !p.R.Bernoulli(p.Prob) {
@@ -205,71 +175,7 @@ func (p *Plan) HookFor(sel FieldSelective) func(stage int, t float64, k la.Vec) 
 			return 0
 		}
 		i := lo + p.R.IntN(hi-lo)
-		old := k[i]
-		k[i] = sel.Inner.Corrupt(p.R, old)
-		p.Count++
-		if p.KeepRecords {
-			p.Records = append(p.Records, Record{Time: t, Stage: stage, Index: i, Old: old, New: k[i]})
-		}
-		return 1
-	}
-}
-
-// Burst corrupts Len consecutive components starting at a uniformly chosen
-// offset, modeling cache-line or DRAM-burst corruption where one fault
-// clobbers several adjacent words (beyond the ECC protection the paper's
-// §II-E notes does not cover multibit upsets).
-type Burst struct {
-	Len   int // corrupted consecutive components (default 8)
-	Inner Injector
-}
-
-// Name implements Injector.
-func (b Burst) Name() string { return fmt.Sprintf("burst%d-%s", b.len(), b.inner().Name()) }
-
-func (b Burst) len() int {
-	if b.Len <= 0 {
-		return 8
-	}
-	return b.Len
-}
-
-func (b Burst) inner() Injector {
-	if b.Inner == nil {
-		return MultiBit{}
-	}
-	return b.Inner
-}
-
-// Corrupt implements Injector for a single value (the burst placement is
-// handled by HookBurst).
-func (b Burst) Corrupt(r *xrand.RNG, old float64) float64 {
-	return b.inner().Corrupt(r, old)
-}
-
-// HookBurst returns a stage hook applying burst corruption with the plan's
-// probability: Len consecutive components, each corrupted by Inner. The
-// whole burst counts as one SDC event.
-func (p *Plan) HookBurst(b Burst) func(stage int, t float64, k la.Vec) int {
-	return func(stage int, t float64, k la.Vec) int {
-		if !p.Enabled || len(k) == 0 || !p.R.Bernoulli(p.Prob) {
-			return 0
-		}
-		l := b.len()
-		if l > len(k) {
-			l = len(k)
-		}
-		start := 0
-		if len(k) > l {
-			start = p.R.IntN(len(k) - l + 1)
-		}
-		for i := start; i < start+l; i++ {
-			old := k[i]
-			k[i] = b.inner().Corrupt(p.R, old)
-			if p.KeepRecords {
-				p.Records = append(p.Records, Record{Time: t, Stage: stage, Index: i, Old: old, New: k[i]})
-			}
-		}
+		k[i] = sel.Inner.Corrupt(p.R, k[i])
 		p.Count++
 		return 1
 	}

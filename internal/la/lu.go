@@ -7,10 +7,9 @@ import "fmt"
 // when the dimension makes forming the Jacobian cheaper than Krylov
 // iteration).
 type LU struct {
-	n    int
-	a    []float64 // factors, row-major
-	piv  []int
-	sign int
+	n   int
+	a   []float64 // factors, row-major
+	piv []int
 }
 
 // NewLU factors the row-major n-by-n matrix a (which is copied). It returns
@@ -19,7 +18,7 @@ func NewLU(a []float64, n int) (*LU, error) {
 	if len(a) != n*n {
 		panic(fmt.Sprintf("la: NewLU size %d != %d^2", len(a), n))
 	}
-	lu := &LU{n: n, a: append([]float64(nil), a...), piv: make([]int, n), sign: 1}
+	lu := &LU{n: n, a: append([]float64(nil), a...), piv: make([]int, n)}
 	for i := range lu.piv {
 		lu.piv[i] = i
 	}
@@ -39,7 +38,6 @@ func NewLU(a []float64, n int) (*LU, error) {
 				lu.a[p*n+j], lu.a[k*n+j] = lu.a[k*n+j], lu.a[p*n+j]
 			}
 			lu.piv[p], lu.piv[k] = lu.piv[k], lu.piv[p]
-			lu.sign = -lu.sign
 		}
 		inv := 1 / lu.a[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -88,13 +86,4 @@ func (lu *LU) Solve(b, x Vec) {
 		tmp[i] = s / lu.a[i*n+i]
 	}
 	copy(x, tmp)
-}
-
-// Det returns the determinant from the factors.
-func (lu *LU) Det() float64 {
-	d := float64(lu.sign)
-	for i := 0; i < lu.n; i++ {
-		d *= lu.a[i*lu.n+i]
-	}
-	return d
 }

@@ -21,9 +21,6 @@ func TestLUIdentity(t *testing.T) {
 			t.Fatalf("identity solve: %v", x)
 		}
 	}
-	if math.Abs(lu.Det()-1) > 1e-15 {
-		t.Fatalf("det = %g", lu.Det())
-	}
 }
 
 func TestLUKnownSystem(t *testing.T) {
@@ -38,9 +35,6 @@ func TestLUKnownSystem(t *testing.T) {
 	lu.Solve(Vec{4, 7}, x)
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Fatalf("x = %v", x)
-	}
-	if math.Abs(lu.Det()+2) > 1e-12 {
-		t.Fatalf("det = %g, want -2", lu.Det())
 	}
 }
 

@@ -67,16 +67,6 @@ func (v Vec) AXPY(a float64, x Vec) {
 	}
 }
 
-// WAXPBY computes v = a*x + b*y, overwriting v.
-func (v Vec) WAXPBY(a float64, x Vec, b float64, y Vec) {
-	if len(v) != len(x) || len(v) != len(y) {
-		panic("la: WAXPBY length mismatch")
-	}
-	for i := range v {
-		v[i] = a*x[i] + b*y[i]
-	}
-}
-
 // Add computes v += x in place.
 func (v Vec) Add(x Vec) { v.AXPY(1, x) }
 
@@ -115,15 +105,6 @@ func (v Vec) NormInf() float64 {
 	return m
 }
 
-// Norm1 returns the sum of absolute components of v.
-func (v Vec) Norm1() float64 {
-	var s float64
-	for i := range v {
-		s += math.Abs(v[i])
-	}
-	return s
-}
-
 // MaxAbsIndex returns the index of the component with the largest magnitude,
 // or -1 for an empty vector.
 func (v Vec) MaxAbsIndex() int {
@@ -144,19 +125,4 @@ func (v Vec) HasNaNOrInf() bool {
 		}
 	}
 	return false
-}
-
-// LinComb overwrites dst with sum_k coef[k]*vs[k]. All vectors must share
-// dst's length. It is the inner loop of Runge-Kutta stage assembly.
-func LinComb(dst Vec, coef []float64, vs []Vec) {
-	if len(coef) != len(vs) {
-		panic("la: LinComb coefficient/vector count mismatch")
-	}
-	dst.Zero()
-	for k, c := range coef {
-		if c == 0 {
-			continue
-		}
-		dst.AXPY(c, vs[k])
-	}
 }

@@ -62,14 +62,6 @@ func TestAXPY(t *testing.T) {
 	}
 }
 
-func TestWAXPBY(t *testing.T) {
-	v := NewVec(2)
-	v.WAXPBY(2, Vec{1, 1}, -3, Vec{1, 2})
-	if v[0] != -1 || v[1] != -4 {
-		t.Fatalf("WAXPBY: got %v", v)
-	}
-}
-
 func TestScaleFillZero(t *testing.T) {
 	v := Vec{1, 2}
 	v.Scale(3)
@@ -81,7 +73,7 @@ func TestScaleFillZero(t *testing.T) {
 		t.Fatalf("Fill: %v", v)
 	}
 	v.Zero()
-	if v.Norm1() != 0 {
+	if v[0] != 0 || v[1] != 0 {
 		t.Fatalf("Zero: %v", v)
 	}
 }
@@ -96,9 +88,6 @@ func TestDotAndNorms(t *testing.T) {
 	}
 	if v.NormInf() != 4 {
 		t.Fatalf("NormInf = %g", v.NormInf())
-	}
-	if v.Norm1() != 7 {
-		t.Fatalf("Norm1 = %g", v.Norm1())
 	}
 }
 
@@ -120,14 +109,6 @@ func TestHasNaNOrInf(t *testing.T) {
 	}
 	if !(Vec{math.Inf(-1)}).HasNaNOrInf() {
 		t.Fatal("-Inf not flagged")
-	}
-}
-
-func TestLinComb(t *testing.T) {
-	dst := NewVec(2)
-	LinComb(dst, []float64{1, 0, -2}, []Vec{{1, 1}, {100, 100}, {2, 3}})
-	if dst[0] != -3 || dst[1] != -5 {
-		t.Fatalf("LinComb: %v", dst)
 	}
 }
 
@@ -176,7 +157,7 @@ func TestCauchySchwarzProperty(t *testing.T) {
 	}
 }
 
-// Property: norm ordering NormInf <= Norm2 <= Norm1 for any vector.
+// Property: norm ordering NormInf <= Norm2 <= sqrt(n)*NormInf for any vector.
 func TestNormOrderingProperty(t *testing.T) {
 	f := func(vals []float64) bool {
 		v := Vec(vals)
@@ -186,7 +167,7 @@ func TestNormOrderingProperty(t *testing.T) {
 			}
 		}
 		tol := 1 + 1e-12
-		return v.NormInf() <= v.Norm2()*tol && v.Norm2() <= v.Norm1()*tol
+		return v.NormInf() <= v.Norm2()*tol && v.Norm2() <= math.Sqrt(float64(len(v)))*v.NormInf()*tol
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -180,13 +180,6 @@ func (c *Comm) Recv(src int, data []float64) int {
 	return n
 }
 
-// SendRecv exchanges buffers with a peer (deadlock-free regardless of
-// ordering thanks to buffered mailboxes).
-func (c *Comm) SendRecv(peer int, send, recv []float64) {
-	c.Send(peer, send)
-	c.Recv(peer, recv)
-}
-
 // log2ceil returns ceil(log2(p)) with log2ceil(1) = 0.
 func log2ceil(p int) int {
 	n := 0
@@ -268,30 +261,11 @@ func (c *Comm) syncClocks(cost float64) {
 	c.clock = res[0] + cost
 }
 
-// Barrier synchronizes all ranks (and their clocks).
-func (c *Comm) Barrier() {
-	c.syncClocks(float64(log2ceil(c.world.P)) * c.world.Model.MessageTime(0))
-}
-
 // AllreduceScalar reduces one float64.
 func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
 	buf := [1]float64{v}
 	c.Allreduce(buf[:], op)
 	return buf[0]
-}
-
-// Bcast distributes root's vals to every rank (vals is input on root,
-// output elsewhere). The virtual cost is a log-tree of messages.
-func (c *Comm) Bcast(vals []float64, root int) {
-	w := c.world
-	// Implemented over the reduction machinery: only root contributes.
-	contrib := make([]float64, len(vals))
-	if c.rank == root {
-		copy(contrib, vals)
-	}
-	res := c.rendezvousReduce(&w.data, contrib, Sum)
-	copy(vals, res)
-	c.syncClocks(float64(log2ceil(w.P)) * w.Model.MessageTime(len(vals)))
 }
 
 // Gather collects one value from every rank into dst (len = world size) on

@@ -59,17 +59,6 @@ func TestRepeatedCollectivesNoCorruption(t *testing.T) {
 	})
 }
 
-func TestSendRecvExchange(t *testing.T) {
-	Run(2, DefaultModel(), func(c *Comm) {
-		send := []float64{float64(c.Rank() + 10)}
-		recv := make([]float64, 1)
-		c.SendRecv(1-c.Rank(), send, recv)
-		if recv[0] != float64(1-c.Rank()+10) {
-			t.Errorf("rank %d got %g", c.Rank(), recv[0])
-		}
-	})
-}
-
 func TestHaloRing(t *testing.T) {
 	// Each rank passes its id around a ring once.
 	const p = 6
@@ -119,18 +108,6 @@ func TestRecvRespectsArrivalTime(t *testing.T) {
 	})
 	if comms[1].Clock() < comms[0].Clock() {
 		t.Fatalf("receiver clock %g before sender clock %g", comms[1].Clock(), comms[0].Clock())
-	}
-}
-
-func TestBarrierLevelsClocks(t *testing.T) {
-	comms := Run(3, DefaultModel(), func(c *Comm) {
-		c.Compute(float64(c.Rank()) * 1e8)
-		c.Barrier()
-	})
-	for _, c := range comms[1:] {
-		if math.Abs(c.Clock()-comms[0].Clock()) > 1e-12 {
-			t.Fatal("barrier did not level clocks")
-		}
 	}
 }
 
@@ -197,19 +174,6 @@ func TestDistributedWRMSMatchesSerial(t *testing.T) {
 			t.Fatalf("rank %d: distributed WRMS %g != serial %g", r, got, serial)
 		}
 	}
-}
-
-func TestBcast(t *testing.T) {
-	Run(7, DefaultModel(), func(c *Comm) {
-		vals := make([]float64, 3)
-		if c.Rank() == 2 {
-			vals[0], vals[1], vals[2] = 10, 20, 30
-		}
-		c.Bcast(vals, 2)
-		if vals[0] != 10 || vals[1] != 20 || vals[2] != 30 {
-			t.Errorf("rank %d: bcast = %v", c.Rank(), vals)
-		}
-	})
 }
 
 func TestGather(t *testing.T) {

@@ -94,43 +94,3 @@ func TestNewStepSizeControlOrderEffect(t *testing.T) {
 		t.Fatalf("low = %g, want 0.45", low)
 	}
 }
-
-func TestInitialStepReasonable(t *testing.T) {
-	c := control.DefaultController(1e-6, 1e-6)
-	osc := control.Func{N: 2, F: func(tt float64, x, dst la.Vec) {
-		dst[0] = x[1]
-		dst[1] = -x[0]
-	}}
-	h := c.InitialStep(osc, 0, la.Vec{1, 0}, 5, 10)
-	if h <= 0 || h > 1 {
-		t.Fatalf("initial step %g out of range", h)
-	}
-	// The produced step should be immediately acceptable: integrating with
-	// it as h0 must not blow the trial budget.
-	in := &Integrator{Tab: DormandPrince(), Ctrl: c}
-	in.Init(osc, 0, 1, la.Vec{1, 0}, h)
-	if err := in.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if in.Stats.RejectedClassic > 1 {
-		t.Fatalf("initial step rejected %d times", in.Stats.RejectedClassic)
-	}
-}
-
-func TestInitialStepStiffProblemSmall(t *testing.T) {
-	c := control.DefaultController(1e-6, 1e-6)
-	stiff := control.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = -1e6 * x[0] }}
-	h := c.InitialStep(stiff, 0, la.Vec{1}, 2, 10)
-	if h > 1e-3 {
-		t.Fatalf("stiff initial step %g too large", h)
-	}
-}
-
-func TestInitialStepZeroRHS(t *testing.T) {
-	c := control.DefaultController(1e-6, 1e-6)
-	still := control.Func{N: 1, F: func(tt float64, x, dst la.Vec) { dst[0] = 0 }}
-	h := c.InitialStep(still, 0, la.Vec{1}, 2, 5)
-	if h <= 0 || math.IsNaN(h) || math.IsInf(h, 0) {
-		t.Fatalf("degenerate initial step %g", h)
-	}
-}

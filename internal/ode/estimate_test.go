@@ -12,20 +12,16 @@ import (
 // (componentwise distinct) at irregular times onto a fresh history.
 func fillHistoryPoly(depth int, times []float64, p func(float64) la.Vec) *control.History {
 	h := control.NewHistory(depth, len(p(0)))
-	for i, tt := range times {
-		var hs float64
-		if i > 0 {
-			hs = tt - times[i-1]
-		}
-		h.Push(tt, hs, p(tt))
+	for _, tt := range times {
+		h.Push(tt, p(tt))
 	}
 	return h
 }
 
 func TestLIPEstimateOrder0IsLastValue(t *testing.T) {
 	h := control.NewHistory(4, 2)
-	h.Push(0, 0, la.Vec{1, 2})
-	h.Push(1, 1, la.Vec{3, 4})
+	h.Push(0, la.Vec{1, 2})
+	h.Push(1, la.Vec{3, 4})
 	dst := la.NewVec(2)
 	new(LIPEstimator).Estimate(dst, h, 0, 2.0)
 	if dst[0] != 3 || dst[1] != 4 {
@@ -50,7 +46,7 @@ func TestLIPEstimateExactOnPolynomials(t *testing.T) {
 
 func TestLIPEstimatePanicsWithoutHistory(t *testing.T) {
 	h := control.NewHistory(4, 1)
-	h.Push(0, 0, la.Vec{1})
+	h.Push(0, la.Vec{1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -62,7 +58,7 @@ func TestLIPEstimatePanicsWithoutHistory(t *testing.T) {
 func TestBDFEstimateBackwardEuler(t *testing.T) {
 	// Order 1: x~ = x_{n-1} + h f. With x_{n-1} = 2, h = 0.5, f = -4: x~ = 0.
 	h := control.NewHistory(4, 1)
-	h.Push(1.0, 0.2, la.Vec{2})
+	h.Push(1.0, la.Vec{2})
 	dst := la.NewVec(1)
 	new(BDFEstimator).Estimate(dst, h, 1, 1.5, la.Vec{-4})
 	if math.Abs(dst[0]) > 1e-14 {
@@ -92,8 +88,8 @@ func TestBDFEstimateMatchesPaperVariableStepBDF2(t *testing.T) {
 	x1, x2 := 1.7, -0.4 // x_{n-1}, x_{n-2}
 	f := 0.9
 	h := control.NewHistory(4, 1)
-	h.Push(tn-hn-hn1, 0, la.Vec{x2})
-	h.Push(tn-hn, hn1, la.Vec{x1})
+	h.Push(tn-hn-hn1, la.Vec{x2})
+	h.Push(tn-hn, la.Vec{x1})
 	dst := la.NewVec(1)
 	new(BDFEstimator).Estimate(dst, h, 2, tn, la.Vec{f})
 	want := (1+om)*(1+om)/(1+2*om)*x1 - om*om/(1+2*om)*x2 + hn*(1+om)/(1+2*om)*f
@@ -104,7 +100,7 @@ func TestBDFEstimateMatchesPaperVariableStepBDF2(t *testing.T) {
 
 func TestBDFEstimatePanics(t *testing.T) {
 	h := control.NewHistory(4, 1)
-	h.Push(0, 0, la.Vec{1})
+	h.Push(0, la.Vec{1})
 	for name, fn := range map[string]func(){
 		"order 0":            func() { new(BDFEstimator).Estimate(la.NewVec(1), h, 0, 1, la.Vec{0}) },
 		"not enough history": func() { new(BDFEstimator).Estimate(la.NewVec(1), h, 2, 1, la.Vec{0}) },
@@ -125,17 +121,17 @@ func TestMaxOrders(t *testing.T) {
 	if MaxLIPOrder(h, 3) != -1 || MaxBDFOrder(h, 3) != 0 {
 		t.Fatal("empty history max orders wrong")
 	}
-	h.Push(0, 0, la.Vec{1})
-	h.Push(1, 1, la.Vec{2})
+	h.Push(0, la.Vec{1})
+	h.Push(1, la.Vec{2})
 	if MaxLIPOrder(h, 3) != 1 {
 		t.Fatalf("MaxLIPOrder = %d", MaxLIPOrder(h, 3))
 	}
 	if MaxBDFOrder(h, 3) != 2 {
 		t.Fatalf("MaxBDFOrder = %d", MaxBDFOrder(h, 3))
 	}
-	h.Push(2, 1, la.Vec{3})
-	h.Push(3, 1, la.Vec{4})
-	h.Push(4, 1, la.Vec{5})
+	h.Push(2, la.Vec{3})
+	h.Push(3, la.Vec{4})
+	h.Push(4, la.Vec{5})
 	if MaxLIPOrder(h, 3) != 3 || MaxBDFOrder(h, 3) != 3 {
 		t.Fatal("caps not applied")
 	}
@@ -147,12 +143,8 @@ func TestBDFEstimateAccuracyImprovesWithOrder(t *testing.T) {
 	exact := func(tt float64) float64 { return math.Exp(-tt) }
 	times := []float64{0, 0.05, 0.11, 0.18}
 	h := control.NewHistory(5, 1)
-	for i, tt := range times {
-		var hs float64
-		if i > 0 {
-			hs = tt - times[i-1]
-		}
-		h.Push(tt, hs, la.Vec{exact(tt)})
+	for _, tt := range times {
+		h.Push(tt, la.Vec{exact(tt)})
 	}
 	target := 0.24
 	f := la.Vec{-exact(target)}

@@ -26,23 +26,6 @@ func Example() {
 	// Output: x(pi) = -1.000000 (exact -1)
 }
 
-// ExampleIntegrator_DenseRun samples the solution at arbitrary times with
-// cubic Hermite dense output.
-func ExampleIntegrator_DenseRun() {
-	decay := control.Func{N: 1, F: func(t float64, x, dst la.Vec) { dst[0] = -x[0] }}
-	in := &ode.Integrator{Tab: ode.BogackiShampine(), Ctrl: control.DefaultController(1e-9, 1e-9)}
-	in.Init(decay, 0, 2, la.Vec{1}, 0.01)
-	err := in.DenseRun([]float64{0.5, 1.5}, func(t float64, x la.Vec) {
-		fmt.Printf("x(%.1f) = %.5f\n", t, x[0])
-	})
-	if err != nil {
-		fmt.Println("failed:", err)
-	}
-	// Output:
-	// x(0.5) = 0.60653
-	// x(1.5) = 0.22313
-}
-
 // ExampleTableau_ControlOrder shows the step-control exponent of each
 // embedded pair (one plus the lower order of the pair).
 func ExampleTableau_ControlOrder() {

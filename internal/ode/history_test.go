@@ -9,8 +9,8 @@ import (
 
 func TestHistoryPushAndIndex(t *testing.T) {
 	h := control.NewHistory(3, 1)
-	h.Push(0, 0, la.Vec{10})
-	h.Push(1, 1, la.Vec{11})
+	h.Push(0, la.Vec{10})
+	h.Push(1, la.Vec{11})
 	if h.Len() != 2 {
 		t.Fatalf("Len = %d", h.Len())
 	}
@@ -25,7 +25,7 @@ func TestHistoryPushAndIndex(t *testing.T) {
 func TestHistoryWrapAround(t *testing.T) {
 	h := control.NewHistory(3, 1)
 	for i := 0; i < 10; i++ {
-		h.Push(float64(i), 1, la.Vec{float64(100 + i)})
+		h.Push(float64(i), la.Vec{float64(100 + i)})
 	}
 	if h.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", h.Len())
@@ -41,26 +41,16 @@ func TestHistoryWrapAround(t *testing.T) {
 func TestHistoryCopiesInput(t *testing.T) {
 	h := control.NewHistory(2, 1)
 	v := la.Vec{5}
-	h.Push(0, 0, v)
+	h.Push(0, v)
 	v[0] = 99
 	if h.X(0)[0] != 5 {
 		t.Fatal("History aliased the pushed vector")
 	}
 }
 
-func TestHistoryStepSizes(t *testing.T) {
-	h := control.NewHistory(4, 1)
-	h.Push(0, 0, la.Vec{0})
-	h.Push(0.5, 0.5, la.Vec{0})
-	h.Push(1.25, 0.75, la.Vec{0})
-	if h.H(0) != 0.75 || h.H(1) != 0.5 {
-		t.Fatalf("step sizes wrong: %g %g", h.H(0), h.H(1))
-	}
-}
-
 func TestHistoryOutOfRangePanics(t *testing.T) {
 	h := control.NewHistory(2, 1)
-	h.Push(0, 0, la.Vec{1})
+	h.Push(0, la.Vec{1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -71,20 +61,10 @@ func TestHistoryOutOfRangePanics(t *testing.T) {
 
 func TestHistoryReset(t *testing.T) {
 	h := control.NewHistory(2, 1)
-	h.Push(0, 0, la.Vec{1})
+	h.Push(0, la.Vec{1})
 	h.Reset()
 	if h.Len() != 0 {
 		t.Fatal("Reset did not clear")
-	}
-}
-
-func TestHistoryTimes(t *testing.T) {
-	h := control.NewHistory(4, 1)
-	h.Push(1, 1, la.Vec{0})
-	h.Push(2, 1, la.Vec{0})
-	ts := h.Times(nil, 2)
-	if len(ts) != 2 || ts[0] != 2 || ts[1] != 1 {
-		t.Fatalf("Times = %v", ts)
 	}
 }
 
@@ -108,7 +88,7 @@ func TestNewHistoryValidatesArguments(t *testing.T) {
 	}
 	// Dimension 0 is legal (a history of empty vectors) and must not crash.
 	h := control.NewHistory(1, 0)
-	h.Push(0, 0, la.Vec{})
+	h.Push(0, la.Vec{})
 	if h.Len() != 1 {
 		t.Fatal("depth-1 dim-0 history rejected a push")
 	}

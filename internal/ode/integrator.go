@@ -259,7 +259,7 @@ func (in *Integrator) Init(sys control.System, t0, tEnd float64, x0 la.Vec, h0 f
 	in.fNextCorrupted = false
 	in.trial = Trial{}
 	in.engine.Reset(m)
-	in.hist.Push(t0, 0, in.x)
+	in.hist.Push(t0, in.x)
 	in.Stats = Stats{}
 	in.method.Start(sys, &in.Ctrl, in.hist)
 }
@@ -365,7 +365,7 @@ func (in *Integrator) Step() error {
 		if accepted {
 			in.t += h
 			in.x.CopyFrom(res.XProp)
-			in.hist.Push(in.t, h, in.x)
+			in.hist.Push(in.t, in.x)
 			in.Stats.Steps++
 			// Cache f(t, x) for reuse as the next first stage.
 			lastInj := 0

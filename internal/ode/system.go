@@ -1,10 +1,10 @@
 // Package ode implements the adaptive numerical integration solvers that the
 // SDC-detection study targets: the named explicit embedded Runge-Kutta pairs
 // (Heun-Euler 2(1), Bogacki-Shampine 3(2), Dormand-Prince 5(4), and others),
-// the explicit-RK Stepper, the protected-step Integrator, dense output, and
-// the two families of second error estimates used by double-checking:
-// Lagrange interpolating polynomials (LIP) and variable-step backward
-// differentiation formulas (BDF).
+// the explicit-RK Stepper, the protected-step Integrator, and the two
+// families of second error estimates used by double-checking: Lagrange
+// interpolating polynomials (LIP) and variable-step backward differentiation
+// formulas (BDF).
 //
 // The package deliberately exposes the raw mechanics (trial steps, stage
 // hooks, validators) so the fault-injection harness can corrupt stage

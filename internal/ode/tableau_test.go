@@ -180,15 +180,6 @@ func TestSSPRK3ThirdOrderAndTVD(t *testing.T) {
 	}
 }
 
-func TestHasErrorEstimate(t *testing.T) {
-	if SSPRK3().HasErrorEstimate() {
-		t.Fatal("SSPRK3 should have no estimate")
-	}
-	if !HeunEuler().HasErrorEstimate() {
-		t.Fatal("Heun-Euler should have an estimate")
-	}
-}
-
 func TestSSPRK3FixedIntegration(t *testing.T) {
 	in := &Integrator{Tab: SSPRK3(), FixedStep: true}
 	in.Init(oscillator, 0, 1, la.Vec{1, 0}, 0.01)

@@ -15,9 +15,9 @@ import (
 // non-degenerate order.
 func TestLIPEstimateDegenerateNodesFallsBack(t *testing.T) {
 	h := control.NewHistory(4, 1)
-	h.Push(0.5, 0, la.Vec{1})
-	h.Push(0.5, 0, la.Vec{1}) // duplicated node time (h underflow)
-	h.Push(1.0, 0.5, la.Vec{2})
+	h.Push(0.5, la.Vec{1})
+	h.Push(0.5, la.Vec{1}) // duplicated node time (h underflow)
+	h.Push(1.0, la.Vec{2})
 	var e LIPEstimator
 	dst := la.NewVec(1)
 	q := e.Estimate(dst, h, 2, 1.5)
@@ -34,8 +34,8 @@ func TestLIPEstimateDegenerateNodesFallsBack(t *testing.T) {
 
 func TestLIPEstimateAllNodesCoincidentUsesLastValue(t *testing.T) {
 	h := control.NewHistory(4, 1)
-	h.Push(0.5, 0, la.Vec{7})
-	h.Push(0.5, 0, la.Vec{9})
+	h.Push(0.5, la.Vec{7})
+	h.Push(0.5, la.Vec{9})
 	var e LIPEstimator
 	dst := la.NewVec(1)
 	if q := e.Estimate(dst, h, 1, 0.8); q != 0 || dst[0] != 9 {
@@ -48,7 +48,7 @@ func TestBDFEstimateDegenerateNodesFallsBack(t *testing.T) {
 	// degenerate: the estimate must degrade to the last accepted value
 	// instead of dividing by zero.
 	h := control.NewHistory(4, 1)
-	h.Push(1.0, 0.5, la.Vec{3})
+	h.Push(1.0, la.Vec{3})
 	var e BDFEstimator
 	dst := la.NewVec(1)
 	if q := e.Estimate(dst, h, 1, 1.0, la.Vec{42}); q != 0 || dst[0] != 3 {
@@ -58,9 +58,9 @@ func TestBDFEstimateDegenerateNodesFallsBack(t *testing.T) {
 
 func TestBDFEstimateDuplicateDeepHistoryFallsBack(t *testing.T) {
 	h := control.NewHistory(5, 1)
-	h.Push(0.5, 0, la.Vec{1})
-	h.Push(0.5, 0, la.Vec{1}) // duplicated node time deep in the history
-	h.Push(1.0, 0.5, la.Vec{2})
+	h.Push(0.5, la.Vec{1})
+	h.Push(0.5, la.Vec{1}) // duplicated node time deep in the history
+	h.Push(1.0, la.Vec{2})
 	f := la.Vec{1.5}
 	var e BDFEstimator
 	dst := la.NewVec(1)

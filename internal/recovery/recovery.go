@@ -11,11 +11,8 @@
 package recovery
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/control"
 	"repro/internal/la"
@@ -149,56 +146,4 @@ func RunWithRecovery(in *ode.Integrator, sys control.System, t0, tEnd float64, x
 		in.Init(sys, snap.T, tEnd, snap.X, snap.H)
 	}
 	return restarts, nil
-}
-
-// SaveSnapshot serializes a snapshot with encoding/gob so long campaigns
-// can survive process restarts, not just in-memory rollbacks.
-func SaveSnapshot(w io.Writer, s Snapshot) error {
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// LoadSnapshot reads a snapshot written by SaveSnapshot.
-func LoadSnapshot(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	err := gob.NewDecoder(r).Decode(&s)
-	return s, err
-}
-
-// SaveFile writes the manager's newest snapshot to path atomically
-// (write to a temporary file, then rename).
-func (m *Manager) SaveFile(path string) error {
-	snap, ok := m.Latest()
-	if !ok {
-		return errors.New("recovery: no snapshot to save")
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := SaveSnapshot(f, snap); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a snapshot file and seeds the manager with it.
-func (m *Manager) LoadFile(path string) (Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	defer f.Close()
-	snap, err := LoadSnapshot(f)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	m.snaps = append(m.snaps, snap)
-	return snap, nil
 }

@@ -1,9 +1,7 @@
 package recovery
 
 import (
-	"bytes"
 	"math"
-	"os"
 	"testing"
 
 	"repro/internal/control"
@@ -30,11 +28,14 @@ func TestManagerCadence(t *testing.T) {
 func TestManagerCopiesState(t *testing.T) {
 	m := NewManager(1, 1)
 	x := la.Vec{42}
-	m.Observe(0, 0, 0.1, x)
+	m.Observe(0, 1.5, 0.25, x)
 	x[0] = -1
 	snap, _ := m.Latest()
 	if snap.X[0] != 42 {
 		t.Fatal("snapshot aliased live state")
+	}
+	if snap.T != 1.5 || snap.H != 0.25 {
+		t.Fatalf("snapshot (t, h) = (%g, %g), want (1.5, 0.25)", snap.T, snap.H)
 	}
 }
 
@@ -129,72 +130,4 @@ func TestManagerWrapThenDrop(t *testing.T) {
 		t.Fatal("expected empty after dropping everything")
 	}
 	m.Drop() // must not panic on empty
-}
-
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	m := NewManager(1, 2)
-	m.Observe(0, 1.5, 0.25, la.Vec{3, -4, 5})
-	path := t.TempDir() + "/snap.gob"
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	m2 := NewManager(1, 2)
-	snap, err := m2.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.T != 1.5 || snap.H != 0.25 || len(snap.X) != 3 || snap.X[2] != 5 {
-		t.Fatalf("round trip: %+v", snap)
-	}
-	if m2.Len() != 1 {
-		t.Fatal("manager not seeded")
-	}
-}
-
-func TestSaveFileEmptyManager(t *testing.T) {
-	m := NewManager(1, 1)
-	if err := m.SaveFile(t.TempDir() + "/x.gob"); err == nil {
-		t.Fatal("expected error for empty manager")
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	m := NewManager(1, 1)
-	if _, err := m.LoadFile(t.TempDir() + "/missing.gob"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestLoadFileCorruptData(t *testing.T) {
-	path := t.TempDir() + "/junk.gob"
-	if err := os.WriteFile(path, []byte("not a gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := NewManager(1, 1)
-	if _, err := m.LoadFile(path); err == nil {
-		t.Fatal("expected decode error")
-	}
-}
-
-func TestSaveFileBadDirectory(t *testing.T) {
-	m := NewManager(1, 1)
-	m.Observe(0, 0, 0.1, la.Vec{1})
-	if err := m.SaveFile("/nonexistent-dir-xyz/snap.gob"); err == nil {
-		t.Fatal("expected create error")
-	}
-}
-
-func TestSnapshotStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	want := Snapshot{Step: 7, T: 1.25, H: 0.5, X: la.Vec{1, 2}}
-	if err := SaveSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != 7 || got.T != 1.25 || got.X[1] != 2 {
-		t.Fatalf("round trip: %+v", got)
-	}
 }

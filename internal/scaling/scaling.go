@@ -275,16 +275,3 @@ func Run(cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// RunWeak executes a weak-scaling variant: the global grid grows with the
-// core count so each rank keeps a constant local block (baseLocal points
-// per axis). Ideal weak scaling keeps the step time flat; the detector's
-// Allreduce grows logarithmically.
-func RunWeak(cfg Config, baseLocal int) (Result, error) {
-	cfg.defaults()
-	procs := factor3(cfg.Cores)
-	for ax := 0; ax < 3; ax++ {
-		cfg.GlobalN[ax] = baseLocal * procs[ax]
-	}
-	return Run(cfg)
-}

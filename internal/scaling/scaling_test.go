@@ -120,23 +120,6 @@ func TestFPRateChargesDetector(t *testing.T) {
 	}
 }
 
-func TestWeakScalingFlatStepTime(t *testing.T) {
-	small, err := RunWeak(Config{Det: IBDC, Cores: 8, Steps: 5}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := RunWeak(Config{Det: IBDC, Cores: 64, Steps: 5}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weak scaling: per-step cost stays within ~25% as cores grow 8x
-	// (collective costs grow with log P).
-	ratio := big.StepSeconds / small.StepSeconds
-	if ratio > 1.25 || ratio < 0.8 {
-		t.Fatalf("weak scaling step-time ratio %.2f, want ~1", ratio)
-	}
-}
-
 func TestReplicationScalingCost(t *testing.T) {
 	rep, err := Run(Config{Det: Replication, Cores: 16, Steps: 5})
 	if err != nil {

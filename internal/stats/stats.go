@@ -68,16 +68,6 @@ func (r Rate) String() string {
 	return fmt.Sprintf("%.1f%% [%.1f, %.1f]", r.Pct, r.LoPct, r.HiPct)
 }
 
-// HalfWidthPct returns the interval's half width in percent, the headline
-// precision of the measurement.
-func (r Rate) HalfWidthPct() float64 { return (r.HiPct - r.LoPct) / 2 }
-
-// Separated reports whether two rates' intervals do not overlap — a simple
-// significance test for "detector A beats detector B".
-func Separated(a, b Rate) bool {
-	return a.HiPct < b.LoPct || b.HiPct < a.LoPct
-}
-
 // Mean and sample standard deviation of a series (used for timing tables).
 func MeanStd(xs []float64) (mean, std float64) {
 	n := float64(len(xs))

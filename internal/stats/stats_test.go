@@ -41,12 +41,13 @@ func TestWilsonContainsPointEstimateProperty(t *testing.T) {
 func TestWilsonShrinksWithTrials(t *testing.T) {
 	small := NewRate(10, 100)
 	large := NewRate(1000, 10000)
-	if large.HalfWidthPct() >= small.HalfWidthPct() {
-		t.Fatalf("interval did not shrink: %g vs %g", large.HalfWidthPct(), small.HalfWidthPct())
+	smallW, largeW := small.HiPct-small.LoPct, large.HiPct-large.LoPct
+	if largeW >= smallW {
+		t.Fatalf("interval did not shrink: %g vs %g", largeW, smallW)
 	}
 	// At the paper's 10000-injection bar a 10% rate is known within ~0.6%.
-	if large.HalfWidthPct() > 0.7 {
-		t.Fatalf("10k-trial half width %g%%, want < 0.7%%", large.HalfWidthPct())
+	if largeW/2 > 0.7 {
+		t.Fatalf("10k-trial half width %g%%, want < 0.7%%", largeW/2)
 	}
 }
 
@@ -55,18 +56,6 @@ func TestRateString(t *testing.T) {
 	s := r.String()
 	if !strings.Contains(s, "5.0%") || !strings.Contains(s, "[") {
 		t.Fatalf("String = %q", s)
-	}
-}
-
-func TestSeparated(t *testing.T) {
-	a := NewRate(900, 1000) // ~90%
-	b := NewRate(100, 1000) // ~10%
-	if !Separated(a, b) {
-		t.Fatal("clearly different rates not separated")
-	}
-	c := NewRate(105, 1000)
-	if Separated(b, c) {
-		t.Fatal("overlapping rates reported separated")
 	}
 }
 
@@ -104,9 +93,6 @@ func TestWilsonBoundaryTotality(t *testing.T) {
 		if r.LoPct < 0 || r.HiPct > 100 || r.LoPct > r.HiPct {
 			t.Errorf("NewRate(%d, %d) interval [%g, %g] outside [0, 100]", c.k, c.n, r.LoPct, r.HiPct)
 		}
-		if r.HalfWidthPct() < 0 {
-			t.Errorf("NewRate(%d, %d) negative half width %g", c.k, c.n, r.HalfWidthPct())
-		}
 	}
 	// n = 0 is maximally uninformative: the full [0, 100] interval.
 	if r := NewRate(0, 0); r.Pct != 0 || r.LoPct != 0 || r.HiPct != 100 {
@@ -119,30 +105,6 @@ func TestWilsonBoundaryTotality(t *testing.T) {
 		}
 		if _, hi := Wilson(n, n, Z95); hi != 1 {
 			t.Fatalf("Wilson(%d, %d) hi = %g, want 1", n, n, hi)
-		}
-	}
-}
-
-// TestSeparatedSymmetricAndIrreflexive: Separated must be a symmetric
-// relation and never separate a rate from itself, including the degenerate
-// zero-trial rate.
-func TestSeparatedSymmetric(t *testing.T) {
-	rates := []Rate{
-		NewRate(0, 0), NewRate(0, 1), NewRate(1, 1), NewRate(0, 1000),
-		NewRate(1000, 1000), NewRate(100, 1000), NewRate(900, 1000),
-	}
-	for i, a := range rates {
-		for j, b := range rates {
-			if Separated(a, b) != Separated(b, a) {
-				t.Errorf("Separated not symmetric for rates %d and %d", i, j)
-			}
-		}
-		if Separated(a, a) {
-			t.Errorf("rate %d separated from itself", i)
-		}
-		// The zero-trial rate spans [0, 100]: nothing can be outside it.
-		if Separated(a, NewRate(0, 0)) {
-			t.Errorf("rate %d separated from the empty rate", i)
 		}
 	}
 }

@@ -17,9 +17,6 @@ func (c *Counter) Add(d int64) {
 	}
 }
 
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // satAdd64 returns a+b clamped to the int64 range instead of wrapping.
 // Both operands are non-negative everywhere this is called.
 func satAdd64(a, b int64) int64 {
@@ -37,9 +34,6 @@ type Gauge struct{ v float64 }
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the gauge's value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v }
@@ -83,9 +77,6 @@ func (h *Histogram) Count() int64 { return h.n }
 
 // Sum returns the sum of all finite observations.
 func (h *Histogram) Sum() float64 { return h.sum }
-
-// Edges returns the bucket edges (not a copy; do not mutate).
-func (h *Histogram) Edges() []float64 { return h.edges }
 
 // Buckets returns the per-bucket counts (not a copy; do not mutate).
 func (h *Histogram) Buckets() []int64 { return h.counts }

@@ -116,13 +116,6 @@ type Tracer interface {
 	Record(ev StepEvent)
 }
 
-// NopTracer discards every event; useful to measure the enabled-path
-// dispatch overhead in isolation.
-type NopTracer struct{}
-
-// Record implements Tracer.
-func (NopTracer) Record(StepEvent) {}
-
 // DefaultCap is the ring capacity a Recorder gets when none is specified:
 // large enough to hold every trial of a typical campaign cell, small
 // enough (~10 MB of events) to keep tracing casual.
@@ -204,9 +197,6 @@ func (r *Recorder) grow() {
 // Len returns the number of events currently stored.
 func (r *Recorder) Len() int { return r.n }
 
-// Total returns the number of events ever recorded (stored + dropped).
-func (r *Recorder) Total() uint64 { return r.total }
-
 // Dropped returns how many events the ring has overwritten.
 func (r *Recorder) Dropped() uint64 { return r.total - uint64(r.n) }
 
@@ -233,10 +223,4 @@ func (r *Recorder) Merge(other *Recorder) {
 		return
 	}
 	other.Do(func(ev *StepEvent) { r.push(*ev) })
-}
-
-// Reset discards all stored events and the drop counter, keeping the
-// allocated ring.
-func (r *Recorder) Reset() {
-	r.head, r.n, r.total = 0, 0, 0
 }

@@ -17,8 +17,8 @@ func TestRecorderKeepsOrderBelowCapacity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(ev(i))
 	}
-	if r.Len() != 5 || r.Total() != 5 || r.Dropped() != 0 {
-		t.Fatalf("Len=%d Total=%d Dropped=%d, want 5/5/0", r.Len(), r.Total(), r.Dropped())
+	if r.Len() != 5 || r.Dropped() != 0 {
+		t.Fatalf("Len=%d Dropped=%d, want 5/0", r.Len(), r.Dropped())
 	}
 	for i, e := range r.Events() {
 		if e.Step != i {
@@ -32,8 +32,8 @@ func TestRecorderWrapDropsOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(ev(i))
 	}
-	if r.Len() != 4 || r.Total() != 10 || r.Dropped() != 6 {
-		t.Fatalf("Len=%d Total=%d Dropped=%d, want 4/10/6", r.Len(), r.Total(), r.Dropped())
+	if r.Len() != 4 || r.Dropped() != 6 {
+		t.Fatalf("Len=%d Dropped=%d, want 4/6", r.Len(), r.Dropped())
 	}
 	got := r.Events()
 	for i, e := range got {
@@ -102,21 +102,6 @@ func TestRecorderMergePreservesStamps(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder(2)
-	for i := 0; i < 5; i++ {
-		r.Record(ev(i))
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 {
-		t.Fatalf("after Reset: Len=%d Total=%d Dropped=%d", r.Len(), r.Total(), r.Dropped())
-	}
-	r.Record(ev(42))
-	if got := r.Events(); len(got) != 1 || got[0].Step != 42 {
-		t.Fatalf("recorder unusable after Reset: %+v", got)
-	}
-}
-
 func TestStepEventHelpers(t *testing.T) {
 	var e StepEvent
 	e.Significant = SigUnknown
@@ -156,7 +141,7 @@ func TestCounterNeverDecreases(t *testing.T) {
 	var c Counter
 	c.Add(5)
 	c.Add(-3)
-	c.Inc()
+	c.Add(1)
 	if c.Value() != 6 {
 		t.Fatalf("counter = %d, want 6 (negative Add must be a no-op)", c.Value())
 	}
@@ -270,7 +255,7 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 	build := func() *Metrics {
 		m := NewMetrics()
 		for _, name := range []string{"z", "a", "m", "q", "b"} {
-			m.Counter(name).Inc()
+			m.Counter(name).Add(1)
 			m.Gauge("g-" + name).Set(1)
 		}
 		return m
@@ -287,7 +272,7 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 
 func TestSnapshotWithoutTimings(t *testing.T) {
 	m := NewMetrics()
-	m.Counter("steps").Inc()
+	m.Counter("steps").Add(1)
 	m.Gauge(TimePrefix + "wall_seconds").Set(1.5)
 	m.Histogram(TimePrefix+"replicate_seconds", []float64{1}).Observe(0.5)
 	s := m.Snapshot().WithoutTimings()

@@ -1,15 +1,12 @@
 // Package viz renders 2-D scalar fields for the figure outputs: ASCII
-// shading for terminals (the examples), PGM images for offline inspection
-// of Figure 2's density-perturbation contours, and simple contour-band
-// statistics matching the paper's plotting convention (ten bands between
-// fixed levels).
+// shading for terminals (the examples) and PGM images for offline
+// inspection of Figure 2's density-perturbation contours.
 package viz
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"repro/internal/la"
 )
@@ -104,36 +101,4 @@ func (f *Field) PGM(w io.Writer, lo, hi float64) error {
 		}
 	}
 	return nil
-}
-
-// ContourBands counts the cells falling in each of n bands between lo and
-// hi — the paper's Figure 2 plots ten contours between fixed density-
-// perturbation levels; the band histogram is its text form.
-func (f *Field) ContourBands(lo, hi float64, n int) []int {
-	counts := make([]int, n)
-	if hi <= lo || n == 0 {
-		return counts
-	}
-	width := (hi - lo) / float64(n)
-	for _, v := range f.Data {
-		if v < lo || v >= hi {
-			continue
-		}
-		k := int((v - lo) / width)
-		if k >= n {
-			k = n - 1
-		}
-		counts[k]++
-	}
-	return counts
-}
-
-// BandSummary renders the contour-band histogram compactly.
-func BandSummary(counts []int, lo, hi float64) string {
-	var sb strings.Builder
-	width := (hi - lo) / float64(len(counts))
-	for k, c := range counts {
-		fmt.Fprintf(&sb, "[%+.2e, %+.2e): %d\n", lo+float64(k)*width, lo+float64(k+1)*width, c)
-	}
-	return sb.String()
 }

@@ -84,46 +84,6 @@ func TestPGMHeaderAndSize(t *testing.T) {
 	}
 }
 
-func TestContourBands(t *testing.T) {
-	f := NewField(4, 1, []float64{0.05, 0.15, 0.25, 0.95})
-	counts := f.ContourBands(0, 1, 10)
-	if counts[0] != 1 || counts[1] != 1 || counts[2] != 1 || counts[9] != 1 {
-		t.Fatalf("counts %v", counts)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 4 {
-		t.Fatalf("total %d", total)
-	}
-}
-
-func TestContourBandsOutOfRangeSkipped(t *testing.T) {
-	f := NewField(3, 1, []float64{-1, 0.5, 2})
-	counts := f.ContourBands(0, 1, 2)
-	if counts[0] != 0 || counts[1] != 1 {
-		t.Fatalf("counts %v", counts)
-	}
-}
-
-func TestBandSummary(t *testing.T) {
-	s := BandSummary([]int{2, 3}, 0, 1)
-	if !strings.Contains(s, "2") || !strings.Contains(s, "3") || !strings.Contains(s, "5.00e-01") {
-		t.Fatalf("summary %q", s)
-	}
-}
-
-func TestContourBandsDegenerate(t *testing.T) {
-	f := NewField(2, 1, []float64{1, 2})
-	if counts := f.ContourBands(1, 1, 4); counts[0] != 0 {
-		t.Fatal("hi <= lo should count nothing")
-	}
-	if counts := f.ContourBands(0, 1, 0); len(counts) != 0 {
-		t.Fatal("zero bands")
-	}
-}
-
 type failWriter struct{ after int }
 
 func (w *failWriter) Write(p []byte) (int, error) {

@@ -210,18 +210,6 @@ func (c *Crweno5) ReconstructLeft(fhat, f []float64) {
 	copy(fhat, rhs)
 }
 
-// ReverseLine fills dst with src reversed; right-biased reconstruction runs
-// the left-biased kernel on the reversed line.
-func ReverseLine(dst, src []float64) {
-	n := len(src)
-	if len(dst) != n {
-		panic("weno: ReverseLine length mismatch")
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = src[n-1-i]
-	}
-}
-
 // ByName returns the scheme named "weno5", "wenoz5", or "crweno5"
 // (optionally "crweno5-periodic").
 func ByName(name string) (Scheme, error) {

@@ -165,18 +165,6 @@ func TestSmoothnessIndicatorsZeroOnLinear(t *testing.T) {
 	}
 }
 
-func TestReverseLine(t *testing.T) {
-	src := []float64{1, 2, 3, 4}
-	dst := make([]float64, 4)
-	ReverseLine(dst, src)
-	want := []float64{4, 3, 2, 1}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("ReverseLine = %v", dst)
-		}
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"weno5", "crweno5", "crweno5-periodic"} {
 		if _, err := ByName(name); err != nil {

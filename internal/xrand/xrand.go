@@ -133,19 +133,6 @@ func (r *RNG) Norm() float64 {
 	return rad * math.Cos(ang)
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // jumpPoly is the xoshiro256** jump polynomial: Jump() advances the stream
 // by 2^128 draws, giving non-overlapping substreams with a hard guarantee
 // (Split's independence is statistical; Jump's is structural).

@@ -135,24 +135,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(37)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestPermZero(t *testing.T) {
-	if len(New(1).Perm(0)) != 0 {
-		t.Fatal("Perm(0) should be empty")
-	}
-}
-
 func TestMul64MatchesBits(t *testing.T) {
 	f := func(a, b uint64) bool {
 		hi, lo := mul64(a, b)
