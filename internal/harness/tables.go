@@ -287,7 +287,7 @@ func ToleranceSweep(w io.Writer, o Options, tols []float64) ([]CellResult, error
 	for i, tol := range tols {
 		p := o.problem()
 		p.TolA, p.TolR = tol, tol
-		res, err := Run(Config{
+		res, err := Run(o.telemetry(Config{
 			Problem:       p,
 			Tab:           ode.HeunEuler(),
 			Injector:      inject.Scaled{},
@@ -295,7 +295,7 @@ func ToleranceSweep(w io.Writer, o Options, tols []float64) ([]CellResult, error
 			Seed:          o.Seed + uint64(i)*13,
 			MinInjections: o.minInj(),
 			Workers:       o.Workers,
-		})
+		}))
 		if err != nil {
 			return nil, fmt.Errorf("harness: tolerance sweep %g: %w", tol, err)
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -80,6 +81,54 @@ func TestToleranceSweepWriter(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "1e-05") {
 		t.Fatalf("sweep output:\n%s", buf.String())
+	}
+}
+
+// TestTablesCarryTelemetry: every table generator routes Options' trace
+// and metrics switches into each of its cells, so a caller collecting the
+// returned cells gets their events and metrics.
+func TestTablesCarryTelemetry(t *testing.T) {
+	cellResults := func(cells []CellResult, err error) ([]*Result, error) {
+		var out []*Result
+		for _, c := range cells {
+			out = append(out, c.Result)
+		}
+		return out, err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(o Options) ([]*Result, error)
+	}{
+		{"Table1", func(o Options) ([]*Result, error) { return cellResults(Table1(io.Discard, o)) }},
+		{"Table3", func(o Options) ([]*Result, error) {
+			res, err := Table3(io.Discard, o, ode.HeunEuler(), 0)
+			var out []*Result
+			for _, det := range []DetectorKind{Classic, LBDC, IBDC, Replication} {
+				out = append(out, res[det])
+			}
+			return out, err
+		}},
+		{"FixedTable", func(o Options) ([]*Result, error) { return cellResults(FixedTable(io.Discard, o)) }},
+		{"ToleranceSweep", func(o Options) ([]*Result, error) {
+			return cellResults(ToleranceSweep(io.Discard, o, []float64{1e-4}))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tinyOpts()
+			o.Trace, o.Metrics = true, true
+			results, err := tc.run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) == 0 {
+				t.Fatal("no cells")
+			}
+			for i, r := range results {
+				if r.Trace == nil || r.Trace.Len() == 0 || r.Metrics == nil {
+					t.Fatalf("cell %d carries no trace or metrics (trace %v, metrics %v)", i, r.Trace != nil, r.Metrics != nil)
+				}
+			}
+		})
 	}
 }
 
