@@ -382,22 +382,16 @@ func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome)
 		stepSizes = out.metrics.Histogram(MStepSize, telemetry.Log10Edges(-12, 2))
 	}
 
-	shadow := stepperFor(&scr.shadow, cfg.Tab, sys) // clean reference, uncounted
-	cw := vecFor(&scr.cw, sys.Dim())                // clean weights
-	xt := vecFor(&scr.xt, sys.Dim())                // clean approximation solution
+	stepperFor(&scr.shadow, cfg.Tab, sys) // clean reference, uncounted
+	vecFor(&scr.cw, sys.Dim())            // clean weights
+	vecFor(&scr.xt, sys.Dim())            // clean approximation solution
 
 	if cfg.Detector == Oracle {
-		oxt := vecFor(&scr.oxt, sys.Dim())
-		ocw := vecFor(&scr.ocw, sys.Dim())
-		oshadow := stepperFor(&scr.oshadow, cfg.Tab, sys)
+		// The oracle runs inside Decide and the significance label in
+		// OnTrial, one after the other on this worker and from the same
+		// stored state, so they share the shadow and its vectors.
 		w.validator = oracleValidator(func(c *control.CheckContext) bool {
-			restore := plan.Pause()
-			clean := oshadow.Trial(c.T, c.H, c.XStored, nil, nil)
-			restore()
-			oxt.CopyFrom(clean.XProp)
-			oxt.Sub(clean.ErrVec)
-			ctrl.Weights(ocw, clean.XProp)
-			return c.XProp.HasNaNOrInf() || ctrl.ScaledDiff(c.XProp, oxt, ocw) > 1
+			return scaledSignificant(scr, plan, &ctrl, c.T, c.H, c.XStored, c.XProp)
 		})
 	}
 
@@ -412,18 +406,13 @@ func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome)
 			// Significance: recompute the step cleanly (from the clean stored
 			// state — XStart is never the corrupted transient copy) and
 			// compare the corrupted solution with it.
-			restore := plan.Pause()
-			clean := shadow.Trial(tr.T, tr.H, tr.XStart, nil, nil)
-			restore()
 			if cfg.FixedStep {
+				restore := plan.Pause()
+				clean := scr.shadow.Trial(tr.T, tr.H, tr.XStart, nil, nil)
+				restore()
 				significant = fixedSignificant(tr.XProp, clean.XProp, clean.ErrVec)
 			} else {
-				// The real scaled LTE of the corrupted solution against the
-				// clean approximation solution (§IV-A).
-				xt.CopyFrom(clean.XProp)
-				xt.Sub(clean.ErrVec) // x~ = x - (x - x~)
-				ctrl.Weights(cw, clean.XProp)
-				significant = tr.XProp.HasNaNOrInf() || ctrl.ScaledDiff(tr.XProp, xt, cw) > 1
+				significant = scaledSignificant(scr, plan, &ctrl, tr.T, tr.H, tr.XStart, tr.XProp)
 			}
 			if significant {
 				tr.Significance = telemetry.SigSignificant
@@ -437,6 +426,21 @@ func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome)
 		out.rates.Tally(corrupted, rejected, significant, tr.Injections+tr.StateInjections)
 	}
 	return w, nil
+}
+
+// scaledSignificant is the ground truth of an adaptive cell (§IV-A): it
+// recomputes the step (t, h) from the clean stored state x on the worker's
+// shadow, with injection paused, and reports whether xProp is not finite or
+// its real scaled LTE against the clean approximation solution exceeds 1.
+// It overwrites scr's shadow and its two significance vectors.
+func scaledSignificant(scr *workerScratch, plan *inject.Plan, ctrl *control.Controller, t, h float64, x, xProp la.Vec) bool {
+	restore := plan.Pause()
+	clean := scr.shadow.Trial(t, h, x, nil, nil)
+	restore()
+	scr.xt.CopyFrom(clean.XProp)
+	scr.xt.Sub(clean.ErrVec) // x~ = x - (x - x~)
+	ctrl.Weights(scr.cw, clean.XProp)
+	return xProp.HasNaNOrInf() || ctrl.ScaledDiff(xProp, scr.xt, scr.cw) > 1
 }
 
 // fixedSignificant is the ground truth of a fixed-step cell, Hot Rode's

@@ -65,14 +65,14 @@ func (m *merger) finish(res *Result) {
 // workerScratch is a worker-owned arena of the replicate machinery that is
 // expensive to rebuild per run: the integrator (whose Init reuses the stage
 // storage, history ring, and scratch vectors when shapes match), the clean
-// shadow steppers, and the significance-check vectors. Reuse changes no
+// shadow stepper, and the significance-check vectors. Reuse changes no
 // campaign number — every buffer is fully overwritten before it is read —
 // and each arena is owned by exactly one worker, so the engine stays
 // race-free and bitwise deterministic.
 type workerScratch struct {
-	in               ode.Integrator
-	shadow, oshadow  *ode.Stepper
-	cw, xt, oxt, ocw la.Vec
+	in     ode.Integrator
+	shadow *ode.Stepper
+	cw, xt la.Vec
 }
 
 // stepperFor fills slot with a stepper for (tab, sys), recycling the stage
