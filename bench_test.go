@@ -91,7 +91,7 @@ func BenchmarkTable3BS(b *testing.B) {
 // BenchmarkTable4 regenerates Table IV (memory and compute overheads).
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		oh, err := harness.Table4(io.Discard, benchOptions())
+		oh, _, err := harness.Table4(io.Discard, benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

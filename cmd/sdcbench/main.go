@@ -114,7 +114,8 @@ func main() {
 	}
 	if want("table4") {
 		run("table4", func() error {
-			_, err := harness.Table4(os.Stdout, opts)
+			_, cells, err := harness.Table4(os.Stdout, opts)
+			tel.collectCells(cells)
 			return err
 		})
 	}
@@ -142,7 +143,11 @@ func main() {
 		})
 	}
 	if want("ablations") {
-		run("ablations", func() error { return harness.Ablations(os.Stdout, opts) })
+		run("ablations", func() error {
+			cells, err := harness.Ablations(os.Stdout, opts)
+			tel.collectCells(cells)
+			return err
+		})
 	}
 	if want("corpus") {
 		run("corpus", func() error {
@@ -169,7 +174,9 @@ func main() {
 			if o.MinInjections > 2000 {
 				o.MinInjections = 2000 // bubble evals are costly
 			}
-			return harness.FieldSweep(os.Stdout, o, p, []string{"rho'", "rho*u", "rho*w", "E'"})
+			cells, err := harness.FieldSweep(os.Stdout, o, p, []string{"rho'", "rho*u", "rho*w", "E'"})
+			tel.collectCells(cells)
+			return err
 		})
 	}
 	if *exp != "all" && !isKnown(*exp) {

@@ -54,18 +54,55 @@ func (c *Controller) Weights(w, x la.Vec) { la.ErrWeights(w, x, c.TolA, c.TolR) 
 // travels in the norm's one reduction: a poisoned block on one rank sends
 // every rank down the same branch, and no rank skips a collective the
 // others enter.
+//
+// The serial WRMS path screens x and e in one pass, then writes each weight
+// and adds its squared ratio in a second: per component the operations and
+// their order are those of Weights followed by ScaledError.
 func (c *Controller) Score(w, x, e la.Vec) float64 {
-	poisoned := x.HasNaNOrInf() || e.HasNaNOrInf()
-	if !poisoned {
-		c.Weights(w, x)
-	}
-	if c.Ranks != nil {
-		return c.rankNorm(e, nil, w, poisoned)
+	poisoned := !allFinite(x, e)
+	if c.Ranks != nil || c.MaxNorm {
+		if !poisoned {
+			c.Weights(w, x)
+		}
+		if c.Ranks != nil {
+			return c.rankNorm(e, nil, w, poisoned)
+		}
+		if poisoned {
+			return math.Inf(1)
+		}
+		return la.WMax(e, w)
 	}
 	if poisoned {
 		return math.Inf(1)
 	}
-	return c.ScaledError(e, w)
+	if len(w) != len(x) || len(e) != len(w) {
+		panic("control: Score length mismatch")
+	}
+	if len(e) == 0 {
+		return 0
+	}
+	var s float64
+	for i := range w {
+		w[i] = c.TolA + c.TolR*math.Abs(x[i])
+		r := e[i] / w[i]
+		s += r * r
+	}
+	return math.Sqrt(s / float64(len(e)))
+}
+
+// allFinite reports whether every component of x and e is finite, in one
+// pass over both when their lengths agree. |v| <= MaxFloat64 fails for
+// exactly the NaNs and infinities.
+func allFinite(x, e la.Vec) bool {
+	if len(x) != len(e) {
+		return !x.HasNaNOrInf() && !e.HasNaNOrInf()
+	}
+	for i := range x {
+		if !(math.Abs(x[i]) <= math.MaxFloat64 && math.Abs(e[i]) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 // ScaledError returns SErr, the scaled error of the estimate errVec under

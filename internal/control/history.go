@@ -20,8 +20,7 @@ type History struct {
 
 // NewHistory returns a ring holding up to depth accepted solutions of
 // dimension m. It panics unless depth >= 1 and m >= 0: a zero-depth ring
-// has no slot for Push's modular head advance (formerly an opaque
-// integer-divide-by-zero panic at the first Push).
+// has no slot for Push's head advance.
 func NewHistory(depth, m int) *History {
 	if depth < 1 {
 		panic(fmt.Sprintf("control: NewHistory depth must be >= 1, got %d", depth))
@@ -40,7 +39,12 @@ func NewHistory(depth, m int) *History {
 
 // Push records an accepted solution x at time t. x is copied.
 func (h *History) Push(t float64, x la.Vec) {
-	h.head = (h.head + 1) % h.depth
+	// Wrap the ring index with a compare: a modulo would cost an integer
+	// divide per accepted step.
+	h.head++
+	if h.head == h.depth {
+		h.head = 0
+	}
 	h.ts[h.head] = t
 	h.xs[h.head].CopyFrom(x)
 	if h.n < h.depth {

@@ -177,11 +177,15 @@ type Result struct {
 	// Workers is the resolved worker count that produced this result.
 	Workers int
 	// CPUSeconds sums the per-replicate execution times across all workers —
-	// the serial-equivalent work the campaign performed.
+	// the serial-equivalent work the campaign performed, as inflated by any
+	// contention between the workers.
 	CPUSeconds float64
-	// Speedup is CPUSeconds / WallSeconds, the measured wall-clock speedup
-	// of the parallel engine over an ideal serial execution of the same
-	// replicates (~1.0 when Workers is 1).
+	// Speedup is CPUSeconds / WallSeconds, the parallel engine's wall-clock
+	// speedup over an ideal serial execution of the same replicates (~1.0
+	// when Workers is 1). Contention between workers (shared caches, memory
+	// bandwidth, a busy host) inflates CPUSeconds, so the number overstates
+	// the speedup over a real serial run: on the 2-vCPU oscillator pass it
+	// read 1.8–1.9 where serial wall over 2-worker wall was 1.25–1.57.
 	Speedup float64
 
 	// Trace holds the merged per-trial step trace when Config.Trace is set
@@ -289,11 +293,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // repJob carries the deterministic inputs of one replicate: its index and
-// the substreams split from the campaign root in replicate order.
+// the substreams split from the campaign root in replicate order. It holds
+// them by value and no pointers, so a job shares no memory with its wave's
+// other jobs (see workerScratch).
 type repJob struct {
 	rep      int
-	planRNG  *xrand.RNG
-	stateRNG *xrand.RNG // nil unless StateProb > 0
+	planRNG  xrand.RNG
+	stateRNG xrand.RNG // unused unless StateProb > 0
 }
 
 // nextJob draws replicate rep's substreams from root. It must be called in
@@ -301,9 +307,9 @@ type repJob struct {
 // the replicate-order draw sequence is what makes every worker count
 // reproduce a replicate-at-a-time run bit for bit.
 func nextJob(cfg *Config, root *xrand.RNG, rep int) repJob {
-	j := repJob{rep: rep, planRNG: root.Split(uint64(rep))}
+	j := repJob{rep: rep, planRNG: *root.Split(uint64(rep))}
 	if cfg.StateProb > 0 {
-		j.stateRNG = root.Split(uint64(rep) ^ 0x517a7e)
+		j.stateRNG = *root.Split(uint64(rep) ^ 0x517a7e)
 	}
 	return j
 }
@@ -345,11 +351,14 @@ func wireReplicate(cfg *Config, job repJob, scr *workerScratch, out *repOutcome)
 	p := cfg.Problem
 	sys := p.SysInstance()
 
-	plan := inject.NewPlan(job.planRNG, cfg.Injector)
+	// The plans advance the worker's copies of the job's streams.
+	scr.planRNG = job.planRNG
+	plan := inject.NewPlan(&scr.planRNG, cfg.Injector)
 	plan.Prob = cfg.injectProb()
 	var statePlan *inject.Plan
-	if job.stateRNG != nil {
-		statePlan = inject.NewPlan(job.stateRNG, cfg.Injector)
+	if cfg.StateProb > 0 {
+		scr.stateRNG = job.stateRNG
+		statePlan = inject.NewPlan(&scr.stateRNG, cfg.Injector)
 		statePlan.Prob = cfg.StateProb
 	}
 

@@ -69,10 +69,19 @@ func (m *merger) finish(res *Result) {
 // campaign number — every buffer is fully overwritten before it is read —
 // and each arena is owned by exactly one worker, so the engine stays
 // race-free and bitwise deterministic.
+//
+// The rule the engine relies on: state a worker writes during a replicate
+// lives in its arena or was allocated by that worker, never by the
+// dispatcher. The dispatcher allocates a wave's jobs back to back, so a
+// stream it allocated would share a cache line with the next replicate's,
+// advanced by another worker on every stage evaluation. The injection
+// streams therefore travel by value in repJob and are advanced here, in
+// planRNG and stateRNG.
 type workerScratch struct {
-	in     ode.Integrator
-	shadow *ode.Stepper
-	cw, xt la.Vec
+	in                ode.Integrator
+	planRNG, stateRNG xrand.RNG
+	shadow            *ode.Stepper
+	cw, xt            la.Vec
 }
 
 // stepperFor fills slot with a stepper for (tab, sys), recycling the stage

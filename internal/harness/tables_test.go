@@ -58,7 +58,7 @@ func TestTable3Writer(t *testing.T) {
 
 func TestTable4Writer(t *testing.T) {
 	var buf bytes.Buffer
-	oh, err := Table4(&buf, tinyOpts())
+	oh, _, err := Table4(&buf, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +112,14 @@ func TestTablesCarryTelemetry(t *testing.T) {
 		{"ToleranceSweep", func(o Options) ([]*Result, error) {
 			return cellResults(ToleranceSweep(io.Discard, o, []float64{1e-4}))
 		}},
+		{"Table4", func(o Options) ([]*Result, error) {
+			_, cells, err := Table4(io.Discard, o)
+			return cellResults(cells, err)
+		}},
+		{"Ablations", func(o Options) ([]*Result, error) { return cellResults(Ablations(io.Discard, o)) }},
+		{"FieldSweep", func(o Options) ([]*Result, error) {
+			return cellResults(FieldSweep(io.Discard, o, tableWorkload(), []string{"a", "b"}))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tinyOpts()
@@ -134,7 +142,7 @@ func TestTablesCarryTelemetry(t *testing.T) {
 
 func TestAblationsWriter(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Ablations(&buf, tinyOpts()); err != nil {
+	if _, err := Ablations(&buf, tinyOpts()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Algorithm 1", "pinned q=2", "no reuse", "max norm"} {
@@ -171,7 +179,7 @@ func TestTable3XWriter(t *testing.T) {
 func TestFieldSweepValidation(t *testing.T) {
 	p := tableWorkload() // dim 64, not divisible by 3
 	var buf bytes.Buffer
-	if err := FieldSweep(&buf, tinyOpts(), p, []string{"a", "b", "c"}); err == nil {
+	if _, err := FieldSweep(&buf, tinyOpts(), p, []string{"a", "b", "c"}); err == nil {
 		t.Fatal("expected divisibility error")
 	}
 }

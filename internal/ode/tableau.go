@@ -118,18 +118,37 @@ func Tableaus() []*control.Tableau {
 	return []*control.Tableau{HeunEuler(), BogackiShampine(), DormandPrince()}
 }
 
+// catalogue is every pair shipped by the package, by name, in AllTableaus
+// order. Each name is its constructor's Name field.
+var catalogue = []struct {
+	name  string
+	build func() *control.Tableau
+}{
+	{"heun-euler", HeunEuler},
+	{"bogacki-shampine", BogackiShampine},
+	{"dormand-prince", DormandPrince},
+	{"fehlberg", Fehlberg},
+	{"cash-karp", CashKarp},
+	{"ssprk3", SSPRK3},
+}
+
 // AllTableaus returns every pair shipped by the package, including the
 // extensions beyond the paper's three.
 func AllTableaus() []*control.Tableau {
-	return []*control.Tableau{HeunEuler(), BogackiShampine(), DormandPrince(), Fehlberg(), CashKarp(), SSPRK3()}
+	tabs := make([]*control.Tableau, len(catalogue))
+	for i, c := range catalogue {
+		tabs[i] = c.build()
+	}
+	return tabs
 }
 
 // TableauByName resolves a tableau from its Name field; it returns an error
-// for unknown names. Used by the command-line drivers.
+// for unknown names. Used by the command-line drivers and at every campaign
+// set-up, it builds only the pair it returns, a fresh one on each call.
 func TableauByName(name string) (*control.Tableau, error) {
-	for _, t := range AllTableaus() {
-		if t.Name == name {
-			return t, nil
+	for _, c := range catalogue {
+		if c.name == name {
+			return c.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("ode: unknown tableau %q", name)

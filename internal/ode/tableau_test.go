@@ -2,6 +2,7 @@ package ode
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/control"
@@ -138,6 +139,35 @@ func TestTableauByName(t *testing.T) {
 	}
 	if _, err := TableauByName("nope"); err == nil {
 		t.Fatal("expected error for unknown tableau")
+	}
+	// Every shipped pair resolves by its name to an equal tableau, a fresh
+	// one on each call: callers compare tableau pointers and may mutate
+	// their copy.
+	for _, want := range AllTableaus() {
+		a, err := TableauByName(want.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", want.Name, err)
+		}
+		b, _ := TableauByName(want.Name)
+		if !reflect.DeepEqual(a, want) {
+			t.Errorf("TableauByName(%q) = %+v, want %+v", want.Name, a, want)
+		}
+		if a == b {
+			t.Errorf("TableauByName(%q) returned the same pointer twice", want.Name)
+		}
+	}
+}
+
+// tableauSink keeps the constructed tableaus of the allocation test alive.
+var tableauSink *control.Tableau
+
+// TestTableauByNameBuildsOnePair: resolving a name costs no more
+// allocations than constructing that one pair, not the whole catalogue.
+func TestTableauByNameBuildsOnePair(t *testing.T) {
+	one := testing.AllocsPerRun(100, func() { tableauSink = HeunEuler() })
+	got := testing.AllocsPerRun(100, func() { tableauSink, _ = TableauByName("heun-euler") })
+	if got > one {
+		t.Fatalf("TableauByName(\"heun-euler\") allocates %v times, HeunEuler() %v", got, one)
 	}
 }
 
