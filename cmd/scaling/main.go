@@ -1,5 +1,5 @@
-// Command scaling sweeps the simulated-cluster experiment behind Table V
-// and Figure 3: per-step and per-double-check execution time, and relative
+// Command scaling sweeps the cluster cost model behind Table V and
+// Figure 3: per-step and per-double-check execution time, and relative
 // time/memory overheads, across core counts.
 package main
 
@@ -9,10 +9,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/scaling"
@@ -22,66 +20,40 @@ import (
 func main() {
 	var (
 		coreList  = flag.String("cores", "64,128,256,512,1024,2048,4096", "core counts to sweep")
-		det       = flag.String("detector", "ibdc", "classic, lbdc, or ibdc")
+		det       = flag.String("detector", "ibdc", "classic, lbdc, ibdc, or replication")
 		steps     = flag.Int("steps", 50, "accepted steps to simulate")
 		fpRate    = flag.Float64("fp", 0.03, "false-positive recomputation rate charged to the detector")
 		stages    = flag.Int("stages", 2, "stage evaluations per step (N_k)")
-		workers   = flag.Int("workers", 0, "sweep points computed concurrently: 0 = all cores, 1 = serial")
 		traceOut  = flag.String("trace", "", "write one JSONL record per sweep point to this file")
 		metricOut = flag.String("metrics", "", "write the sweep as a telemetry metrics document (.csv for CSV, else JSON)")
 	)
 	flag.Parse()
 
-	var cores []int
-	for _, s := range strings.Split(*coreList, ",") {
-		c, err := strconv.Atoi(strings.TrimSpace(s))
+	var results []scaling.Result
+	for _, f := range strings.Split(*coreList, ",") {
+		cores, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			fatal(err)
 		}
-		cores = append(cores, c)
+		res, err := scaling.Run(scaling.Config{
+			Det:    scaling.Detector(*det),
+			Cores:  cores,
+			Steps:  *steps,
+			FPRate: *fpRate,
+			Stages: *stages,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		results = append(results, res)
 	}
-
-	// Each sweep point is independent (scaling.Run builds its own simulated
-	// world), so compute them concurrently into an order-indexed slice and
-	// render afterwards: the table is identical for any worker count.
-	results := make([]scaling.Result, len(cores))
-	errs := make([]error, len(cores))
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range idx {
-				results[j], errs[j] = scaling.Run(scaling.Config{
-					Det:    scaling.Detector(*det),
-					Cores:  cores[j],
-					Steps:  *steps,
-					FPRate: *fpRate,
-					Stages: *stages,
-				})
-			}
-		}()
-	}
-	for j := range cores {
-		idx <- j
-	}
-	close(idx)
-	wg.Wait()
 
 	t := &harness.Table{
 		Title:   fmt.Sprintf("Simulated cluster sweep — %s, %d steps, N_k=%d", *det, *steps, *stages),
 		Headers: []string{"Cores", "Step (s)", "Check (s)", "Time overhead %", "Memory overhead %"},
 	}
-	for j, res := range results {
-		if errs[j] != nil {
-			fatal(errs[j])
-		}
-		t.AddRow(fmt.Sprintf("%d", cores[j]),
+	for _, res := range results {
+		t.AddRow(fmt.Sprintf("%d", res.Cores),
 			fmt.Sprintf("%.3e", res.StepSeconds),
 			fmt.Sprintf("%.3e", res.CheckSeconds),
 			fmt.Sprintf("%.2f", res.TimeOverheadPct()),

@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1, table2, table3, table3bs, table4, table5, fig2, fig3, fixed, tolsweep, ablations, fieldsweep, verify, or all")
+		exp     = flag.String("exp", "all", "experiment: table1, table2, table3, table3bs, table4, table5, fig2, fig3, fixed, tolsweep, ablations, fieldsweep, verify, table3x, corpus, or all")
 		minInj  = flag.Int("inj", 2000, "minimum SDC injections per campaign cell (the paper uses >= 10000)")
 		seed    = flag.Uint64("seed", 20170905, "root random seed")
 		probSel = flag.String("problem", "burgers", "campaign workload: burgers (1-D WENO5, fast) or bubble (2-D rising bubble, slow)")
@@ -151,15 +151,22 @@ func main() {
 	}
 	if want("corpus") {
 		run("corpus", func() error {
-			if _, err := harness.Corpus(os.Stdout, opts, harness.Classic); err != nil {
-				return err
+			for _, det := range []harness.DetectorKind{harness.Classic, harness.IBDC} {
+				_, cells, err := harness.Corpus(os.Stdout, opts, det)
+				tel.collectCells(cells)
+				if err != nil {
+					return err
+				}
 			}
-			_, err := harness.Corpus(os.Stdout, opts, harness.IBDC)
-			return err
+			return nil
 		})
 	}
 	if want("table3x") {
-		run("table3x", func() error { return harness.Table3X(os.Stdout, opts, ode.BogackiShampine()) })
+		run("table3x", func() error {
+			cells, err := harness.Table3X(os.Stdout, opts, ode.BogackiShampine())
+			tel.collectCells(cells)
+			return err
+		})
 	}
 	if want("verify") {
 		run("verify", func() error {

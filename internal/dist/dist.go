@@ -6,9 +6,9 @@
 // solves start from problems.Burgers1D's initial state, and each rank's
 // right-hand side equals that problem's serial one on its block bit for bit
 // (the arithmetic is identical; only the data placement differs), so every
-// rank count yields the single-rank solution bit for bit. That is the
-// correctness backbone of the simulated-cluster scaling numbers in Table V
-// / Figure 3.
+// rank count yields the single-rank solution bit for bit. The same
+// pattern, per-stage halos plus an Allreduce per norm, is what package
+// scaling's cost model charges for Table V / Figure 3.
 package dist
 
 import (

@@ -1,7 +1,7 @@
 // Package grid provides structured Cartesian grids with ghost layers for
 // the finite-difference PDE substrate: multi-dimensional indexing, line
 // iteration for dimension-by-dimension WENO sweeps, and block domain
-// decomposition for the simulated-cluster scaling experiments.
+// decomposition for the distributed solves in internal/dist.
 package grid
 
 import "fmt"

@@ -426,8 +426,9 @@ func FieldSweep(w io.Writer, o Options, p *problems.Problem, varNames []string) 
 
 // Table3X extends Table III across all three injectors for each detector
 // (the paper reports only scaled injections there): the significant-FNR
-// grid shows double-checking holding across corruption models.
-func Table3X(w io.Writer, o Options, tab *control.Tableau) error {
+// grid shows double-checking holding across corruption models. It returns
+// the cells in row order.
+func Table3X(w io.Writer, o Options, tab *control.Tableau) ([]CellResult, error) {
 	if tab == nil {
 		tab = ode.BogackiShampine()
 	}
@@ -435,10 +436,11 @@ func Table3X(w io.Writer, o Options, tab *control.Tableau) error {
 		Title:   fmt.Sprintf("Extended Table III — significant FNR by detector and injector (%s), %%", tab.Name),
 		Headers: []string{"Detector", "multibit", "singlebit", "scaled"},
 	}
+	var cells []CellResult
 	for _, det := range []DetectorKind{Classic, LBDC, IBDC, Replication} {
 		row := []interface{}{string(det)}
 		for _, inj := range inject.All() {
-			res, err := Run(Config{
+			res, err := Run(o.telemetry(Config{
 				Problem:       o.problem(),
 				Tab:           tab,
 				Injector:      inj,
@@ -446,44 +448,49 @@ func Table3X(w io.Writer, o Options, tab *control.Tableau) error {
 				Seed:          o.Seed + 99,
 				MinInjections: o.minInj(),
 				Workers:       o.Workers,
-			})
+			}))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			row = append(row, res.Rates.SFNR())
+			cells = append(cells, CellResult{Method: tab.Name, Injector: inj.Name(), Detector: det, Result: res})
 		}
 		t.AddRowf(row...)
 	}
 	t.Render(w)
-	return nil
+	return cells, nil
 }
 
 // Corpus aggregates detector performance across the whole ODE problem
 // corpus (problems.Standard), checking that the detection behaviour is a
-// property of the mechanism rather than of one workload.
-func Corpus(w io.Writer, o Options, det DetectorKind) (*Rates, error) {
+// property of the mechanism rather than of one workload. It returns the
+// aggregate rates and one cell per problem, in order.
+func Corpus(w io.Writer, o Options, det DetectorKind) (*Rates, []CellResult, error) {
 	t := &Table{
 		Title:   fmt.Sprintf("Corpus sweep — %s detector, scaled injections (%%)", det),
 		Headers: []string{"Problem", "FPR", "TPR", "Significant FNR"},
 	}
 	var agg Rates
+	var cells []CellResult
 	for i, p := range problems.Standard() {
-		res, err := Run(Config{
+		tab := ode.BogackiShampine()
+		res, err := Run(o.telemetry(Config{
 			Problem:       p,
-			Tab:           ode.BogackiShampine(),
+			Tab:           tab,
 			Injector:      inject.Scaled{},
 			Detector:      det,
 			Seed:          o.Seed + uint64(i)*7,
 			MinInjections: o.minInj() / 2,
 			Workers:       o.Workers,
-		})
+		}))
 		if err != nil {
-			return nil, fmt.Errorf("harness: corpus %s: %w", p.Name, err)
+			return nil, nil, fmt.Errorf("harness: corpus %s: %w", p.Name, err)
 		}
 		agg.Add(res.Rates)
 		t.AddRowf(p.Name, res.Rates.FPR(), res.Rates.TPR(), res.Rates.SFNR())
+		cells = append(cells, CellResult{Method: tab.Name, Injector: "scaled", Detector: det, Result: res})
 	}
 	t.AddRowf("ALL", agg.FPR(), agg.TPR(), agg.SFNR())
 	t.Render(w)
-	return &agg, nil
+	return &agg, cells, nil
 }

@@ -120,6 +120,11 @@ func TestTablesCarryTelemetry(t *testing.T) {
 		{"FieldSweep", func(o Options) ([]*Result, error) {
 			return cellResults(FieldSweep(io.Discard, o, tableWorkload(), []string{"a", "b"}))
 		}},
+		{"Table3X", func(o Options) ([]*Result, error) { return cellResults(Table3X(io.Discard, o, nil)) }},
+		{"Corpus", func(o Options) ([]*Result, error) {
+			_, cells, err := Corpus(io.Discard, o, IBDC)
+			return cellResults(cells, err)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tinyOpts()
@@ -154,7 +159,7 @@ func TestAblationsWriter(t *testing.T) {
 
 func TestCorpusWriter(t *testing.T) {
 	var buf bytes.Buffer
-	agg, err := Corpus(&buf, Options{Seed: 2, MinInjections: 60}, Classic)
+	agg, _, err := Corpus(&buf, Options{Seed: 2, MinInjections: 60}, Classic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +173,7 @@ func TestCorpusWriter(t *testing.T) {
 
 func TestTable3XWriter(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Table3X(&buf, tinyOpts(), nil); err != nil {
+	if _, err := Table3X(&buf, tinyOpts(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "bogacki-shampine") {

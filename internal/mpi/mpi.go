@@ -1,8 +1,9 @@
-// Package mpi provides the message-passing substrate for the paper's
-// scalability experiments (Table V, Figure 3): a goroutine-backed SPMD
-// communicator with real point-to-point and collective data movement, plus
-// a virtual-clock cluster cost model so runs on a laptop report the timing
-// behaviour of a 512-4096 core machine.
+// Package mpi provides the message-passing substrate of the distributed
+// solvers in internal/dist: a goroutine-backed SPMD communicator with real
+// point-to-point and collective data movement, plus a virtual-clock cluster
+// cost model so runs on a laptop report the timing behaviour of a cluster.
+// Package scaling prices Table V and Figure 3 with the same CostModel on
+// one rank's clock; it builds no World.
 //
 // Every rank owns a virtual clock. Local computation advances it through
 // the cost model; point-to-point exchanges add latency and bandwidth terms
@@ -39,6 +40,13 @@ func (m CostModel) ComputeTime(flops float64) float64 { return flops / m.FlopRat
 // MessageTime returns the modeled seconds to move n float64 values.
 func (m CostModel) MessageTime(n int) float64 {
 	return m.Latency + float64(8*n)/m.Bandwidth
+}
+
+// AllreduceTime returns the modeled seconds an Allreduce of n float64
+// values over p ranks adds to the slowest clock: a log-tree of
+// 2·⌈log2 p⌉ messages.
+func (m CostModel) AllreduceTime(p, n int) float64 {
+	return float64(log2ceil(p)*2) * m.MessageTime(n)
 }
 
 // World is a set of ranks sharing collectives and a cost model.
@@ -251,7 +259,7 @@ func (c *Comm) rendezvousReduce(r *rendezvous, vals []float64, op ReduceOp) []fl
 func (c *Comm) Allreduce(vals []float64, op ReduceOp) {
 	res := c.rendezvousReduce(&c.world.data, vals, op)
 	copy(vals, res)
-	c.syncClocks(float64(log2ceil(c.world.P)*2) * c.world.Model.MessageTime(len(vals)))
+	c.syncClocks(c.world.Model.AllreduceTime(c.world.P, len(vals)))
 }
 
 // syncClocks sets every clock to max(clocks) + cost.
@@ -269,8 +277,8 @@ func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
 }
 
 // Gather collects one value from every rank into dst (len = world size) on
-// every rank (an allgather of scalars, enough for the diagnostics the
-// scaling harness needs).
+// every rank (an allgather of scalars, enough for the interface system of
+// dist.ParallelTridiag).
 func (c *Comm) Gather(v float64, dst []float64) {
 	w := c.world
 	if len(dst) != w.P {

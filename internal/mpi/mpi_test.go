@@ -122,6 +122,25 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
+// TestAllreduceChargesAllreduceTime: a collective from equal clocks adds
+// exactly the cost model's AllreduceTime, the one place the log-tree cost
+// is written (package scaling charges it without a World).
+func TestAllreduceChargesAllreduceTime(t *testing.T) {
+	m := DefaultModel()
+	if got, want := m.AllreduceTime(4096, 2), 24*m.MessageTime(2); got != want {
+		t.Fatalf("AllreduceTime(4096, 2) = %g, want %g", got, want)
+	}
+	for _, p := range []int{1, 2, 3, 8} {
+		comms := Run(p, m, func(c *Comm) { c.Allreduce(make([]float64, 2), Sum) })
+		for _, c := range comms {
+			if c.Clock() != m.AllreduceTime(p, 2) {
+				t.Fatalf("p=%d rank %d: clock %g after one Allreduce, want %g",
+					p, c.Rank(), c.Clock(), m.AllreduceTime(p, 2))
+			}
+		}
+	}
+}
+
 func TestLog2Ceil(t *testing.T) {
 	for _, tc := range [][2]int{{1, 0}, {2, 1}, {3, 2}, {4, 2}, {512, 9}, {4096, 12}} {
 		if got := log2ceil(tc[0]); got != tc[1] {

@@ -1,16 +1,16 @@
 // Package scaling reproduces the paper's scalability experiments (Table V
 // and Figure 3): the per-step and per-double-check execution time of the
-// protected adaptive solver on a simulated cluster of 64-4096 cores, and
+// protected adaptive solver on a modelled cluster of 64-4096 cores, and
 // the relative time and memory overheads of LBDC and IBDC against the
 // classic adaptive controller.
 //
-// Each simulated rank is a goroutine owning a block of the global bubble
-// grid. A step performs the real communication pattern of the distributed
-// solver — halo exchanges per stage and the Allreduce behind the WRMS error
-// norm — on real local buffers, while arithmetic volume is charged to the
-// rank's virtual clock through the cluster cost model. Double-checking adds
-// its own local AXPY work and one more Allreduce per step, exactly the
-// communication structure §VI-C describes.
+// It evaluates the cluster cost model of package mpi on one rank's virtual
+// clock; Run's doc comment says why that clock is every rank's. Each rank
+// owns a block of the global bubble grid. A step charges the distributed
+// solver's communication pattern — halo exchanges per stage and the
+// Allreduce behind the WRMS error norm — and its arithmetic volume.
+// Double-checking adds its own local AXPY work and one more Allreduce per
+// step, exactly the communication structure §VI-C describes.
 package scaling
 
 import (
@@ -36,8 +36,9 @@ const (
 // double-check at Algorithm 1's order cap, and the arithmetic charged per
 // stage on a cluster with mpi.DefaultModel's costs.
 const (
-	nVars      = 5 // conserved variables per point
-	checkOrder = 3 // double-checking order q
+	globalN    = 64 // global grid points per axis (the paper's 64^3)
+	nVars      = 5  // conserved variables per point
+	checkOrder = 3  // double-checking order q
 	// flopsPerPointPerStage models the WENO5 flux evaluation cost per grid
 	// point per variable.
 	flopsPerPointPerStage = 400
@@ -50,33 +51,17 @@ const (
 
 // Config describes one scaling run.
 type Config struct {
-	GlobalN [3]int // global grid (the paper: 64^3)
-	Stages  int    // N_k of the embedded pair
-	Det     Detector
-	Cores   int
-	Steps   int     // accepted steps to simulate
-	FPRate  float64 // fraction of steps recomputed due to double-check FPs
-}
-
-func (c *Config) defaults() {
-	if c.GlobalN == ([3]int{}) {
-		c.GlobalN = [3]int{64, 64, 64}
-	}
-	if c.Stages == 0 {
-		c.Stages = 2
-	}
-	if c.Cores == 0 {
-		c.Cores = 512
-	}
-	if c.Steps == 0 {
-		c.Steps = 50
-	}
+	Stages int // N_k of the embedded pair; 0 means 2
+	Det    Detector
+	Cores  int
+	Steps  int     // accepted steps to simulate
+	FPRate float64 // fraction of steps recomputed due to double-check FPs
 }
 
 // Result reports the simulated timings and per-rank memory.
 type Result struct {
 	Cores         int
-	StepSeconds   float64 // simulated time spent in steps (max over ranks)
+	StepSeconds   float64 // simulated time spent in steps
 	CheckSeconds  float64 // simulated time spent in double-checking
 	SolverBytes   int64   // per-rank solver state
 	DetectorBytes int64   // per-rank detector state
@@ -123,27 +108,47 @@ func factor3(p int) [3]int {
 	return best
 }
 
-// Run executes the scaling simulation and aggregates per-rank clocks.
+// Run prices cfg's steps and double-checks on one rank's virtual clock.
+//
+// One rank is enough because the model is rank-symmetric: every rank owns
+// a block of the same ceiling size on a periodic process grid and makes
+// the same sequence of calls, so at every call all clocks read the same.
+//   - A halo message comes from a rank that made the same additions, so
+//     it arrives no later than the receiver's clock: a receive never
+//     waits and only adds MessageTime(0). With two ranks on an axis both
+//     sends go to the same neighbour, and per-source FIFO matching pairs
+//     them the same way.
+//   - An Allreduce lifts every clock to the slowest, which is every clock,
+//     and adds AllreduceTime(P, 2).
+//
+// The clock takes every addition separately and in a rank's order (per
+// axis: send, send, receive, receive), and the step and check times are
+// sums of differences of that growing clock, so they round as a rank's
+// would; a per-step total multiplied by Steps would not.
 func Run(cfg Config) (Result, error) {
-	cfg.defaults()
+	if cfg.Stages == 0 {
+		cfg.Stages = 2
+	}
 	switch cfg.Det {
 	case Classic, LBDC, IBDC, Replication:
 	default:
 		return Result{}, fmt.Errorf("scaling: unknown detector %q", cfg.Det)
 	}
+	if cfg.Cores < 1 || cfg.Steps < 1 || cfg.Stages < 0 {
+		return Result{}, fmt.Errorf("scaling: need cores >= 1, steps >= 1 and stages >= 0, got %d, %d and %d",
+			cfg.Cores, cfg.Steps, cfg.Stages)
+	}
 	procs := factor3(cfg.Cores)
-	local := [3]int{}
-	for ax := 0; ax < 3; ax++ {
-		local[ax] = (cfg.GlobalN[ax] + procs[ax] - 1) / procs[ax]
-		if local[ax] < 1 {
-			local[ax] = 1
-		}
+	var local [3]int
+	for ax := range local {
+		local[ax] = (globalN + procs[ax] - 1) / procs[ax]
 	}
 	localPts := local[0] * local[1] * local[2]
+	faces := [3]int{local[1] * local[2], local[0] * local[2], local[0] * local[1]}
 
 	// Per-rank memory accounting (bytes).
 	ghost := 3
-	surface := 2 * ghost * (local[1]*local[2] + local[0]*local[2] + local[0]*local[1])
+	surface := 2 * ghost * (faces[0] + faces[1] + faces[2])
 	solverVecs := cfg.Stages + 2
 	solverBytes := int64(8 * nVars * (solverVecs*localPts + surface))
 	var detBytes int64
@@ -156,121 +161,70 @@ func Run(cfg Config) (Result, error) {
 		detBytes = solverBytes // a full second copy of the solver state
 	}
 
-	stepTimes := make([]float64, cfg.Cores)
-	checkTimes := make([]float64, cfg.Cores)
-
+	m := mpi.DefaultModel()
 	stageFlops := flopsPerPointPerStage*float64(localPts*nVars) + serialFlopsPerStage
-	haloCount := 2 * ghost * nVars // slabs per face scale with the face area below
+	haloCount := 2 * ghost * nVars // values per face point; a message is a face's worth
+	var clock float64
 
-	comms := mpi.Run(cfg.Cores, mpi.DefaultModel(), func(c *mpi.Comm) {
-		r := c.Rank()
-		// Rank coordinates in the process grid.
-		rx := r % procs[0]
-		ry := (r / procs[0]) % procs[1]
-		rz := r / (procs[0] * procs[1])
-		coords := [3]int{rx, ry, rz}
-		// Real halo buffers per axis.
-		var sendBuf, recvBuf [3][]float64
+	compute := func(flops float64) { clock += m.ComputeTime(flops) }
+	exchangeHalos := func() {
 		for ax := 0; ax < 3; ax++ {
-			faces := [3]int{local[1] * local[2], local[0] * local[2], local[0] * local[1]}
-			n := haloCount * faces[ax]
-			sendBuf[ax] = make([]float64, n)
-			recvBuf[ax] = make([]float64, n)
-		}
-		// Local state for the double-check AXPYs (real data).
-		state := make([]float64, localPts*nVars)
-		est := make([]float64, localPts*nVars)
-		for i := range state {
-			state[i] = float64(i%97) * 1e-3
-		}
-
-		neighbor := func(ax, dir int) int {
-			nc := coords
-			nc[ax] = (nc[ax] + dir + procs[ax]) % procs[ax]
-			return nc[0] + procs[0]*(nc[1]+procs[1]*nc[2])
-		}
-
-		exchangeHalos := func() {
-			for ax := 0; ax < 3; ax++ {
-				if procs[ax] == 1 {
-					continue
-				}
-				right := neighbor(ax, 1)
-				left := neighbor(ax, -1)
-				// Exchange with both neighbors; ordering is deadlock-free
-				// thanks to buffered mailboxes.
-				c.Send(right, sendBuf[ax])
-				c.Send(left, sendBuf[ax])
-				c.Recv(left, recvBuf[ax])
-				c.Recv(right, recvBuf[ax])
+			if procs[ax] == 1 {
+				continue
 			}
+			send := m.MessageTime(haloCount * faces[ax])
+			clock += send             // to the right neighbour
+			clock += send             // to the left neighbour
+			clock += m.MessageTime(0) // from the left neighbour
+			clock += m.MessageTime(0) // from the right neighbour
 		}
-
-		wrmsAllreduce := func() {
-			// Local partial sums of the scaled error norm.
-			c.Compute(4 * float64(localPts*nVars))
-			part := [2]float64{1, float64(localPts * nVars)}
-			c.Allreduce(part[:], mpi.Sum)
+	}
+	wrmsAllreduce := func() {
+		// Local partial sums of the scaled error norm, then one
+		// two-value Allreduce.
+		compute(4 * float64(localPts*nVars))
+		clock += m.AllreduceTime(cfg.Cores, 2)
+	}
+	doStep := func() {
+		for s := 0; s < cfg.Stages; s++ {
+			exchangeHalos()
+			compute(stageFlops)
 		}
-
-		doStep := func() {
-			for s := 0; s < cfg.Stages; s++ {
-				exchangeHalos()
-				c.Compute(stageFlops)
-			}
-			// Error estimate assembly + weights.
-			c.Compute(6 * float64(localPts*nVars))
-			wrmsAllreduce()
-		}
-		doStepReplica := doStep
-
-		doCheck := func() {
-			switch cfg.Det {
-			case Classic:
-				return
-			case Replication:
-				// The replica recomputes the entire step.
-				doStepReplica()
-				return
-			}
-			// Second-estimate assembly: (order+1) AXPYs over the state.
-			c.Compute(2 * float64(checkOrder+1) * float64(localPts*nVars))
-			for i := range est {
-				est[i] = state[i] * 0.5
-			}
-			wrmsAllreduce()
-		}
-
-		for step := 0; step < cfg.Steps; step++ {
-			t0 := c.Clock()
+		// Error estimate assembly + weights.
+		compute(6 * float64(localPts*nVars))
+		wrmsAllreduce()
+	}
+	doCheck := func() {
+		switch cfg.Det {
+		case Classic:
+		case Replication:
+			// The replica recomputes the entire step.
 			doStep()
-			t1 := c.Clock()
-			doCheck()
-			t2 := c.Clock()
-			stepTimes[r] += t1 - t0
-			checkTimes[r] += t2 - t1
-			// False positives recompute the step; charge the extra step to
-			// the detector, as the paper's overhead accounting does. The
-			// schedule fires whenever the cumulative expected FP count
-			// crosses an integer.
-			if cfg.Det != Classic && cfg.FPRate > 0 &&
-				int(float64(step+1)*cfg.FPRate) > int(float64(step)*cfg.FPRate) {
-				t3 := c.Clock()
-				doStep()
-				doCheck()
-				checkTimes[r] += c.Clock() - t3
-			}
+		default:
+			// Second-estimate assembly: (order+1) AXPYs over the state.
+			compute(2 * float64(checkOrder+1) * float64(localPts*nVars))
+			wrmsAllreduce()
 		}
-	})
-	_ = comms
+	}
 
 	res := Result{Cores: cfg.Cores, SolverBytes: solverBytes, DetectorBytes: detBytes}
-	for r := 0; r < cfg.Cores; r++ {
-		if stepTimes[r] > res.StepSeconds {
-			res.StepSeconds = stepTimes[r]
-		}
-		if checkTimes[r] > res.CheckSeconds {
-			res.CheckSeconds = checkTimes[r]
+	for step := 0; step < cfg.Steps; step++ {
+		t0 := clock
+		doStep()
+		t1 := clock
+		doCheck()
+		res.StepSeconds += t1 - t0
+		res.CheckSeconds += clock - t1
+		// False positives recompute the step; charge the extra step to the
+		// detector, as the paper's overhead accounting does. The schedule
+		// fires whenever the cumulative expected FP count crosses an
+		// integer.
+		if cfg.Det != Classic && cfg.FPRate > 0 &&
+			int(float64(step+1)*cfg.FPRate) > int(float64(step)*cfg.FPRate) {
+			t3 := clock
+			doStep()
+			doCheck()
+			res.CheckSeconds += clock - t3
 		}
 	}
 	return res, nil

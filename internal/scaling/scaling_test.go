@@ -20,9 +20,25 @@ func TestFactor3(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownDetector covers every input Run refuses: an unknown
+// detector, and core, step or stage counts no run can have.
 func TestRunRejectsUnknownDetector(t *testing.T) {
-	if _, err := Run(Config{Det: "nope", Cores: 2, Steps: 1}); err == nil {
-		t.Fatal("expected error")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unknown detector", Config{Det: "nope", Cores: 2, Steps: 1}},
+		{"zero cores", Config{Det: IBDC, Cores: 0, Steps: 1}},
+		{"negative cores", Config{Det: IBDC, Cores: -5, Steps: 1}},
+		{"zero steps", Config{Det: IBDC, Cores: 2, Steps: 0}},
+		{"negative steps", Config{Det: Classic, Cores: 2, Steps: -1}},
+		{"negative stages", Config{Det: LBDC, Cores: 2, Steps: 1, Stages: -3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if res, err := Run(tc.cfg); err == nil {
+				t.Fatalf("Run(%+v) = %+v, want an error", tc.cfg, res)
+			}
+		})
 	}
 }
 
